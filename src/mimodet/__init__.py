@@ -17,30 +17,26 @@ from .channel import (
     load_channel_realization,
     save_channel_realization,
 )
-from .complexity import FlopCounter, FlopFormulaInput, complexity_sweep, flops_detector, flops_primitive
-from .detectors import (
-    LinearEqualizer,
-    apply_equalizer,
-    mf_equalizer,
-    ml_detect,
-    mmse_equalizer,
-    zf_equalizer,
+from .complexity import (
+    DETECTORS,
+    FlopCounter,
+    FlopFormulaInput,
+    complexity_sweep,
+    counting,
+    flops_detector,
+    flops_primitive,
 )
+from .detectors import apply_equalizer, mf_equalizer, ml_detect, mmse_equalizer, zf_equalizer
 from .heuristics import (
     DeParams,
-    InitStrategy,
     PopulationState,
     PsoParams,
     SwarmState,
-    de_crossover,
-    de_detect,
-    de_mutation,
     de_selection,
+    de_trials,
     hard_decision,
-    hybrid_detect,
     init_population,
     init_swarm,
-    pso_detect,
     pso_iterate,
     run_hybrid,
     run_population,
@@ -55,7 +51,6 @@ from .ofdm import (
     map_bits,
     square_qam,
     time_domain_roundtrip,
-    transmit_subcarrier,
 )
 from .realdomain import RealSystem, complexify, fitness, realify, realify_vec
 from .rng import RngStream

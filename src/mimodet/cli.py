@@ -31,6 +31,13 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mimodet",
                                      description="MIMO-OFDM detection simulator")
@@ -40,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON configuration file")
     p.add_argument("--seed", type=int, default=None, help="override master seed")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("calibrate", help="coordinate-descent calibration of one detector")
@@ -53,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vectors", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("convergence", help="BER versus iteration budget")
     p.add_argument("--config", required=True)
@@ -67,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--traces-out", default=None,
                    help="also export per-iteration fitness traces of the first frame")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("complexity", help="flop formulas over antenna counts")
     p.add_argument("--nt-max", type=int, default=256)

@@ -27,14 +27,40 @@ The fractional 16/3 terms are reported as reals, never rounded, so the
 hybrid additivity and the MMSE - ZF = 4 n_t^2 + 2 n_t identity hold
 exactly. ML is evaluated in exact integer arithmetic because the power
 term overflows doubles long before the formula stops being meaningful.
+
+Measured counts: inside ``with counting() as c:`` the detectors, the
+fitness function and the heuristic updates charge their operations to c
+(a FlopCounter) at the primitive costs above; elsewhere they charge nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
+from typing import NamedTuple
 
-DETECTOR_KINDS = ("MF", "ZF", "MMSE", "ML", "PSO", "DE",
-                  "PSO-MF", "PSO-MMSE", "DE-MF", "DE-MMSE")
+
+class Family(NamedTuple):
+    heuristic: str | None  # "pso", "de" or None
+    linear: str | None     # "mf", "zf", "mmse" or None (the seed, for a hybrid)
+
+
+# The detector registry: every kind the simulator knows, lowercase, with its
+# parts. A kind with both parts is a hybrid; ML has neither. Labels are
+# kind.upper().
+DETECTORS = {
+    "mf": Family(None, "mf"),
+    "zf": Family(None, "zf"),
+    "mmse": Family(None, "mmse"),
+    "ml": Family(None, None),
+    "pso": Family("pso", None),
+    "de": Family("de", None),
+    "pso-mf": Family("pso", "mf"),
+    "pso-mmse": Family("pso", "mmse"),
+    "de-mf": Family("de", "mf"),
+    "de-mmse": Family("de", "mmse"),
+}
 
 
 @dataclass(frozen=True)
@@ -75,33 +101,33 @@ def fitness_eval_flops(n_t: int, n_r: int) -> float:
 
 def flops_detector(kind: str, inp: FlopFormulaInput):
     """Per-subcarrier flop count for one detector. ML returns an exact int."""
-    kind = kind.upper()
+    kind = kind.lower()
+    if kind not in DETECTORS:
+        raise ValueError(f"unknown detector kind {kind!r}")
+    heuristic, linear = DETECTORS[kind]
+    if heuristic and linear:
+        return flops_detector(heuristic, inp) + flops_detector(linear, inp)
     n_t, n_r = inp.n_t, inp.n_r
-    if kind == "MF":
+    if kind == "mf":
         return 2.0 * n_t * (4 * n_r - 1)
-    if kind == "ZF":
+    if kind == "zf":
         return (16.0 / 3.0) * n_t ** 3 + 4.0 * n_t ** 2 + 32.0 * n_t ** 2 * n_r \
             + 4.0 * n_t * n_r - 2.0 * n_t
-    if kind == "MMSE":
+    if kind == "mmse":
         # algebraically 16/3 n_t^3 + 8 n_t^2 + 32 n_t^2 n_r + 4 n_t n_r;
         # summed this way the MMSE - ZF = 4 n_t^2 + 2 n_t identity is exact
         # in floating point, not just up to rounding
-        return flops_detector("ZF", inp) + (4.0 * n_t ** 2 + 2.0 * n_t)
-    if kind == "PSO":
+        return flops_detector("zf", inp) + (4.0 * n_t ** 2 + 2.0 * n_t)
+    if kind == "pso":
         return float(inp.n_pop * inp.iters) * (8 * n_t * n_r + 20 * n_t + 4 * n_r + 7)
-    if kind == "DE":
+    if kind == "de":
         return float(inp.n_pop * inp.iters) * (16 * n_t * n_r + 12 * n_t + 8 * n_r + 14)
-    if kind == "ML":
-        return inp.m_order ** (2 * n_t) * (8 * n_t * n_r + 4 * n_r + 7)
-    if kind in ("PSO-MF", "PSO-MMSE", "DE-MF", "DE-MMSE"):
-        heuristic, linear = kind.split("-")
-        return flops_detector(heuristic, inp) + flops_detector(linear, inp)
-    raise ValueError(f"unknown detector kind {kind!r}")
+    return inp.m_order ** (2 * n_t) * (8 * n_t * n_r + 4 * n_r + 7)  # ml
 
 
 def complexity_sweep(nt_values, pop_factor: int = 5, iters: int = 50,
                      iters_hybrid: int = 15, m_order: int = 4,
-                     detectors=DETECTOR_KINDS):
+                     detectors=tuple(k.upper() for k in DETECTORS)):
     """Rows (n_t, detector, flops) for square arrays of increasing size.
 
     Populations scale with the search dimensionality: n_pop = n_ind =
@@ -111,11 +137,11 @@ def complexity_sweep(nt_values, pop_factor: int = 5, iters: int = 50,
     rows = []
     for n_t in nt_values:
         for kind in detectors:
-            hybrid = "-" in kind
+            heuristic, linear = DETECTORS.get(kind.lower(), (None, None))
             inp = FlopFormulaInput(
                 n_t=n_t, n_r=n_t,
                 n_pop=pop_factor * 2 * n_t,
-                iters=iters_hybrid if hybrid else iters,
+                iters=iters_hybrid if heuristic and linear else iters,
                 m_order=m_order,
             )
             rows.append((n_t, kind, flops_detector(kind, inp)))
@@ -125,9 +151,9 @@ def complexity_sweep(nt_values, pop_factor: int = 5, iters: int = 50,
 class FlopCounter:
     """Accumulates measured operation costs from instrumented runs.
 
-    The detector and fitness code paths call the add_* hooks when handed a
-    counter; costs follow the primitive table above so measured totals are
-    directly comparable with the closed forms.
+    The detector and fitness code paths charge the counter of the enclosing
+    counting() block through charge(); costs follow the primitive table
+    above so measured totals are directly comparable with the closed forms.
     """
 
     def __init__(self):
@@ -156,3 +182,30 @@ class FlopCounter:
     def merge(self, other: "FlopCounter") -> None:
         self.flops += other.flops
         self.fitness_evals += other.fitness_evals
+
+
+# The counter charged by instrumented code; set only inside counting().
+_active: contextvars.ContextVar[FlopCounter | None] = contextvars.ContextVar(
+    "flop_counter", default=None)
+
+
+@contextlib.contextmanager
+def counting():
+    """Measure the flops of the enclosed code: ``with counting() as c: ...``.
+
+    Code inside a nested block charges only the innermost counter.
+    """
+    counter = FlopCounter()
+    token = _active.set(counter)
+    try:
+        yield counter
+    finally:
+        _active.reset(token)
+
+
+def charge(add, *sizes) -> None:
+    """Charge ``add(counter, *sizes)`` (a FlopCounter.add* method) to the
+    active counter; does nothing outside a counting() block."""
+    counter = _active.get()
+    if counter is not None:
+        add(counter, *sizes)

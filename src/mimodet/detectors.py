@@ -14,35 +14,22 @@ symbol vector and minimizes ||y - H x||^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .complexity import FlopCounter, charge
 from .linalg import invert_lu
 from .ofdm import Constellation
 
 # Refuse ML searches beyond this many candidates.
 ML_CANDIDATE_LIMIT = 1 << 20
 
-KIND_MF = "MF"
-KIND_ZF = "ZF"
-KIND_MMSE = "MMSE"
 
-
-@dataclass(frozen=True)
-class LinearEqualizer:
-    kind: str
-    w: np.ndarray                    # (n_tx, n_rx)
-    source_subcarrier: int | None = None
-
-
-def mf_equalizer(h: np.ndarray, counter=None, source_subcarrier=None) -> LinearEqualizer:
+def mf_equalizer(h: np.ndarray) -> np.ndarray:
     """Matched filter, W = H^H. The Hermitian itself costs no flops."""
-    h = np.asarray(h)
-    return LinearEqualizer(KIND_MF, h.conj().T, source_subcarrier)
+    return np.asarray(h).conj().T
 
 
-def zf_equalizer(h: np.ndarray, counter=None, source_subcarrier=None) -> LinearEqualizer:
+def zf_equalizer(h: np.ndarray) -> np.ndarray:
     """Zero forcing via the left pseudo-inverse.
 
     Raises linalg.SingularMatrixError for rank-deficient H; callers count
@@ -52,15 +39,13 @@ def zf_equalizer(h: np.ndarray, counter=None, source_subcarrier=None) -> LinearE
     n_rx, n_tx = h.shape
     gram = h.conj().T @ h
     w = invert_lu(gram) @ h.conj().T
-    if counter is not None:
-        counter.add_matmat(2 * n_tx, 2 * n_tx, 2 * n_rx)
-        counter.add_lu_inversion(2 * n_tx)
-        counter.add_matmat(2 * n_tx, 2 * n_rx, 2 * n_tx)
-    return LinearEqualizer(KIND_ZF, w, source_subcarrier)
+    charge(FlopCounter.add_matmat, 2 * n_tx, 2 * n_tx, 2 * n_rx)
+    charge(FlopCounter.add_lu_inversion, 2 * n_tx)
+    charge(FlopCounter.add_matmat, 2 * n_tx, 2 * n_rx, 2 * n_tx)
+    return w
 
 
-def mmse_equalizer(h: np.ndarray, n0_over_es: float, counter=None,
-                   source_subcarrier=None) -> LinearEqualizer:
+def mmse_equalizer(h: np.ndarray, n0_over_es: float) -> np.ndarray:
     """MMSE equalizer; reduces to ZF when the noise-to-signal ratio is zero."""
     if n0_over_es < 0:
         raise ValueError("n0_over_es must be >= 0")
@@ -68,23 +53,21 @@ def mmse_equalizer(h: np.ndarray, n0_over_es: float, counter=None,
     n_rx, n_tx = h.shape
     gram = h.conj().T @ h + n0_over_es * np.eye(n_tx)
     w = invert_lu(gram) @ h.conj().T
-    if counter is not None:
-        counter.add_matmat(2 * n_tx, 2 * n_tx, 2 * n_rx)
-        counter.add(4 * n_tx * n_tx + 2 * n_tx)  # regularizer scale + add
-        counter.add_lu_inversion(2 * n_tx)
-        counter.add_matmat(2 * n_tx, 2 * n_rx, 2 * n_tx)
-    return LinearEqualizer(KIND_MMSE, w, source_subcarrier)
+    charge(FlopCounter.add_matmat, 2 * n_tx, 2 * n_tx, 2 * n_rx)
+    charge(FlopCounter.add, 4 * n_tx * n_tx + 2 * n_tx)  # regularizer scale + add
+    charge(FlopCounter.add_lu_inversion, 2 * n_tx)
+    charge(FlopCounter.add_matmat, 2 * n_tx, 2 * n_rx, 2 * n_tx)
+    return w
 
 
-def apply_equalizer(eq: LinearEqualizer, y: np.ndarray, counter=None) -> np.ndarray:
+def apply_equalizer(w: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Soft estimate W y. Slicing is the demapper's job, not done here."""
     y = np.asarray(y)
-    if y.shape[-1] != eq.w.shape[1]:
-        raise ValueError(f"observation length {y.shape[-1]} != {eq.w.shape[1]}")
-    if counter is not None:
-        n_tx, n_rx = eq.w.shape
-        counter.add_matvec(2 * n_tx, 2 * n_rx)
-    return (eq.w @ y[..., None])[..., 0] if y.ndim > 1 else eq.w @ y
+    n_tx, n_rx = w.shape
+    if y.shape[-1] != n_rx:
+        raise ValueError(f"observation length {y.shape[-1]} != {n_rx}")
+    charge(FlopCounter.add_matvec, 2 * n_tx, 2 * n_rx)
+    return (w @ y[..., None])[..., 0] if y.ndim > 1 else w @ y
 
 
 _candidate_cache: dict[tuple, np.ndarray] = {}
@@ -114,15 +97,13 @@ def candidate_matrix(constellation: Constellation, n_tx: int) -> np.ndarray:
     return cached
 
 
-def ml_detect(h: np.ndarray, y: np.ndarray, constellation: Constellation,
-              counter=None) -> np.ndarray:
+def ml_detect(h: np.ndarray, y: np.ndarray, constellation: Constellation) -> np.ndarray:
     """Exhaustive minimum-distance detection over all symbol vectors."""
     h = np.asarray(h)
     y = np.asarray(y)
     n_rx, n_tx = h.shape
     cands = candidate_matrix(constellation, n_tx)
     dist = np.abs(y[:, None] - h @ cands) ** 2
-    if counter is not None:
-        counter.add_fitness_evals(cands.shape[1], n_tx, n_rx)
+    charge(FlopCounter.add_fitness_evals, cands.shape[1], n_tx, n_rx)
     best = int(np.argmin(dist.sum(axis=0)))
     return cands[:, best].copy()

@@ -18,10 +18,17 @@ fitness improvement. Both the current individuals and the trial vectors
 are evaluated every generation (2 n_ind evaluations), which is the
 accounting the complexity model charges.
 
-Hybrid detectors seed the initial population around a linear detector's
-soft estimate: one member is the unperturbed estimate itself, the rest add
-unit Gaussian perturbations, so the hybrid can never end with worse
-fitness than its seed.
+Initial members are drawn in one of two ways. Without a seed vector,
+every member is uniform over [search_lo, search_hi] per dimension. With
+a seed vector, member 0 is the seed itself and every other member adds
+N(0, 1) per dimension to it. The hybrid detectors seed with a linear
+detector's soft estimate, so they can never end with worse fitness than
+that seed. Where the linear stage failed (singular Gram matrix), the
+engine passes the zero vector as that subcarrier's seed.
+
+Hard decisions slice each real dimension with one set of per-axis levels,
+which is only right for square QAM (m_order a power of 4); the simulator
+config rejects other orders.
 
 All state arrays accept an optional leading batch axis; the Monte Carlo
 engine batches every subcarrier of an OFDM frame through one state.
@@ -29,26 +36,16 @@ engine batches every subcarrier of an OFDM frame through one state.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detectors import apply_equalizer, mf_equalizer, mmse_equalizer
-from .linalg import SingularMatrixError
+from .complexity import FlopCounter, charge
 from .ofdm import Constellation
-from .realdomain import RealSystem, complexify, fitness, fitness_columns, realify_vec
+from .realdomain import RealSystem, complexify, fitness, fitness_columns
 from .rng import RngStream
 
-log = logging.getLogger(__name__)
-
 INERTIA_DECAY = 0.99
-
-INIT_UNIFORM = "uniform-random"
-INIT_SEEDED = "seeded-member"
-INIT_GAUSSIAN = "gaussian-perturbed"
-
-HYBRID_KINDS = ("pso-mf", "pso-mmse", "de-mf", "de-mmse")
 
 
 @dataclass(frozen=True)
@@ -95,29 +92,6 @@ class DeParams:
             raise ValueError("n_gen must be >= 0")
 
 
-@dataclass(frozen=True)
-class InitStrategy:
-    """How the initial swarm/population is placed.
-
-    uniform-random draws every member from U[lo, hi]. seeded-member plants
-    seed_vector as one member among uniform draws. gaussian-perturbed adds
-    N(0, perturb_sigma^2) per dimension to the seed for every member;
-    include_seed_member additionally keeps member 0 unperturbed, which is
-    how the hybrid detectors guarantee the linear answer is never lost.
-    """
-
-    kind: str
-    seed_vector: np.ndarray | None = None
-    perturb_sigma: float = 1.0
-    include_seed_member: bool = False
-
-    def __post_init__(self):
-        if self.kind not in (INIT_UNIFORM, INIT_SEEDED, INIT_GAUSSIAN):
-            raise ValueError(f"unknown init strategy {self.kind!r}")
-        if self.kind != INIT_UNIFORM and self.seed_vector is None:
-            raise ValueError(f"{self.kind} requires a seed_vector")
-
-
 @dataclass
 class SwarmState:
     positions: np.ndarray      # (..., dim, n_pop)
@@ -145,7 +119,6 @@ class HeuristicRun:
     symbols: np.ndarray                     # (..., n_tx) hard complex decisions
     trace: np.ndarray                       # (..., n_steps + 1) best fitness per step
     checkpoint_symbols: dict = field(default_factory=dict)
-    used_fallback: bool = False
 
 
 def hard_decision(position, constellation: Constellation) -> np.ndarray:
@@ -157,21 +130,18 @@ def hard_decision(position, constellation: Constellation) -> np.ndarray:
 
 
 def initial_positions(rng: RngStream, n_dim: int, n_members: int,
-                      strategy: InitStrategy, lo: float, hi: float,
+                      seed_vec: np.ndarray | None, lo: float, hi: float,
                       batch_shape: tuple = ()) -> np.ndarray:
+    """Column-stacked initial members: uniform in [lo, hi] without a seed,
+    else the seed as member 0 and seed + N(0, 1) for the rest."""
     shape = batch_shape + (n_dim, n_members)
-    if strategy.kind == INIT_UNIFORM:
+    if seed_vec is None:
         return rng.uniform(lo, hi, shape)
-    seed = np.asarray(strategy.seed_vector, dtype=float)
+    seed = np.asarray(seed_vec, dtype=float)
     if seed.shape[-1] != n_dim:
         raise ValueError(f"seed vector dimension {seed.shape[-1]} != {n_dim}")
-    if strategy.kind == INIT_SEEDED:
-        pos = rng.uniform(lo, hi, shape)
-        pos[..., 0] = seed
-        return pos
-    pos = seed[..., None] + strategy.perturb_sigma * rng.standard_normal(shape)
-    if strategy.include_seed_member:
-        pos[..., 0] = seed
+    pos = seed[..., None] + rng.standard_normal(shape)
+    pos[..., 0] = seed
     return pos
 
 
@@ -189,12 +159,12 @@ def _best_member(members: np.ndarray, fits: np.ndarray):
 # PSO
 # ---------------------------------------------------------------------------
 
-def init_swarm(rng: RngStream, params: PsoParams, strategy: InitStrategy,
-               sys: RealSystem, counter=None) -> SwarmState:
+def init_swarm(rng: RngStream, params: PsoParams, seed_vec: np.ndarray | None,
+               sys: RealSystem) -> SwarmState:
     batch_shape = sys.h.shape[:-2]
-    pos = initial_positions(rng, sys.dim, params.n_pop, strategy,
+    pos = initial_positions(rng, sys.dim, params.n_pop, seed_vec,
                             params.search_lo, params.search_hi, batch_shape)
-    fit = fitness_columns(sys, pos, counter)
+    fit = fitness_columns(sys, pos)
     p_gb, gb_fit = _best_member(pos, fit)
     return SwarmState(
         positions=pos,
@@ -209,7 +179,7 @@ def init_swarm(rng: RngStream, params: PsoParams, strategy: InitStrategy,
 
 
 def pso_iterate(rng: RngStream, state: SwarmState, params: PsoParams,
-                sys: RealSystem, counter=None, uniforms=None) -> SwarmState:
+                sys: RealSystem, uniforms=None) -> SwarmState:
     """Advance the swarm one iteration in place.
 
     `uniforms` is a test hook overriding the U1, U2 draws; leave it None in
@@ -227,10 +197,9 @@ def pso_iterate(rng: RngStream, state: SwarmState, params: PsoParams,
     np.clip(vel, -params.v_max, params.v_max, out=vel)
     state.velocities = vel
     state.positions = state.positions + vel
-    if counter is not None:
-        # 9 flops per dimension for the velocity update, 1 for the position.
-        counter.add(10 * vel.size)
-    fit = fitness_columns(sys, state.positions, counter)
+    # 9 flops per dimension for the velocity update, 1 for the position.
+    charge(FlopCounter.add, 10 * vel.size)
+    fit = fitness_columns(sys, state.positions)
     improved = fit < state.pb_fitness
     state.personal_best = np.where(improved[..., None, :], state.positions, state.personal_best)
     state.pb_fitness = np.where(improved, fit, state.pb_fitness)
@@ -241,30 +210,22 @@ def pso_iterate(rng: RngStream, state: SwarmState, params: PsoParams,
 
 
 def run_swarm(rng: RngStream, sys: RealSystem, params: PsoParams,
-              strategy: InitStrategy, constellation: Constellation,
-              checkpoints=(), counter=None) -> HeuristicRun:
+              seed_vec: np.ndarray | None, constellation: Constellation,
+              checkpoints=()) -> HeuristicRun:
     """Full PSO detection; optionally record hard decisions at checkpoints."""
-    state = init_swarm(rng, params, strategy, sys, counter)
+    state = init_swarm(rng, params, seed_vec, sys)
     trace = [np.asarray(state.gb_fitness)]
     marks = {}
     wanted = set(checkpoints)
     if 0 in wanted:
         marks[0] = hard_decision(state.p_gb, constellation)
     for it in range(1, params.n_iter + 1):
-        pso_iterate(rng, state, params, sys, counter)
+        pso_iterate(rng, state, params, sys)
         trace.append(np.asarray(state.gb_fitness))
         if it in wanted:
             marks[it] = hard_decision(state.p_gb, constellation)
     return HeuristicRun(hard_decision(state.p_gb, constellation),
                         np.stack(trace, axis=-1), marks)
-
-
-def pso_detect(rng: RngStream, sys: RealSystem, params: PsoParams,
-               strategy: InitStrategy, constellation: Constellation,
-               counter=None):
-    """Detect one symbol vector with PSO; returns (hard symbols, fitness trace)."""
-    run = run_swarm(rng, sys, params, strategy, constellation, counter=counter)
-    return run.symbols, run.trace
 
 
 # ---------------------------------------------------------------------------
@@ -289,61 +250,17 @@ def _mutation_indices(rng: RngStream, n_ind: int, batch_shape: tuple) -> np.ndar
         r = np.where(bad, rng.integers(0, n_ind, r.shape), r)
 
 
-def de_mutation(rng: RngStream, individuals: np.ndarray, f_mut: float, k: int) -> np.ndarray:
-    """Mutant vector for individual k: iota_r1 + f_mut (iota_r2 - iota_r3)."""
-    individuals = np.asarray(individuals)
-    n_ind = individuals.shape[-1]
+def de_trials(rng: RngStream, individuals: np.ndarray, params: DeParams) -> np.ndarray:
+    """rand/1/bin trial vectors for every individual (mutation + crossover).
+
+    Mutant k is iota_r1 + F_mut (iota_r2 - iota_r3) with r1, r2, r3 and k
+    distinct; the trial takes the mutant's entry where a uniform draw is
+    <= f_cr and at one forced dimension, and keeps iota_k elsewhere.
+    """
+    iota = individuals
+    n_dim, n_ind = iota.shape[-2], iota.shape[-1]
     if n_ind < 4:
         raise ValueError("need at least 4 individuals for distinct mutation indices")
-    while True:
-        r1, r2, r3 = (int(v) for v in rng.integers(0, n_ind, 3))
-        if len({r1, r2, r3, k}) == 4:
-            break
-    return individuals[..., r1] + f_mut * (individuals[..., r2] - individuals[..., r3])
-
-
-def de_crossover(rng: RngStream, iota_k: np.ndarray, nu_k: np.ndarray,
-                 f_cr: float) -> np.ndarray:
-    """Binomial crossover: take the mutant where rand <= f_cr or at one forced index."""
-    iota_k = np.asarray(iota_k)
-    nu_k = np.asarray(nu_k)
-    if iota_k.shape != nu_k.shape:
-        raise ValueError("individual and mutant must have equal shapes")
-    n_dim = iota_k.shape[-1]
-    take = rng.uniform(size=iota_k.shape) <= f_cr
-    forced = int(rng.integers(0, n_dim))
-    take[..., forced] = True
-    return np.where(take, nu_k, iota_k)
-
-
-def de_selection(pop: PopulationState, trials: np.ndarray, sys: RealSystem,
-                 counter=None) -> PopulationState:
-    """Greedy selection; evaluates both incumbents and trials (2 n_ind evals)."""
-    trials = np.asarray(trials)
-    if trials.shape != pop.individuals.shape:
-        raise ValueError("trial set must match the population shape")
-    f_inc = fitness_columns(sys, pop.individuals, counter)
-    f_tri = fitness_columns(sys, trials, counter)
-    take = f_tri < f_inc
-    pop.individuals = np.where(take[..., None, :], trials, pop.individuals)
-    pop.fitness_cache = np.where(take, f_tri, f_inc)
-    pop.generation += 1
-    return pop
-
-
-def init_population(rng: RngStream, params: DeParams, strategy: InitStrategy,
-                    sys: RealSystem, counter=None) -> PopulationState:
-    batch_shape = sys.h.shape[:-2]
-    pos = initial_positions(rng, sys.dim, params.n_ind, strategy,
-                            params.search_lo, params.search_hi, batch_shape)
-    return PopulationState(pos, fitness_columns(sys, pos, counter))
-
-
-def de_generation(rng: RngStream, pop: PopulationState, params: DeParams,
-                  sys: RealSystem, counter=None) -> PopulationState:
-    """One mutation/crossover/selection cycle over the whole population."""
-    iota = pop.individuals
-    n_dim, n_ind = iota.shape[-2], iota.shape[-1]
     batch_shape = iota.shape[:-2]
     r = _mutation_indices(rng, n_ind, batch_shape)
     pick = lambda idx: np.take_along_axis(iota, idx[..., None, :], axis=-1)
@@ -351,19 +268,45 @@ def de_generation(rng: RngStream, pop: PopulationState, params: DeParams,
     take = rng.uniform(size=iota.shape) <= params.f_cr
     forced = rng.integers(0, n_dim, batch_shape + (n_ind,))
     take |= np.arange(n_dim)[:, None] == forced[..., None, :]
-    trials = np.where(take, mutants, iota)
-    if counter is not None:
-        # 3 flops per dimension for mutation, 3 for crossover bookkeeping;
-        # matches the complexity model's per-generation convention.
-        counter.add(6 * iota.size)
-    return de_selection(pop, trials, sys, counter)
+    # 3 flops per dimension for mutation, 3 for crossover bookkeeping;
+    # matches the complexity model's per-generation convention.
+    charge(FlopCounter.add, 6 * iota.size)
+    return np.where(take, mutants, iota)
+
+
+def de_selection(pop: PopulationState, trials: np.ndarray, sys: RealSystem) -> PopulationState:
+    """Greedy selection; evaluates both incumbents and trials (2 n_ind evals)."""
+    trials = np.asarray(trials)
+    if trials.shape != pop.individuals.shape:
+        raise ValueError("trial set must match the population shape")
+    f_inc = fitness_columns(sys, pop.individuals)
+    f_tri = fitness_columns(sys, trials)
+    take = f_tri < f_inc
+    pop.individuals = np.where(take[..., None, :], trials, pop.individuals)
+    pop.fitness_cache = np.where(take, f_tri, f_inc)
+    pop.generation += 1
+    return pop
+
+
+def init_population(rng: RngStream, params: DeParams, seed_vec: np.ndarray | None,
+                    sys: RealSystem) -> PopulationState:
+    batch_shape = sys.h.shape[:-2]
+    pos = initial_positions(rng, sys.dim, params.n_ind, seed_vec,
+                            params.search_lo, params.search_hi, batch_shape)
+    return PopulationState(pos, fitness_columns(sys, pos))
+
+
+def de_generation(rng: RngStream, pop: PopulationState, params: DeParams,
+                  sys: RealSystem) -> PopulationState:
+    """One mutation/crossover/selection cycle over the whole population."""
+    return de_selection(pop, de_trials(rng, pop.individuals, params), sys)
 
 
 def run_population(rng: RngStream, sys: RealSystem, params: DeParams,
-                   strategy: InitStrategy, constellation: Constellation,
-                   checkpoints=(), counter=None) -> HeuristicRun:
+                   seed_vec: np.ndarray | None, constellation: Constellation,
+                   checkpoints=()) -> HeuristicRun:
     """Full DE detection; optionally record hard decisions at checkpoints."""
-    pop = init_population(rng, params, strategy, sys, counter)
+    pop = init_population(rng, params, seed_vec, sys)
     best, best_fit = _best_member(pop.individuals, pop.fitness_cache)
     trace = [np.asarray(best_fit)]
     marks = {}
@@ -371,7 +314,7 @@ def run_population(rng: RngStream, sys: RealSystem, params: DeParams,
     if 0 in wanted:
         marks[0] = hard_decision(best, constellation)
     for gen in range(1, params.n_gen + 1):
-        de_generation(rng, pop, params, sys, counter)
+        de_generation(rng, pop, params, sys)
         best, best_fit = _best_member(pop.individuals, pop.fitness_cache)
         trace.append(np.asarray(best_fit))
         if gen in wanted:
@@ -380,81 +323,34 @@ def run_population(rng: RngStream, sys: RealSystem, params: DeParams,
                         np.stack(trace, axis=-1), marks)
 
 
-def de_detect(rng: RngStream, sys: RealSystem, params: DeParams,
-              strategy: InitStrategy, constellation: Constellation,
-              counter=None):
-    """Detect one symbol vector with DE; returns (hard symbols, fitness trace)."""
-    run = run_population(rng, sys, params, strategy, constellation, counter=counter)
-    return run.symbols, run.trace
-
-
 # ---------------------------------------------------------------------------
 # Hybrid linear-heuristic detectors
 # ---------------------------------------------------------------------------
 
-def linear_seed(h: np.ndarray, y: np.ndarray, linear_kind: str,
-                n0_over_es: float, counter=None) -> np.ndarray:
-    """Real-domain seed vector from a linear detector's soft estimate."""
-    if linear_kind == "mf":
-        eq = mf_equalizer(h, counter)
-    elif linear_kind == "mmse":
-        eq = mmse_equalizer(h, n0_over_es, counter)
-    else:
-        raise ValueError(f"unsupported seed detector {linear_kind!r}")
-    return realify_vec(apply_equalizer(eq, y, counter))
+def run_hybrid(rng: RngStream, sys: RealSystem, seed_vec: np.ndarray,
+               params: PsoParams | DeParams, constellation: Constellation,
+               checkpoints=()) -> HeuristicRun:
+    """Heuristic refinement around a linear detector's soft estimate.
 
-
-def run_hybrid(rng: RngStream, sys: RealSystem, seed_vec: np.ndarray, kind: str,
-               params, constellation: Constellation, checkpoints=(),
-               counter=None, used_fallback: bool = False) -> HeuristicRun:
-    """Heuristic refinement around a precomputed seed vector.
-
+    PsoParams run the swarm, DeParams the population, both seeded with
+    seed_vec (see initial_positions). A system whose linear stage failed
+    arrives with the zero vector as its seed and is refined the same way.
     Checkpoint 0 and the zero-budget output are the sliced seed itself,
     which is exactly the linear detector's decision.
     """
-    heuristic = kind.split("-")[0]
-    if heuristic == "pso":
+    if isinstance(params, PsoParams):
         budget, runner = params.n_iter, run_swarm
-    elif heuristic == "de":
+    elif isinstance(params, DeParams):
         budget, runner = params.n_gen, run_population
     else:
-        raise ValueError(f"unsupported hybrid kind {kind!r}")
+        raise TypeError(f"expected PsoParams or DeParams, got {type(params).__name__}")
+    seed_vec = np.asarray(seed_vec)
     seed_symbols = hard_decision(seed_vec, constellation)
     if budget == 0:
-        trace = np.asarray(fitness(sys, np.asarray(seed_vec)))[..., None]
+        trace = np.asarray(fitness(sys, seed_vec))[..., None]
         marks = {0: seed_symbols} if 0 in set(checkpoints) else {}
-        return HeuristicRun(seed_symbols, trace, marks, used_fallback)
-    if used_fallback:
-        strategy = InitStrategy(INIT_UNIFORM)
-    else:
-        strategy = InitStrategy(INIT_GAUSSIAN, seed_vector=np.asarray(seed_vec),
-                                include_seed_member=True)
-    run = runner(rng, sys, params, strategy, constellation, checkpoints, counter)
+        return HeuristicRun(seed_symbols, trace, marks)
+    run = runner(rng, sys, params, seed_vec, constellation, checkpoints)
     if 0 in run.checkpoint_symbols:
         run.checkpoint_symbols[0] = seed_symbols
-    run.used_fallback = used_fallback
     return run
-
-
-def hybrid_detect(rng: RngStream, sys: RealSystem, h: np.ndarray, y: np.ndarray,
-                  kind: str, params, n0_over_es: float,
-                  constellation: Constellation, counter=None):
-    """Two-stage detection: linear soft estimate, then heuristic refinement.
-
-    kind is one of pso-mf / pso-mmse / de-mf / de-mmse. If the linear stage
-    fails (singular channel), the heuristic falls back to uniform-random
-    initialization and the event is logged. Returns (hard symbols, trace).
-    """
-    if kind not in HYBRID_KINDS:
-        raise ValueError(f"unsupported hybrid kind {kind!r}")
-    linear_kind = kind.split("-")[1]
-    fallback = False
-    try:
-        seed_vec = linear_seed(h, y, linear_kind, n0_over_es, counter)
-    except SingularMatrixError:
-        log.warning("hybrid %s: linear seed failed, falling back to uniform init", kind)
-        fallback = True
-        seed_vec = np.zeros(sys.dim)
-    run = run_hybrid(rng, sys, seed_vec, kind, params, constellation,
-                     counter=counter, used_fallback=fallback)
-    return run.symbols, run.trace

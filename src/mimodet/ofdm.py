@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _complex_token, add_awgn
-from .rng import RngStream
+from .channel import _complex_token
 
 
 @dataclass(frozen=True)
@@ -151,16 +150,6 @@ def demap_symbols(symbols, constellation: Constellation) -> np.ndarray:
     flat = np.asarray(symbols).ravel()
     dist = np.abs(flat[:, None] - constellation.points[None, :])
     return constellation.bit_labels[np.argmin(dist, axis=1)].ravel()
-
-
-def transmit_subcarrier(h_n: np.ndarray, x_n: np.ndarray, sigma2: float,
-                        rng: RngStream) -> np.ndarray:
-    """One subcarrier through the channel: y = H x + z."""
-    h_n = np.asarray(h_n)
-    x_n = np.asarray(x_n)
-    if h_n.shape[1] != x_n.shape[0]:
-        raise ValueError(f"channel {h_n.shape} does not accept input of length {x_n.shape[0]}")
-    return add_awgn(rng, h_n @ x_n, sigma2)
 
 
 def time_domain_roundtrip(taps: np.ndarray, frame: TxFrame, cp_len: int,

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complexity import FlopCounter, charge
+
 
 @dataclass(frozen=True)
 class RealSystem:
@@ -68,23 +70,20 @@ def realify(h, y) -> RealSystem:
     return RealSystem(np.concatenate([top, bottom], axis=-2), realify_vec(y))
 
 
-def fitness(sys: RealSystem, zeta, counter=None) -> np.ndarray | float:
+def fitness(sys: RealSystem, zeta) -> np.ndarray | float:
     """Squared residual norm ||y - H zeta||^2 of one candidate per system."""
     zeta = np.asarray(zeta)
     if zeta.shape[-1] != sys.dim:
         raise ValueError(f"candidate length {zeta.shape[-1]} != system dimension {sys.dim}")
     res = sys.y - (sys.h @ zeta[..., None])[..., 0]
-    if counter is not None:
-        count = int(np.prod(res.shape[:-1])) if res.ndim > 1 else 1
-        counter.add_fitness_evals(count, sys.n_tx, sys.n_rx)
+    charge(FlopCounter.add_fitness_evals, res.size // res.shape[-1], sys.n_tx, sys.n_rx)
     out = np.einsum("...i,...i->...", res, res)
     return float(out) if out.ndim == 0 else out
 
 
-def fitness_columns(sys: RealSystem, candidates, counter=None) -> np.ndarray:
+def fitness_columns(sys: RealSystem, candidates) -> np.ndarray:
     """Fitness of a column-stacked candidate set, shape (..., dim, k) -> (..., k)."""
     candidates = np.asarray(candidates)
     res = sys.y[..., None] - sys.h @ candidates
-    if counter is not None:
-        counter.add_fitness_evals(res.size // res.shape[-2], sys.n_tx, sys.n_rx)
+    charge(FlopCounter.add_fitness_evals, res.size // res.shape[-2], sys.n_tx, sys.n_rx)
     return np.einsum("...ik,...ik->...k", res, res)

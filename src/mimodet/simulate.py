@@ -52,30 +52,16 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import complexity
-from .channel import CorrelationSpec, correlation_sqrt, generate_channel
+from .channel import CorrelationSpec, add_awgn, correlation_sqrt, generate_channel
+from .complexity import DETECTORS
 from .detectors import apply_equalizer, mf_equalizer, ml_detect, mmse_equalizer, zf_equalizer
-from .heuristics import (
-    INIT_UNIFORM,
-    DeParams,
-    InitStrategy,
-    PsoParams,
-    run_hybrid,
-    run_population,
-    run_swarm,
-)
+from .heuristics import DeParams, PsoParams, run_hybrid, run_population, run_swarm
 from .linalg import SingularMatrixError
 from .ofdm import Constellation, NoiseSpec, demap_symbols, map_bits, square_qam
 from .realdomain import realify, realify_vec
 from .rng import RngStream
 
 log = logging.getLogger(__name__)
-
-DETECTOR_KINDS = ("mf", "zf", "mmse", "ml", "pso", "de",
-                  "pso-mf", "pso-mmse", "de-mf", "de-mmse")
-
-LINEAR_KINDS = ("mf", "zf", "mmse")
-HEURISTIC_KINDS = ("pso", "de")
-HYBRID_KINDS = ("pso-mf", "pso-mmse", "de-mf", "de-mmse")
 
 # Frames are always simulated in full batches of this many, and stopping
 # rules are applied only on batch boundaries; that keeps outputs identical
@@ -133,7 +119,7 @@ class DetectorConfig:
     search_hi: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in DETECTOR_KINDS:
+        if self.kind not in DETECTORS:
             raise ConfigError(f"unknown detector kind {self.kind!r}")
 
     @property
@@ -158,38 +144,33 @@ class ResolvedDetector:
 
     label: str
     kind: str
-    pso: PsoParams | None = None
-    de: DeParams | None = None
+    params: PsoParams | DeParams | None = None
 
     @property
     def iterations(self) -> int:
-        if self.pso is not None:
-            return self.pso.n_iter
-        if self.de is not None:
-            return self.de.n_gen
-        return 0
+        if isinstance(self.params, PsoParams):
+            return self.params.n_iter
+        return self.params.n_gen if self.params is not None else 0
 
     @property
     def population(self) -> int:
-        if self.pso is not None:
-            return self.pso.n_pop
-        if self.de is not None:
-            return self.de.n_ind
-        return 0
+        if isinstance(self.params, PsoParams):
+            return self.params.n_pop
+        return self.params.n_ind if self.params is not None else 0
 
 
 def resolve_detector(det: DetectorConfig, rho: float) -> ResolvedDetector:
     """Bind calibrated defaults for this correlation index."""
-    kind = det.kind
-    if kind in LINEAR_KINDS or kind == "ml":
-        return ResolvedDetector(det.label, kind)
-    init = kind.split("-")[1] if "-" in kind else "random"
+    heuristic, linear = DETECTORS[det.kind]
+    if heuristic is None:
+        return ResolvedDetector(det.label, det.kind)
+    init = linear or "random"
     rho_key = _nearest_rho_key(rho)
     n_pop = det.n_pop if det.n_pop is not None else 40
-    default_iters = DEFAULT_HYBRID_ITERS if "-" in kind else DEFAULT_RANDOM_ITERS
+    default_iters = DEFAULT_HYBRID_ITERS if linear else DEFAULT_RANDOM_ITERS
     iters = det.iters if det.iters is not None else default_iters
     try:
-        if kind.startswith("pso"):
+        if heuristic == "pso":
             c1, c2, w0 = CALIBRATED_PSO[init][rho_key]
             params = PsoParams(
                 c1=det.c1 if det.c1 is not None else c1,
@@ -198,7 +179,7 @@ def resolve_detector(det: DetectorConfig, rho: float) -> ResolvedDetector:
                 n_pop=n_pop, n_iter=iters, v_max=det.v_max,
                 search_lo=det.search_lo, search_hi=det.search_hi,
             )
-            return ResolvedDetector(det.label, kind, pso=params)
+            return ResolvedDetector(det.label, det.kind, params)
         f_mut, f_cr = CALIBRATED_DE[init][rho_key]
         params = DeParams(
             f_mut=det.f_mut if det.f_mut is not None else f_mut,
@@ -206,7 +187,7 @@ def resolve_detector(det: DetectorConfig, rho: float) -> ResolvedDetector:
             n_ind=n_pop, n_gen=iters,
             search_lo=det.search_lo, search_hi=det.search_hi,
         )
-        return ResolvedDetector(det.label, kind, de=params)
+        return ResolvedDetector(det.label, det.kind, params)
     except ValueError as exc:
         raise ConfigError(f"detector {det.label}: {exc}") from exc
 
@@ -228,6 +209,12 @@ class SimulationConfig:
         if min(self.n_t, self.n_r, self.n_subcarriers, self.m_order,
                self.max_trials, self.target_bit_errors) < 1:
             raise ConfigError("all counts must be >= 1")
+        if self.n_r != self.n_t:
+            raise ConfigError(f"n_r = {self.n_r} != n_t = {self.n_t}: "
+                              "only square arrays are simulated")
+        m = self.m_order
+        if m < 4 or m & (m - 1) or (m.bit_length() - 1) % 2:
+            raise ConfigError(f"m_order {m} is not a power of 4: only square QAM is simulated")
         if not self.detectors:
             raise ConfigError("detector list must not be empty")
         for rho in self.rho_list:
@@ -344,11 +331,7 @@ def _frame_channel_and_rx(config: SimulationConfig, const: Constellation,
     frame_tx = map_bits(bits, config.n_t, const)
     clean = np.einsum("nrt,tn->nr", hs, frame_tx.symbols)
     noise = NoiseSpec.from_ebn0(ebn0_db, config.m_order)
-    if noise.sigma2 > 0.0:
-        parts = trial_rng.standard_normal((2,) + clean.shape)
-        ys = clean + np.sqrt(noise.sigma2 / 2.0) * (parts[0] + 1j * parts[1])
-    else:
-        ys = clean
+    ys = add_awgn(trial_rng, clean, noise.sigma2)
     return bits, hs, ys, noise
 
 
@@ -360,12 +343,12 @@ def _linear_soft(kind: str, hs, ys, n0_over_es: float):
     for n in range(n_sc):
         try:
             if kind == "mf":
-                eq = mf_equalizer(hs[n], source_subcarrier=n)
+                w = mf_equalizer(hs[n])
             elif kind == "zf":
-                eq = zf_equalizer(hs[n], source_subcarrier=n)
+                w = zf_equalizer(hs[n])
             else:
-                eq = mmse_equalizer(hs[n], n0_over_es, source_subcarrier=n)
-            soft[n] = apply_equalizer(eq, ys[n])
+                w = mmse_equalizer(hs[n], n0_over_es)
+            soft[n] = apply_equalizer(w, ys[n])
         except SingularMatrixError:
             failed[n] = True
     return soft, failed
@@ -379,34 +362,29 @@ def _detect_frame(res: ResolvedDetector, config: SimulationConfig,
     Returns (symbols dict, failed mask, trace or None). The symbols dict
     maps checkpoint -> (n_sc, n_t) hard grid; key None is the final output.
     """
-    kind = res.kind
+    heuristic, linear = DETECTORS[res.kind]
     n_sc = hs.shape[0]
     failed = np.zeros(n_sc, dtype=bool)
     trace = None
-    if kind in LINEAR_KINDS:
-        soft, failed = _linear_soft(kind, hs, ys, noise.sigma2)
+    if heuristic is None and linear is not None:
+        soft, failed = _linear_soft(linear, hs, ys, noise.sigma2)
         points = const.points
         idx = np.argmin(np.abs(soft[..., None] - points), axis=-1)
         return {None: points[idx]}, failed, trace
-    if kind == "ml":
+    if heuristic is None:  # ML
         out = np.stack([ml_detect(hs[n], ys[n], const) for n in range(n_sc)])
         return {None: out}, failed, trace
     sys = realify(hs, ys)
-    if kind in HEURISTIC_KINDS:
-        strategy = InitStrategy(INIT_UNIFORM)
-        runner = run_swarm if kind == "pso" else run_population
-        params = res.pso if kind == "pso" else res.de
-        run = runner(det_rng, sys, params, strategy, const, checkpoints)
+    if linear is None:
+        runner = run_swarm if heuristic == "pso" else run_population
+        run = runner(det_rng, sys, res.params, None, const, checkpoints)
     else:
-        seed_kind = kind.split("-")[1]
-        soft, failed = _linear_soft(seed_kind, hs, ys, noise.sigma2)
+        soft, failed = _linear_soft(linear, hs, ys, noise.sigma2)
         if failed.any():
             log.warning("%s: %d subcarriers lost their linear seed",
                         res.label, int(failed.sum()))
             soft[failed] = 0.0
-        params = res.pso if kind.startswith("pso") else res.de
-        run = run_hybrid(det_rng, sys, realify_vec(soft), kind, params, const,
-                         checkpoints)
+        run = run_hybrid(det_rng, sys, realify_vec(soft), res.params, const, checkpoints)
         failed = np.zeros(n_sc, dtype=bool)  # heuristic still detects them
     if want_trace:
         trace = run.trace
@@ -702,10 +680,11 @@ class CalibrationPlan:
 
 
 def default_calibration_plan(kind: str, **overrides) -> CalibrationPlan:
-    if kind.startswith("pso"):
+    heuristic = DETECTORS[kind].heuristic if kind in DETECTORS else None
+    if heuristic == "pso":
         base = dict(parameter_order=("c1", "c2", "w0"), grids=PSO_DEFAULT_GRIDS,
                     start=dict(zip(("c1", "c2", "w0"), PSO_START)))
-    elif kind.startswith("de"):
+    elif heuristic == "de":
         base = dict(parameter_order=("f_mut", "f_cr"), grids=DE_DEFAULT_GRIDS,
                     start=dict(zip(("f_mut", "f_cr"), DE_START)))
     else:

@@ -24,9 +24,7 @@ from mimodet.cli import cli_main
 from mimodet.complexity import FlopFormulaInput, flops_detector
 from mimodet.detectors import ml_detect, mmse_equalizer, zf_equalizer
 from mimodet.heuristics import (
-    INIT_UNIFORM,
     DeParams,
-    InitStrategy,
     PsoParams,
     de_generation,
     init_population,
@@ -278,7 +276,7 @@ def test_criterion_8_structural_invariants():
 
     # PSO global-best monotonicity and velocity clamping
     params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=20, n_iter=1, v_max=1.0)
-    state = init_swarm(rng.substream("swarm"), params, InitStrategy(INIT_UNIFORM), sys)
+    state = init_swarm(rng.substream("swarm"), params, None, sys)
     mono, clamp = True, True
     prev = state.gb_fitness
     for i in range(30):
@@ -291,7 +289,7 @@ def test_criterion_8_structural_invariants():
 
     # DE per-individual monotonicity
     de_params = DeParams(f_mut=0.8, f_cr=0.7, n_ind=12, n_gen=1)
-    pop = init_population(rng.substream("pop"), de_params, InitStrategy(INIT_UNIFORM), sys)
+    pop = init_population(rng.substream("pop"), de_params, None, sys)
     de_mono = True
     for g in range(25):
         before = pop.fitness_cache.copy()
@@ -301,7 +299,7 @@ def test_criterion_8_structural_invariants():
 
     # seed-membership dominance
     seed_vec = realify_vec(CONST.points[rng.substream("sx").integers(0, 4, 4)])
-    run = run_hybrid(rng.substream("hyb"), sys, seed_vec, "pso-mmse",
+    run = run_hybrid(rng.substream("hyb"), sys, seed_vec,
                      PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=15, n_iter=15), CONST)
     checks["seed dominance"] = bool(run.trace[-1] <= fitness(sys, seed_vec) * (1 + 1e-12))
 
@@ -309,9 +307,9 @@ def test_criterion_8_structural_invariants():
     zf_ok, limit_ok = True, True
     for i in range(25):
         hh = draw_standard_complex_gaussian(rng.substream("zf", i), 4, 4)
-        w = zf_equalizer(hh).w
+        w = zf_equalizer(hh)
         zf_ok &= float(np.abs(w @ hh - np.eye(4)).max()) < 1e-9
-        limit_ok &= float(np.abs(mmse_equalizer(hh, 0.0).w - w).max()) < 1e-9
+        limit_ok &= float(np.abs(mmse_equalizer(hh, 0.0) - w).max()) < 1e-9
     checks["zf multiply-back"] = zf_ok
     checks["mmse->zf limit"] = limit_ok
 

@@ -65,6 +65,13 @@ class TestSimulateCommand:
         bad.write_text(json.dumps(cfg))
         assert cli_main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("fields", [{"n_r": 2}, {"m_order": 6}, {"m_order": 8}])
+    def test_unsimulable_config_fails(self, tmp_path, capsys, fields):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(BASE_CONFIG, **fields)))
+        assert cli_main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
+        assert next(iter(fields)) in capsys.readouterr().err
+
     def test_seed_override_changes_output(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         cli_main(["simulate", "--config", config_path, "--out", str(out1)])
@@ -127,6 +134,16 @@ class TestValidateChannelCommand:
 
 
 class TestArgumentErrors:
+    @pytest.mark.parametrize("command", [
+        ["simulate"],
+        ["calibrate", "--detector", "pso"],
+        ["convergence", "--detector", "pso"],
+    ])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, config_path, command, workers):
+        argv = command[:1] + ["--config", config_path] + command[1:] + ["--workers", workers]
+        assert cli_main(argv) == EXIT_CONFIG
+
     def test_unknown_command(self):
         assert cli_main(["defragment"]) == EXIT_CONFIG
 

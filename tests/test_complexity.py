@@ -1,16 +1,17 @@
 import pytest
 
 from mimodet.complexity import (
-    DETECTOR_KINDS,
+    DETECTORS,
     FlopCounter,
     FlopFormulaInput,
     complexity_sweep,
+    counting,
     fitness_eval_flops,
     flops_detector,
     flops_primitive,
 )
 from mimodet.detectors import apply_equalizer, mf_equalizer, mmse_equalizer, zf_equalizer
-from mimodet.heuristics import DeParams, InitStrategy, INIT_UNIFORM, PsoParams, run_population, run_swarm
+from mimodet.heuristics import DeParams, PsoParams, run_population, run_swarm
 from mimodet.linalg import draw_standard_complex_gaussian
 from mimodet.ofdm import square_qam
 from mimodet.realdomain import realify
@@ -53,7 +54,7 @@ class TestDetectorFormulas:
 
     def test_monotone_in_arguments(self):
         base = FlopFormulaInput(4, 4, n_pop=40, iters=10, m_order=4)
-        for kind in DETECTOR_KINDS:
+        for kind in DETECTORS:
             v0 = flops_detector(kind, base)
             assert flops_detector(kind, FlopFormulaInput(5, 4, 40, 10, 4)) > v0 or kind is None
             assert flops_detector(kind, FlopFormulaInput(4, 5, 40, 10, 4)) > v0
@@ -111,23 +112,20 @@ class TestInstrumentedCounts:
 
     def test_mf_counted_flops(self):
         h, y = self._system()
-        counter = FlopCounter()
-        eq = mf_equalizer(h, counter)
-        apply_equalizer(eq, y, counter)
+        with counting() as counter:
+            apply_equalizer(mf_equalizer(h), y)
         assert counter.flops == 120
 
     def test_zf_counted_flops_match_formula(self):
         h, y = self._system(2)
-        counter = FlopCounter()
-        eq = zf_equalizer(h, counter)
-        apply_equalizer(eq, y, counter)
+        with counting() as counter:
+            apply_equalizer(zf_equalizer(h), y)
         assert counter.flops == pytest.approx(flops_detector("ZF", FlopFormulaInput(4, 4)))
 
     def test_mmse_counted_flops_match_formula(self):
         h, y = self._system(3)
-        counter = FlopCounter()
-        eq = mmse_equalizer(h, 0.1, counter)
-        apply_equalizer(eq, y, counter)
+        with counting() as counter:
+            apply_equalizer(mmse_equalizer(h, 0.1), y)
         assert counter.flops == pytest.approx(flops_detector("MMSE", FlopFormulaInput(4, 4)))
 
     def test_fitness_eval_flops_match_bracket(self):
@@ -140,9 +138,8 @@ class TestInstrumentedCounts:
         sys = realify(h, y)
         const = square_qam(4)
         params = PsoParams(c1=2, c2=2, w0=1, n_pop=40, n_iter=3)
-        counter = FlopCounter()
-        run_swarm(RngStream(5), sys, params, InitStrategy(INIT_UNIFORM), const,
-                  counter=counter)
+        with counting() as counter:
+            run_swarm(RngStream(5), sys, params, None, const)
         # evals: one init sweep + one sweep per iteration
         assert counter.fitness_evals == 40 * 4
         # flops: init evals + 3 iterations of the closed-form bracket
@@ -154,12 +151,18 @@ class TestInstrumentedCounts:
         sys = realify(h, y)
         const = square_qam(4)
         params = DeParams(f_mut=0.8, f_cr=0.7, n_ind=40, n_gen=5)
-        counter = FlopCounter()
-        run_population(RngStream(7), sys, params, InitStrategy(INIT_UNIFORM), const,
-                       counter=counter)
+        with counting() as counter:
+            run_population(RngStream(7), sys, params, None, const)
         assert counter.fitness_evals == 40 + 5 * 2 * 40
         bracket = flops_detector("DE", FlopFormulaInput(4, 4, n_pop=40, iters=5))
         assert counter.flops == pytest.approx(bracket + 40 * fitness_eval_flops(4, 4))
+
+    def test_nothing_counted_outside_a_block(self):
+        h, y = self._system(8)
+        with counting() as counter:
+            pass
+        apply_equalizer(zf_equalizer(h), y)
+        assert counter.flops == 0 and counter.fitness_evals == 0
 
     def test_merge(self):
         a, b = FlopCounter(), FlopCounter()

@@ -28,12 +28,10 @@ def _random_instance(seed, n=4, sigma=0.1):
 
 class TestMatchedFilter:
     def test_identity(self):
-        eq = mf_equalizer(np.eye(3, dtype=complex))
-        assert np.array_equal(eq.w, np.eye(3))
+        assert np.array_equal(mf_equalizer(np.eye(3, dtype=complex)), np.eye(3))
 
     def test_conjugation(self):
-        eq = mf_equalizer(np.array([[1j]]))
-        assert eq.w[0, 0] == -1j
+        assert mf_equalizer(np.array([[1j]]))[0, 0] == -1j
 
     def test_orthogonal_channel_recovery(self):
         # scaled unitary columns: MF output is a positive-scaled copy of x,
@@ -48,14 +46,12 @@ class TestMatchedFilter:
 
 class TestZeroForcing:
     def test_scaled_identity(self):
-        eq = zf_equalizer(2.0 * np.eye(4))
-        assert np.allclose(eq.w, 0.5 * np.eye(4))
+        assert np.allclose(zf_equalizer(2.0 * np.eye(4)), 0.5 * np.eye(4))
 
     def test_multiply_back(self):
         for seed in range(20):
             h, _, _ = _random_instance(seed)
-            eq = zf_equalizer(h)
-            assert np.max(np.abs(eq.w @ h - np.eye(4))) < 1e-9
+            assert np.max(np.abs(zf_equalizer(h) @ h - np.eye(4))) < 1e-9
 
     def test_noiseless_recovery(self):
         h, x, _ = _random_instance(30, sigma=0.0)
@@ -70,17 +66,16 @@ class TestZeroForcing:
 
 class TestMmse:
     def test_identity_channel_unit_noise(self):
-        eq = mmse_equalizer(np.eye(4, dtype=complex), 1.0)
-        assert np.allclose(eq.w, 0.5 * np.eye(4))
+        assert np.allclose(mmse_equalizer(np.eye(4, dtype=complex), 1.0), 0.5 * np.eye(4))
 
     def test_zero_noise_equals_zf(self):
         for seed in range(10):
             h, _, _ = _random_instance(40 + seed)
-            assert np.max(np.abs(mmse_equalizer(h, 0.0).w - zf_equalizer(h).w)) < 1e-9
+            assert np.max(np.abs(mmse_equalizer(h, 0.0) - zf_equalizer(h))) < 1e-9
 
     def test_high_noise_aligns_with_matched_filter(self):
         h, _, _ = _random_instance(60)
-        w = mmse_equalizer(h, 1e9).w
+        w = mmse_equalizer(h, 1e9)
         hh = h.conj().T
         assert np.max(np.abs(w / np.linalg.norm(w) - hh / np.linalg.norm(hh))) < 1e-6
 
@@ -91,11 +86,8 @@ class TestMmse:
 
 class TestApplyEqualizer:
     def test_identity_weights(self):
-        from mimodet.detectors import LinearEqualizer
-
-        eq = LinearEqualizer("MF", np.eye(3, dtype=complex))
         y = np.array([1 + 1j, 2.0, -1j])
-        assert np.array_equal(apply_equalizer(eq, y), y)
+        assert np.array_equal(apply_equalizer(np.eye(3, dtype=complex), y), y)
 
     def test_dimension_mismatch(self):
         eq = mf_equalizer(np.eye(3, dtype=complex))

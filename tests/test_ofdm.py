@@ -10,7 +10,6 @@ from mimodet.ofdm import (
     map_bits,
     square_qam,
     time_domain_roundtrip,
-    transmit_subcarrier,
 )
 from mimodet.rng import RngStream
 
@@ -120,31 +119,6 @@ class TestNoiseSpec:
 
     def test_infinite_ebn0_is_noiseless(self):
         assert NoiseSpec.from_ebn0(float("inf"), 4).sigma2 == 0.0
-
-
-class TestTransmitSubcarrier:
-    def test_noiseless_identity_channel(self):
-        const = square_qam(4)
-        x = const.points[:4].copy()
-        y = transmit_subcarrier(np.eye(4), x, 0.0, RngStream(1))
-        assert np.array_equal(y, x)
-
-    def test_noiseless_scaled_channel(self):
-        x = np.array([1 + 1j, -1 - 1j]) / ROOT2
-        y = transmit_subcarrier(2.0 * np.eye(2), x, 0.0, RngStream(1))
-        assert np.allclose(y, 2.0 * x)
-
-    def test_noise_statistics(self):
-        x = np.zeros(2, dtype=complex)
-        h = np.eye(2)
-        rng = RngStream(3)
-        devs = np.array([transmit_subcarrier(h, x, 0.25, rng.substream(i))
-                         for i in range(20_000)])
-        assert abs(np.mean(np.abs(devs) ** 2) - 0.25) < 0.01
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            transmit_subcarrier(np.eye(3), np.zeros(2, dtype=complex), 0.0, RngStream(1))
 
 
 class TestTimeDomainRoundtrip:

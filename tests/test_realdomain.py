@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mimodet.detectors import ml_detect
 from mimodet.linalg import draw_standard_complex_gaussian
@@ -125,3 +128,30 @@ class TestFitness:
                 if val < best_val:
                     best, best_val = np.array(cand), val
             assert np.allclose(ml_detect(h, y, const), best)
+
+
+def _complex_arrays(shape, bound):
+    parts = arrays(np.float64, (2,) + shape, elements=st.floats(-bound, bound))
+    return parts.map(lambda p: p[0] + 1j * p[1])
+
+
+@st.composite
+def _systems(draw):
+    n_rx, n_tx = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    h = draw(_complex_arrays((n_rx, n_tx), bound=3.0))
+    x = draw(_complex_arrays((n_tx,), bound=3.0))
+    y = draw(_complex_arrays((n_rx,), bound=3.0))
+    return h, x, y
+
+
+class TestProperties:
+    @given(st.integers(0, 6).flatmap(lambda n: _complex_arrays((n,), bound=1e300)))
+    def test_complexify_inverts_realify_vec(self, x):
+        assert np.array_equal(complexify(realify_vec(x)), x)
+
+    @given(_systems())
+    def test_realify_matches_complex_residual(self, system):
+        h, x, y = system
+        real_val = fitness(realify(h, y), realify_vec(x))
+        complex_val = np.sum(np.abs(y - h @ x) ** 2)
+        assert abs(real_val - complex_val) <= 1e-12 * max(1.0, complex_val)

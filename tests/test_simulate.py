@@ -1,7 +1,10 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
+from mimodet.ofdm import map_bits, square_qam
 from mimodet.simulate import (
     CALIBRATED_DE,
     CALIBRATED_PSO,
@@ -10,6 +13,7 @@ from mimodet.simulate import (
     ConfigError,
     DetectorConfig,
     SimulationConfig,
+    _frame_channel_and_rx,
     calibrate,
     convergence_study,
     default_calibration_plan,
@@ -57,29 +61,46 @@ class TestConfig:
         with pytest.raises(ConfigError):
             DetectorConfig(kind="svd")
 
+    def test_rectangular_array_rejected(self):
+        # channels are drawn n_t x n_t; an n_r != n_t config would simulate
+        # a different array than the one its flops are charged for
+        with pytest.raises(ConfigError, match="n_r"):
+            _config("mmse", n_t=2, n_r=4)
+        with pytest.raises(ConfigError, match="n_r"):
+            SimulationConfig.from_dict({"detectors": [{"kind": "zf"}], "n_t": 4, "n_r": 2})
+
+    @pytest.mark.parametrize("m_order", [2, 6, 8, 32])
+    def test_non_square_qam_rejected(self, m_order):
+        with pytest.raises(ConfigError, match="m_order"):
+            _config("mmse", m_order=m_order)
+
+    @pytest.mark.parametrize("m_order", [4, 16, 64])
+    def test_square_qam_accepted(self, m_order):
+        assert _config("mmse", m_order=m_order).m_order == m_order
+
 
 class TestResolve:
     def test_linear_has_no_params(self):
         res = resolve_detector(DetectorConfig("zf"), 0.5)
-        assert res.kind == "zf" and res.pso is None and res.de is None
+        assert res.kind == "zf" and res.params is None
         assert res.iterations == 0
 
     def test_calibrated_pso_lookup(self):
         res = resolve_detector(DetectorConfig("pso-mmse"), 0.5)
         c1, c2, w0 = CALIBRATED_PSO["mmse"][0.5]
-        assert (res.pso.c1, res.pso.c2, res.pso.w0) == (c1, c2, w0)
-        assert res.pso.n_iter == 15  # hybrid default budget
+        assert (res.params.c1, res.params.c2, res.params.w0) == (c1, c2, w0)
+        assert res.params.n_iter == 15  # hybrid default budget
 
     def test_calibrated_de_lookup_nearest_rho(self):
         res = resolve_detector(DetectorConfig("de"), 0.85)
         f_mut, f_cr = CALIBRATED_DE["random"][0.9]
-        assert (res.de.f_mut, res.de.f_cr) == (f_mut, f_cr)
-        assert res.de.n_gen == 100  # random-init default budget
+        assert (res.params.f_mut, res.params.f_cr) == (f_mut, f_cr)
+        assert res.params.n_gen == 100  # random-init default budget
 
     def test_overrides_win(self):
         det = DetectorConfig("pso", c1=1.25, iters=7, n_pop=11)
         res = resolve_detector(det, 0.0)
-        assert res.pso.c1 == 1.25 and res.pso.n_iter == 7 and res.pso.n_pop == 11
+        assert res.params.c1 == 1.25 and res.params.n_iter == 7 and res.params.n_pop == 11
 
     def test_invalid_params_surface_as_config_errors(self):
         with pytest.raises(ConfigError):
@@ -128,6 +149,31 @@ class TestRunBerPoint:
         cfg = _config("zf", max_trials=128)
         rec = run_ber_point(cfg, cfg.detectors[0], 20.0, 1.0)
         assert rec.ber == 1.0
+
+
+class TestFrameChannel:
+    """One frame through the per-subcarrier model y[n] = H[n] x[n] + z[n]."""
+
+    def _frame(self, ebn0_db, frame=3):
+        cfg = _config("mmse")
+        const = square_qam(cfg.m_order)
+        bits, hs, ys, noise = _frame_channel_and_rx(cfg, const, None, ebn0_db, 0.0, frame)
+        clean = np.einsum("nrt,tn->nr", hs, map_bits(bits, cfg.n_t, const).symbols)
+        return clean, ys, noise
+
+    def test_noiseless_is_channel_times_symbols(self):
+        clean, ys, noise = self._frame(float("inf"))
+        assert noise.sigma2 == 0.0
+        assert np.array_equal(ys, clean)
+
+    def test_noise_statistics(self):
+        # 10 log10(2) dB gives sigma2 = 1 / (2 * 2) = 0.25 per complex entry
+        devs = []
+        for frame in range(160):  # 160 x 64 x 4 = 40 960 noise entries
+            clean, ys, noise = self._frame(10 * math.log10(2.0), frame)
+            devs.append(ys - clean)
+        assert noise.sigma2 == pytest.approx(0.25)
+        assert abs(np.mean(np.abs(np.concatenate(devs)) ** 2) - 0.25) < 0.01
 
 
 class TestRunSweep:

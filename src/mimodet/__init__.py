@@ -26,7 +26,7 @@ from .complexity import (
     flops_detector,
     flops_primitive,
 )
-from .detectors import apply_equalizer, mf_equalizer, ml_detect, mmse_equalizer, zf_equalizer
+from .detectors import apply_equalizer, linear_weights, ml_detect
 from .heuristics import (
     DeParams,
     PopulationState,
@@ -42,7 +42,7 @@ from .heuristics import (
     run_population,
     run_swarm,
 )
-from .linalg import SingularMatrixError, draw_standard_complex_gaussian, invert_lu, matmul, psd_sqrt
+from .linalg import draw_standard_complex_gaussian, invert_hermitian, psd_sqrt
 from .ofdm import (
     Constellation,
     NoiseSpec,

@@ -56,8 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="heuristic detector kind, e.g. pso or de-mmse")
     p.add_argument("--ebn0", type=float, default=24.0)
     p.add_argument("--rho", type=float, default=0.0)
-    p.add_argument("--min-errors", type=int, default=50)
-    p.add_argument("--max-vectors", type=int, default=200_000)
+    p.add_argument("--min-errors", type=_positive_int, default=50)
+    p.add_argument("--max-vectors", type=_positive_int, default=200_000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--workers", type=_positive_int, default=1)
@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=25)
     p.add_argument("--ebn0", type=float, nargs="+", default=[16.0])
     p.add_argument("--rho", type=float, default=0.0)
-    p.add_argument("--vectors", type=int, default=None,
+    p.add_argument("--vectors", type=_positive_int, default=None,
                    help="symbol vectors per point (default: config max_trials)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
@@ -77,16 +77,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("complexity", help="flop formulas over antenna counts")
-    p.add_argument("--nt-max", type=int, default=256)
-    p.add_argument("--pop-factor", type=int, default=5)
-    p.add_argument("--iters", type=int, default=50)
-    p.add_argument("--iters-hybrid", type=int, default=15)
+    p.add_argument("--nt-max", type=_positive_int, default=256)
+    p.add_argument("--pop-factor", type=_positive_int, default=5)
+    p.add_argument("--iters", type=_positive_int, default=50)
+    p.add_argument("--iters-hybrid", type=_positive_int, default=15)
     p.add_argument("--m-order", type=int, default=4)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("validate-channel",
                        help="Kronecker covariance and cyclic-prefix equivalence checks")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_positive_int, default=100_000)
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--n-antennas", type=int, default=4)
     p.add_argument("--seed", type=int, default=7)
@@ -147,6 +147,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
+    sim.check_square_qam(args.m_order)
     nt_values = [2]
     while nt_values[-1] * 2 <= args.nt_max:
         nt_values.append(nt_values[-1] * 2)

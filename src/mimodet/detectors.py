@@ -6,8 +6,9 @@ Linear detection is x_soft = W y with
     ZF:   W = (H^H H)^-1 H^H
     MMSE: W = (H^H H + (N0/Es) I)^-1 H^H
 
-followed by nearest-point slicing (see ofdm.demap_symbols). The MF output
-is deliberately not column-normalized: quadrant slicing of square QAM is
+computed for a whole stack of channels at once (linear_weights), followed
+by nearest-point slicing (see ofdm.demap_symbols). The MF output is
+deliberately not column-normalized: quadrant slicing of square QAM is
 scale-invariant per real axis. ML detection enumerates every candidate
 symbol vector and minimizes ||y - H x||^2.
 """
@@ -17,57 +18,58 @@ from __future__ import annotations
 import numpy as np
 
 from .complexity import FlopCounter, charge
-from .linalg import invert_lu
+from .linalg import invert_hermitian
 from .ofdm import Constellation
 
 # Refuse ML searches beyond this many candidates.
 ML_CANDIDATE_LIMIT = 1 << 20
 
 
-def mf_equalizer(h: np.ndarray) -> np.ndarray:
-    """Matched filter, W = H^H. The Hermitian itself costs no flops."""
-    return np.asarray(h).conj().T
+def linear_weights(kind: str, hs: np.ndarray, n0_over_es: float) -> tuple[np.ndarray, np.ndarray]:
+    """Equalizer stack W (..., n_t, n_r) of "mf", "zf" or "mmse" for the
+    channel stack hs (..., n_r, n_t); n0_over_es is read by MMSE only.
 
-
-def zf_equalizer(h: np.ndarray) -> np.ndarray:
-    """Zero forcing via the left pseudo-inverse.
-
-    Raises linalg.SingularMatrixError for rank-deficient H; callers count
-    the affected vector as a detection erasure.
+    Returns (w, failed). ZF and MMSE flag every system whose Gram matrix
+    linalg.invert_hermitian rejects, and return zero W for it; callers
+    count such a vector as a detection erasure. MF never fails, and the
+    Hermitian itself costs no flops.
     """
-    h = np.asarray(h)
-    n_rx, n_tx = h.shape
-    gram = h.conj().T @ h
-    w = invert_lu(gram) @ h.conj().T
-    charge(FlopCounter.add_matmat, 2 * n_tx, 2 * n_tx, 2 * n_rx)
-    charge(FlopCounter.add_lu_inversion, 2 * n_tx)
-    charge(FlopCounter.add_matmat, 2 * n_tx, 2 * n_rx, 2 * n_tx)
-    return w
-
-
-def mmse_equalizer(h: np.ndarray, n0_over_es: float) -> np.ndarray:
-    """MMSE equalizer; reduces to ZF when the noise-to-signal ratio is zero."""
-    if n0_over_es < 0:
+    if kind not in ("mf", "zf", "mmse"):
+        raise ValueError(f"unknown linear detector {kind!r}")
+    hs = np.asarray(hs)
+    hh = np.conj(np.swapaxes(hs, -1, -2))
+    if kind == "mf":
+        return hh, np.zeros(hs.shape[:-2], dtype=bool)
+    if kind == "mmse" and n0_over_es < 0:
         raise ValueError("n0_over_es must be >= 0")
-    h = np.asarray(h)
-    n_rx, n_tx = h.shape
-    gram = h.conj().T @ h + n0_over_es * np.eye(n_tx)
-    w = invert_lu(gram) @ h.conj().T
-    charge(FlopCounter.add_matmat, 2 * n_tx, 2 * n_tx, 2 * n_rx)
-    charge(FlopCounter.add, 4 * n_tx * n_tx + 2 * n_tx)  # regularizer scale + add
-    charge(FlopCounter.add_lu_inversion, 2 * n_tx)
-    charge(FlopCounter.add_matmat, 2 * n_tx, 2 * n_rx, 2 * n_tx)
-    return w
+    n_rx, n_tx = hs.shape[-2:]
+    gram = hh @ hs
+    if kind == "mmse":
+        gram = gram + n0_over_es * np.eye(n_tx)
+    inv, failed = invert_hermitian(gram)
+    for _ in range(failed.size):
+        charge(FlopCounter.add_matmat, 2 * n_tx, 2 * n_tx, 2 * n_rx)
+        if kind == "mmse":
+            charge(FlopCounter.add, 4 * n_tx * n_tx + 2 * n_tx)  # regularizer scale + add
+        charge(FlopCounter.add_lu_inversion, 2 * n_tx)
+        charge(FlopCounter.add_matmat, 2 * n_tx, 2 * n_rx, 2 * n_tx)
+    w = inv @ hh
+    w[failed] = 0.0  # also where a non-finite H would leave 0 * inf
+    return w, failed
 
 
 def apply_equalizer(w: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Soft estimate W y. Slicing is the demapper's job, not done here."""
+    """Soft estimates W y for W (..., n_t, n_r) and y (..., n_r), broadcast
+    over the leading axes. Slicing is the demapper's job, not done here."""
+    w = np.asarray(w)
     y = np.asarray(y)
-    n_tx, n_rx = w.shape
+    n_tx, n_rx = w.shape[-2:]
     if y.shape[-1] != n_rx:
         raise ValueError(f"observation length {y.shape[-1]} != {n_rx}")
-    charge(FlopCounter.add_matvec, 2 * n_tx, 2 * n_rx)
-    return (w @ y[..., None])[..., 0] if y.ndim > 1 else w @ y
+    soft = (w @ y[..., None])[..., 0]
+    for _ in range(soft.size // n_tx):
+        charge(FlopCounter.add_matvec, 2 * n_tx, 2 * n_rx)
+    return soft
 
 
 _candidate_cache: dict[tuple, np.ndarray] = {}

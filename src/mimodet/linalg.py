@@ -1,16 +1,13 @@
 """Dense complex matrix kernels shared by the channel model and detectors.
 
 Matrices are plain numpy arrays (complex128 / float64). The functions here
-add the contracts the simulator relies on: explicit failure on singular
-inversion, a PSD-safe square root, and seeded Gaussian matrix draws.
+add the contracts the simulator relies on: batched inversion that flags
+singular matrices, a PSD-safe square root, and seeded Gaussian matrix draws.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 
 from .rng import RngStream
 
@@ -24,43 +21,33 @@ PSD_EIG_FLOOR = -1e-10
 
 
 class SingularMatrixError(ValueError):
-    """Inversion rejected: matrix is singular or numerically untrustworthy."""
+    """Kept as a name only: perfbench/tracing.py imports it. Nothing in
+    mimodet raises it; invert_hermitian flags singular matrices instead."""
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit conformability check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
-        raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
+def invert_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Invert a stack of Hermitian matrices (..., q, q) with one solve.
 
-
-def invert_lu(a: np.ndarray) -> np.ndarray:
-    """Invert a square matrix via LU factorization.
-
-    Raises SingularMatrixError when the factorization breaks down or the
-    estimated reciprocal condition number falls below RCOND_FLOOR. Callers
-    must treat that as "flag this subcarrier", never as a zero result.
+    Returns (inv, failed). A matrix is flagged in `failed` when it holds a
+    non-finite entry or its exact 2-norm reciprocal condition number,
+    min |eigenvalue| / max |eigenvalue|, is not above RCOND_FLOOR; its
+    inverse is returned as zeros. Callers must treat a flag as "this
+    subcarrier is erased", never as a zero result. Flagged matrices are
+    replaced by I before the solve, because a stacked solve raises for the
+    whole stack if a single matrix in it is singular.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise SingularMatrixError("matrix contains non-finite entries")
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        try:
-            lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise SingularMatrixError(str(exc)) from exc
-    if not np.all(np.isfinite(lu)):
-        raise SingularMatrixError("LU factorization produced non-finite factors")
-    gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
-    rcond, _ = gecon(lu, np.linalg.norm(a, 1))
-    if rcond < RCOND_FLOOR:
-        raise SingularMatrixError(f"reciprocal condition estimate {rcond:.3e} below {RCOND_FLOOR:.0e}")
-    return scipy.linalg.lu_solve((lu, piv), np.eye(a.shape[0], dtype=complex), check_finite=False)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    eye = np.eye(a.shape[-1], dtype=complex)
+    failed = ~np.isfinite(a).all(axis=(-2, -1))
+    safe = np.where(failed[..., None, None], eye, a)
+    lam = np.abs(np.linalg.eigvalsh(safe))
+    failed |= lam.min(axis=-1) <= RCOND_FLOOR * lam.max(axis=-1)
+    inv = np.linalg.solve(np.where(failed[..., None, None], eye, a),
+                          np.broadcast_to(eye, a.shape))
+    inv[failed] = 0.0
+    return inv, failed
 
 
 def psd_sqrt(r: np.ndarray) -> np.ndarray:

@@ -173,7 +173,7 @@ def time_domain_roundtrip(taps: np.ndarray, frame: TxFrame, cp_len: int,
         raise ValueError(f"cp_len {cp_len} shorter than channel memory {n_taps - 1}")
     n = frame.n_subcarriers
     time_tx = np.fft.ifft(frame.symbols, axis=1)
-    with_cp = np.concatenate([time_tx[:, n - cp_len:], time_tx], axis=1) if cp_len else time_tx
+    with_cp = time_tx[:, np.arange(-cp_len, n) % n]  # cyclic, even for cp_len > n
     received = np.zeros((n_rx, n + cp_len + n_taps - 1), dtype=complex)
     for j in range(n_rx):
         for i in range(n_tx):

@@ -54,9 +54,8 @@ import numpy as np
 from . import complexity
 from .channel import CorrelationSpec, add_awgn, correlation_sqrt, generate_channel
 from .complexity import DETECTORS
-from .detectors import apply_equalizer, mf_equalizer, ml_detect, mmse_equalizer, zf_equalizer
+from .detectors import apply_equalizer, linear_weights, ml_detect
 from .heuristics import DeParams, PsoParams, run_hybrid, run_population, run_swarm
-from .linalg import SingularMatrixError
 from .ofdm import Constellation, NoiseSpec, demap_symbols, map_bits, square_qam
 from .realdomain import realify, realify_vec
 from .rng import RngStream
@@ -96,6 +95,24 @@ SEQUENTIAL_STOP_NOTE = (
 
 class ConfigError(ValueError):
     """Invalid simulation configuration."""
+
+
+def check_operating_point(ebn0_db: float, rho: float) -> None:
+    """Reject an operating point the model cannot simulate.
+
+    Eb/N0 = +inf is the noiseless point; -inf and NaN make every
+    observation non-finite. rho must lie in [0, 1].
+    """
+    if math.isnan(ebn0_db) or ebn0_db == -math.inf:
+        raise ConfigError(f"Eb/N0 {ebn0_db} dB outside the model: it must be finite or +inf")
+    if not 0.0 <= rho <= 1.0:  # also rejects NaN
+        raise ConfigError(f"rho {rho} outside [0, 1]")
+
+
+def check_square_qam(m: int) -> None:
+    """Only square QAM is simulated: hard decisions slice both axes with one set of levels."""
+    if m < 4 or m & (m - 1) or (m.bit_length() - 1) % 2:
+        raise ConfigError(f"m_order {m} is not a power of 4: only square QAM is simulated")
 
 
 def _nearest_rho_key(rho: float) -> float:
@@ -212,16 +229,14 @@ class SimulationConfig:
         if self.n_r != self.n_t:
             raise ConfigError(f"n_r = {self.n_r} != n_t = {self.n_t}: "
                               "only square arrays are simulated")
-        m = self.m_order
-        if m < 4 or m & (m - 1) or (m.bit_length() - 1) % 2:
-            raise ConfigError(f"m_order {m} is not a power of 4: only square QAM is simulated")
+        check_square_qam(self.m_order)
         if not self.detectors:
             raise ConfigError("detector list must not be empty")
-        for rho in self.rho_list:
-            if not 0.0 <= rho <= 1.0:
-                raise ConfigError(f"rho {rho} outside [0, 1]")
         if not self.rho_list or not self.ebn0_db_list:
             raise ConfigError("rho_list and ebn0_db_list must not be empty")
+        for rho in self.rho_list:
+            for ebn0 in self.ebn0_db_list:
+                check_operating_point(ebn0, rho)
 
     @property
     def bits_per_vector(self) -> int:
@@ -335,62 +350,38 @@ def _frame_channel_and_rx(config: SimulationConfig, const: Constellation,
     return bits, hs, ys, noise
 
 
-def _linear_soft(kind: str, hs, ys, n0_over_es: float):
-    """Per-subcarrier equalize; returns soft grid (n_sc, n_t) and failure mask."""
-    n_sc = hs.shape[0]
-    soft = np.zeros((n_sc, hs.shape[2]), dtype=complex)
-    failed = np.zeros(n_sc, dtype=bool)
-    for n in range(n_sc):
-        try:
-            if kind == "mf":
-                w = mf_equalizer(hs[n])
-            elif kind == "zf":
-                w = zf_equalizer(hs[n])
-            else:
-                w = mmse_equalizer(hs[n], n0_over_es)
-            soft[n] = apply_equalizer(w, ys[n])
-        except SingularMatrixError:
-            failed[n] = True
-    return soft, failed
-
-
 def _detect_frame(res: ResolvedDetector, config: SimulationConfig,
                   const: Constellation, hs, ys, noise: NoiseSpec,
                   det_rng: RngStream, checkpoints=(), want_trace=False):
-    """Hard decisions for one frame.
+    """Decisions for one frame.
 
-    Returns (symbols dict, failed mask, trace or None). The symbols dict
-    maps checkpoint -> (n_sc, n_t) hard grid; key None is the final output.
+    Returns (grids dict, failed mask, trace or None). The grids dict maps
+    checkpoint -> (n_sc, n_t) grid, which demap_symbols slices; key None
+    is the final output.
     """
     heuristic, linear = DETECTORS[res.kind]
     n_sc = hs.shape[0]
-    failed = np.zeros(n_sc, dtype=bool)
-    trace = None
-    if heuristic is None and linear is not None:
-        soft, failed = _linear_soft(linear, hs, ys, noise.sigma2)
-        points = const.points
-        idx = np.argmin(np.abs(soft[..., None] - points), axis=-1)
-        return {None: points[idx]}, failed, trace
-    if heuristic is None:  # ML
+    if heuristic is None and linear is None:  # ML
         out = np.stack([ml_detect(hs[n], ys[n], const) for n in range(n_sc)])
-        return {None: out}, failed, trace
+        return {None: out}, np.zeros(n_sc, dtype=bool), None
+    if linear is not None:
+        w, failed = linear_weights(linear, hs, noise.sigma2)
+        soft = apply_equalizer(w, ys)
+        if heuristic is None:
+            return {None: soft}, failed, None
+        if failed.any():
+            log.warning("%s: %d subcarriers lost their linear seed",
+                        res.label, int(failed.sum()))
     sys = realify(hs, ys)
     if linear is None:
         runner = run_swarm if heuristic == "pso" else run_population
         run = runner(det_rng, sys, res.params, None, const, checkpoints)
-    else:
-        soft, failed = _linear_soft(linear, hs, ys, noise.sigma2)
-        if failed.any():
-            log.warning("%s: %d subcarriers lost their linear seed",
-                        res.label, int(failed.sum()))
-            soft[failed] = 0.0
+    else:  # a lost seed is the zero vector, since its W rows are zero
         run = run_hybrid(det_rng, sys, realify_vec(soft), res.params, const, checkpoints)
-        failed = np.zeros(n_sc, dtype=bool)  # heuristic still detects them
-    if want_trace:
-        trace = run.trace
     out = dict(run.checkpoint_symbols)
     out[None] = run.symbols
-    return out, failed, trace
+    # the heuristic decides every vector, lost seeds included
+    return out, np.zeros(n_sc, dtype=bool), run.trace if want_trace else None
 
 
 def _bits_for_grid(grid, const: Constellation, tx_bits, bits_per_vector: int,
@@ -470,6 +461,8 @@ def _run_batches(config: SimulationConfig, detectors, ebn0_db, rho,
     happens only between complete batches, so results are identical for
     any worker count.
     """
+    if total_frames < 1:
+        raise ConfigError("need at least one symbol vector per point")
     merged = FrameBatchResult()
     merged.errors = {}
     merged.discordance = {p: [0, 0] for p in pairs}
@@ -614,6 +607,8 @@ def convergence_study(config: SimulationConfig, detector: DetectorConfig,
     """
     base = replace(detector, iters=max_iters)
     checkpoints = tuple(range(0, max_iters + 1))
+    for ebn0 in ebn0_list:
+        check_operating_point(ebn0, rho)
     n_vectors = n_vectors if n_vectors is not None else config.max_trials
     total_frames = math.ceil(n_vectors / config.n_subcarriers)
     rows = []
@@ -672,6 +667,7 @@ class CalibrationPlan:
     max_vectors: int = 200_000
 
     def __post_init__(self):
+        check_operating_point(self.ebn0_db, self.rho)
         for name in self.parameter_order:
             if name not in self.grids or not len(self.grids[name]):
                 raise ConfigError(f"parameter {name!r} has no candidate grid")

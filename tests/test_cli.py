@@ -144,6 +144,52 @@ class TestArgumentErrors:
         argv = command[:1] + ["--config", config_path] + command[1:] + ["--workers", workers]
         assert cli_main(argv) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", [
+        ["convergence", "--detector", "pso-mmse", "--vectors", "0"],
+        ["calibrate", "--detector", "pso", "--min-errors", "0"],
+        ["calibrate", "--detector", "pso", "--max-vectors", "0"],
+    ])
+    def test_count_below_one_rejected(self, config_path, command):
+        argv = command[:1] + ["--config", config_path] + command[1:]
+        assert cli_main(argv) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv", [
+        ["complexity", "--nt-max", "0"],
+        ["complexity", "--pop-factor", "0"],
+        ["complexity", "--iters", "0"],
+        ["complexity", "--iters-hybrid", "0"],
+        ["complexity", "--m-order", "6"],
+        ["validate-channel", "--samples", "0"],
+    ])
+    def test_bad_model_argument_rejected(self, argv):
+        assert cli_main(argv) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", [
+        ["convergence", "--detector", "pso-mmse", "--ebn0=-inf"],
+        ["convergence", "--detector", "pso-mmse", "--ebn0", "nan"],
+        ["convergence", "--detector", "pso-mmse", "--rho", "1.5"],
+        ["convergence", "--detector", "pso-mmse", "--rho", "nan"],
+        ["calibrate", "--detector", "pso", "--ebn0=-inf"],
+        ["calibrate", "--detector", "pso", "--rho", "1.5"],
+    ])
+    def test_operating_point_outside_model_rejected(self, config_path, command):
+        argv = command[:1] + ["--config", config_path] + command[1:]
+        assert cli_main(argv) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("fields", [{"ebn0_db_list": [float("-inf")]},
+                                        {"ebn0_db_list": [float("nan")]},
+                                        {"rho_list": [float("nan")]}])
+    def test_config_point_outside_model_rejected(self, tmp_path, fields):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(BASE_CONFIG, **fields)))
+        assert cli_main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
+
+    def test_noiseless_point_accepted(self, config_path, capsys):
+        argv = ["convergence", "--config", config_path, "--detector", "pso-mmse",
+                "--max-iters", "1", "--ebn0", "inf", "--vectors", "64"]
+        assert cli_main(argv) == EXIT_OK
+        assert ",inf,0.0,1,64," in capsys.readouterr().out
+
     def test_unknown_command(self):
         assert cli_main(["defragment"]) == EXIT_CONFIG
 

@@ -10,7 +10,7 @@ from mimodet.complexity import (
     flops_detector,
     flops_primitive,
 )
-from mimodet.detectors import apply_equalizer, mf_equalizer, mmse_equalizer, zf_equalizer
+from mimodet.detectors import apply_equalizer, linear_weights
 from mimodet.heuristics import DeParams, PsoParams, run_population, run_swarm
 from mimodet.linalg import draw_standard_complex_gaussian
 from mimodet.ofdm import square_qam
@@ -113,19 +113,19 @@ class TestInstrumentedCounts:
     def test_mf_counted_flops(self):
         h, y = self._system()
         with counting() as counter:
-            apply_equalizer(mf_equalizer(h), y)
+            apply_equalizer(linear_weights("mf", h, 0.0)[0], y)
         assert counter.flops == 120
 
     def test_zf_counted_flops_match_formula(self):
         h, y = self._system(2)
         with counting() as counter:
-            apply_equalizer(zf_equalizer(h), y)
+            apply_equalizer(linear_weights("zf", h, 0.0)[0], y)
         assert counter.flops == pytest.approx(flops_detector("ZF", FlopFormulaInput(4, 4)))
 
     def test_mmse_counted_flops_match_formula(self):
         h, y = self._system(3)
         with counting() as counter:
-            apply_equalizer(mmse_equalizer(h, 0.1), y)
+            apply_equalizer(linear_weights("mmse", h, 0.1)[0], y)
         assert counter.flops == pytest.approx(flops_detector("MMSE", FlopFormulaInput(4, 4)))
 
     def test_fitness_eval_flops_match_bracket(self):
@@ -161,7 +161,7 @@ class TestInstrumentedCounts:
         h, y = self._system(8)
         with counting() as counter:
             pass
-        apply_equalizer(zf_equalizer(h), y)
+        apply_equalizer(linear_weights("zf", h, 0.0)[0], y)
         assert counter.flops == 0 and counter.fitness_evals == 0
 
     def test_merge(self):

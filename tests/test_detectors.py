@@ -3,15 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from mimodet.detectors import (
-    apply_equalizer,
-    candidate_matrix,
-    mf_equalizer,
-    ml_detect,
-    mmse_equalizer,
-    zf_equalizer,
-)
-from mimodet.linalg import SingularMatrixError, draw_standard_complex_gaussian
+from mimodet.complexity import FlopFormulaInput, counting, flops_detector
+from mimodet.detectors import apply_equalizer, candidate_matrix, linear_weights, ml_detect
+from mimodet.linalg import draw_standard_complex_gaussian
 from mimodet.ofdm import demap_symbols, square_qam
 from mimodet.rng import RngStream
 
@@ -28,10 +22,10 @@ def _random_instance(seed, n=4, sigma=0.1):
 
 class TestMatchedFilter:
     def test_identity(self):
-        assert np.array_equal(mf_equalizer(np.eye(3, dtype=complex)), np.eye(3))
+        assert np.array_equal(linear_weights("mf", np.eye(3, dtype=complex), 0.0)[0], np.eye(3))
 
     def test_conjugation(self):
-        assert mf_equalizer(np.array([[1j]]))[0, 0] == -1j
+        assert linear_weights("mf", np.array([[1j]]), 0.0)[0][0, 0] == -1j
 
     def test_orthogonal_channel_recovery(self):
         # scaled unitary columns: MF output is a positive-scaled copy of x,
@@ -40,48 +34,80 @@ class TestMatchedFilter:
         q, _ = np.linalg.qr(draw_standard_complex_gaussian(rng, 4, 4))
         h = 1.7 * q
         x = CONST.points[rng.integers(0, 4, 4)]
-        soft = apply_equalizer(mf_equalizer(h), h @ x)
+        soft = apply_equalizer(linear_weights("mf", h, 0.0)[0], h @ x)
         assert np.array_equal(demap_symbols(soft, CONST), demap_symbols(x, CONST))
 
 
 class TestZeroForcing:
     def test_scaled_identity(self):
-        assert np.allclose(zf_equalizer(2.0 * np.eye(4)), 0.5 * np.eye(4))
+        assert np.allclose(linear_weights("zf", 2.0 * np.eye(4), 0.0)[0], 0.5 * np.eye(4))
 
     def test_multiply_back(self):
         for seed in range(20):
             h, _, _ = _random_instance(seed)
-            assert np.max(np.abs(zf_equalizer(h) @ h - np.eye(4))) < 1e-9
+            assert np.max(np.abs(linear_weights("zf", h, 0.0)[0] @ h - np.eye(4))) < 1e-9
 
     def test_noiseless_recovery(self):
         h, x, _ = _random_instance(30, sigma=0.0)
-        soft = apply_equalizer(zf_equalizer(h), h @ x)
+        soft = apply_equalizer(linear_weights("zf", h, 0.0)[0], h @ x)
         assert np.max(np.abs(soft - x)) < 1e-9
 
     def test_rank_deficient_fails_explicitly(self):
         h = np.ones((4, 4), dtype=complex)
-        with pytest.raises(SingularMatrixError):
-            zf_equalizer(h)
+        w, failed = linear_weights("zf", h, 0.0)
+        assert failed and not w.any()
 
 
 class TestMmse:
     def test_identity_channel_unit_noise(self):
-        assert np.allclose(mmse_equalizer(np.eye(4, dtype=complex), 1.0), 0.5 * np.eye(4))
+        w = linear_weights("mmse", np.eye(4, dtype=complex), 1.0)[0]
+        assert np.allclose(w, 0.5 * np.eye(4))
 
     def test_zero_noise_equals_zf(self):
         for seed in range(10):
             h, _, _ = _random_instance(40 + seed)
-            assert np.max(np.abs(mmse_equalizer(h, 0.0) - zf_equalizer(h))) < 1e-9
+            w_mmse, w_zf = (linear_weights(kind, h, 0.0)[0] for kind in ("mmse", "zf"))
+            assert np.max(np.abs(w_mmse - w_zf)) < 1e-9
 
     def test_high_noise_aligns_with_matched_filter(self):
         h, _, _ = _random_instance(60)
-        w = mmse_equalizer(h, 1e9)
+        w = linear_weights("mmse", h, 1e9)[0]
         hh = h.conj().T
         assert np.max(np.abs(w / np.linalg.norm(w) - hh / np.linalg.norm(hh))) < 1e-6
 
     def test_negative_ratio_rejected(self):
         with pytest.raises(ValueError):
-            mmse_equalizer(np.eye(2, dtype=complex), -0.1)
+            linear_weights("mmse", np.eye(2, dtype=complex), -0.1)
+
+
+class TestStack:
+    @pytest.mark.parametrize("kind", ["zf", "mmse"])
+    def test_only_bad_systems_flagged(self, kind):
+        hs = draw_standard_complex_gaussian(RngStream(90), 4, 4, count=64)
+        hs[5] = np.ones((4, 4))                      # rank one
+        hs[17] = np.diag([1.0, 1.0, 1.0, 1e-7])      # Gram condition number 1e14
+        hs[40, 2, 3] = np.inf                        # non-finite
+        hs[41] = np.diag([1.0, 1.0, 1.0, 1e-5])      # Gram condition number 1e10: kept
+        w, failed = linear_weights(kind, hs, 0.0)
+        assert np.flatnonzero(failed).tolist() == [5, 17, 40]
+        assert not w[failed].any()
+        for n in np.flatnonzero(~failed):
+            single, single_failed = linear_weights(kind, hs[n], 0.0)
+            assert not single_failed
+            assert np.array_equal(w[n], single)
+
+    @pytest.mark.parametrize("kind", ["mf", "zf", "mmse"])
+    def test_flops_charged_once_per_system(self, kind):
+        hs = draw_standard_complex_gaussian(RngStream(91), 4, 4, count=7)
+        ys = draw_standard_complex_gaussian(RngStream(92), 7, 4)
+        with counting() as counter:
+            apply_equalizer(linear_weights(kind, hs, 0.1)[0], ys)
+        per_system = flops_detector(kind, FlopFormulaInput(4, 4))
+        assert counter.flops == pytest.approx(7 * per_system)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            linear_weights("ml", np.eye(2, dtype=complex), 0.0)
 
 
 class TestApplyEqualizer:
@@ -90,7 +116,7 @@ class TestApplyEqualizer:
         assert np.array_equal(apply_equalizer(np.eye(3, dtype=complex), y), y)
 
     def test_dimension_mismatch(self):
-        eq = mf_equalizer(np.eye(3, dtype=complex))
+        eq = linear_weights("mf", np.eye(3, dtype=complex), 0.0)[0]
         with pytest.raises(ValueError):
             apply_equalizer(eq, np.zeros(4, dtype=complex))
 
@@ -100,8 +126,9 @@ class TestApplyEqualizer:
         se_mmse, se_zf = 0.0, 0.0
         for seed in range(10_000):
             h, x, y = _random_instance(1000 + seed, sigma=np.sqrt(sigma2))
-            se_mmse += np.sum(np.abs(apply_equalizer(mmse_equalizer(h, sigma2), y) - x) ** 2)
-            se_zf += np.sum(np.abs(apply_equalizer(zf_equalizer(h), y) - x) ** 2)
+            w_mmse, w_zf = (linear_weights(kind, h, sigma2)[0] for kind in ("mmse", "zf"))
+            se_mmse += np.sum(np.abs(apply_equalizer(w_mmse, y) - x) ** 2)
+            se_zf += np.sum(np.abs(apply_equalizer(w_zf, y) - x) ** 2)
         assert se_mmse < se_zf
 
 

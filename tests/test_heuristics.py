@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimodet.complexity import counting
-from mimodet.detectors import ml_detect, mmse_equalizer, apply_equalizer
+from mimodet.detectors import apply_equalizer, linear_weights, ml_detect
 from mimodet.heuristics import (
     INERTIA_DECAY,
     DeParams,
@@ -308,7 +308,7 @@ class TestDeOperators:
 class TestHybrid:
     def _seeded_setup(self, seed, sigma2=0.05):
         h, x, y, sys = _instance(seed, sigma=np.sqrt(sigma2))
-        seed_vec = realify_vec(apply_equalizer(mmse_equalizer(h, sigma2), y))
+        seed_vec = realify_vec(apply_equalizer(linear_weights("mmse", h, sigma2)[0], y))
         return h, x, y, sys, seed_vec, sigma2
 
     @staticmethod
@@ -318,8 +318,8 @@ class TestHybrid:
         x = CONST.points[rng.substream("x").integers(0, 4, (batch, 4))]
         z = draw_standard_complex_gaussian(rng.substream("z"), batch, 4)
         y = np.einsum("brt,bt->br", h, x) + np.sqrt(sigma2) * z
-        seeds = [apply_equalizer(mmse_equalizer(h[b], sigma2), y[b]) for b in range(batch)]
-        return realify(h, y), realify_vec(np.stack(seeds))
+        seeds = apply_equalizer(linear_weights("mmse", h, sigma2)[0], y)
+        return realify(h, y), realify_vec(seeds)
 
     def test_budget_zero_returns_sliced_seed(self):
         h, x, y, sys, seed_vec, sigma2 = self._seeded_setup(55)

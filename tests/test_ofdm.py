@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimodet.linalg import draw_standard_complex_gaussian
 from mimodet.ofdm import (
@@ -147,6 +149,18 @@ class TestTimeDomainRoundtrip:
         taps = draw_standard_complex_gaussian(RngStream(7), 2, 2, count=8)
         grid = time_domain_roundtrip(taps, frame, cp_len=cp_len)
         hf = np.fft.fft(taps, n=32, axis=0)
+        direct = np.einsum("nrt,tn->rn", hf, frame.symbols)
+        assert np.max(np.abs(grid - direct)) < 1e-10
+
+    @settings(max_examples=50, deadline=None)
+    @given(n_taps=st.integers(1, 12), extra=st.integers(0, 20),
+           n_sc=st.sampled_from([16, 32, 64]), seed=st.integers(0, 2**32 - 1))
+    def test_equivalence_for_any_sufficient_prefix(self, n_taps, extra, n_sc, seed):
+        cp_len = n_taps - 1 + extra
+        frame = self._frame(2, n_sc, seed)
+        taps = draw_standard_complex_gaussian(RngStream(seed), 2, 2, count=n_taps)
+        grid = time_domain_roundtrip(taps, frame, cp_len=cp_len)
+        hf = np.fft.fft(taps, n=n_sc, axis=0)
         direct = np.einsum("nrt,tn->rn", hf, frame.symbols)
         assert np.max(np.abs(grid - direct)) < 1e-10
 

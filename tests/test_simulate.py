@@ -49,6 +49,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             _config("mmse", rho_list=(1.5,))
 
+    @pytest.mark.parametrize("rho, ebn0", [(math.nan, 8.0), (-0.1, 8.0),
+                                           (0.0, -math.inf), (0.0, math.nan)])
+    def test_operating_point_outside_model_rejected(self, rho, ebn0):
+        with pytest.raises(ConfigError):
+            _config("mmse", rho_list=(rho,), ebn0_db_list=(ebn0,))
+
+    def test_noiseless_point_accepted(self):
+        assert _config("mmse", ebn0_db_list=(math.inf,)).ebn0_db_list == (math.inf,)
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             SimulationConfig.from_dict({"detectors": [{"kind": "zf"}], "bogus": 1})
@@ -216,6 +225,15 @@ class TestPaired:
         with pytest.raises(ConfigError):
             run_paired(cfg, [DetectorConfig("zf"), DetectorConfig("zf")],
                        8.0, 0.0, n_vectors=64)
+
+
+    def test_zero_vectors_rejected(self):
+        cfg = _config("mmse")
+        with pytest.raises(ConfigError):
+            run_paired(cfg, [DetectorConfig("mmse")], 8.0, 0.0, n_vectors=0)
+        with pytest.raises(ConfigError):
+            convergence_study(cfg, DetectorConfig("pso-mmse"), [8.0], max_iters=1,
+                              n_vectors=0)
 
 
 class TestConvergence:

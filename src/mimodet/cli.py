@@ -31,11 +31,19 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the BER sweep described by a config file")
     p.add_argument("--config", required=True, help="JSON configuration file")
-    p.add_argument("--seed", type=int, default=None, help="override master seed")
+    p.add_argument("--seed", type=_nonnegative_int, default=None, help="override master seed")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -58,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=0.0)
     p.add_argument("--min-errors", type=_positive_int, default=50)
     p.add_argument("--max-vectors", type=_positive_int, default=200_000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--workers", type=_positive_int, default=1)
 
@@ -70,14 +78,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=0.0)
     p.add_argument("--vectors", type=_positive_int, default=None,
                    help="symbol vectors per point (default: config max_trials)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--traces-out", default=None,
                    help="also export per-iteration fitness traces of the first frame")
     p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("complexity", help="flop formulas over antenna counts")
-    p.add_argument("--nt-max", type=_positive_int, default=256)
+    p.add_argument("--nt-max", type=_int_at_least(2), default=256)
     p.add_argument("--pop-factor", type=_positive_int, default=5)
     p.add_argument("--iters", type=_positive_int, default=50)
     p.add_argument("--iters-hybrid", type=_positive_int, default=15)
@@ -88,8 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="Kronecker covariance and cyclic-prefix equivalence checks")
     p.add_argument("--samples", type=_positive_int, default=100_000)
     p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--n-antennas", type=int, default=4)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--n-antennas", type=_positive_int, default=4)
+    p.add_argument("--seed", type=_nonnegative_int, default=7)
     return parser
 
 

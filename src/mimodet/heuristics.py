@@ -146,13 +146,28 @@ def initial_positions(rng: RngStream, n_dim: int, n_members: int,
 
 
 def _best_member(members: np.ndarray, fits: np.ndarray):
-    """Lowest-fitness column per batch entry (first index wins ties)."""
-    idx = np.argmin(fits, axis=-1)
-    best = np.take_along_axis(members, idx[..., None, None], axis=-1)[..., 0]
-    best_fit = np.take_along_axis(fits, idx[..., None], axis=-1)[..., 0]
-    if best_fit.ndim == 0:
-        return best, float(best_fit)
-    return best, best_fit
+    """Lowest-fitness column per batch entry (first index wins ties).
+
+    Returns a fresh (..., dim) array and the fitness, a float when unbatched.
+    """
+    n_dim, n = members.shape[-2:]
+    idx = np.argmin(fits, axis=-1).ravel()
+    rows = np.arange(idx.size)
+    best = members.reshape(-1, n_dim, n)[rows, :, idx].reshape(members.shape[:-1])
+    best_fit = fits.reshape(-1, n)[rows, idx]
+    if fits.ndim == 1:
+        return best, float(best_fit[0])
+    return best, best_fit.reshape(fits.shape[:-1])
+
+
+def _finish(best, trace, bests: dict, constellation: Constellation) -> HeuristicRun:
+    """Slice the final best vector and every checkpoint's in one call.
+
+    `bests` maps checkpoint -> that step's best vector; each is a fresh
+    array from _best_member, so no later step overwrites it.
+    """
+    symbols = hard_decision(np.stack(list(bests.values()) + [best]), constellation)
+    return HeuristicRun(symbols[-1], np.stack(trace, axis=-1), dict(zip(bests, symbols)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,18 +206,29 @@ def pso_iterate(rng: RngStream, state: SwarmState, params: PsoParams,
         u2 = rng.uniform(size=shape)
     else:
         u1, u2 = (np.broadcast_to(u, shape) for u in uniforms)
-    pull_pb = state.personal_best - state.positions
-    pull_gb = state.p_gb[..., None] - state.positions
-    vel = state.w * state.velocities + params.c1 * u1 * pull_pb + params.c2 * u2 * pull_gb
+    pos = state.positions
+    # (w V + (c1 U1) o (M_pb - P)) + (c2 U2) o (M_gb - P), in exactly that
+    # order, through two scratch arrays. V gets a fresh array: with every
+    # large array updated in place, glibc's malloc handed the temporaries
+    # back to the OS after each iteration and page faults tripled.
+    pull = np.multiply(params.c1, u1)
+    diff = np.subtract(state.personal_best, pos)
+    pull *= diff
+    vel = np.multiply(state.w, state.velocities)
+    vel += pull
+    np.multiply(params.c2, u2, out=pull)
+    np.subtract(state.p_gb[..., None], pos, out=diff)
+    pull *= diff
+    vel += pull
     np.clip(vel, -params.v_max, params.v_max, out=vel)
     state.velocities = vel
-    state.positions = state.positions + vel
+    pos += vel
     # 9 flops per dimension for the velocity update, 1 for the position.
     charge(FlopCounter.add, 10 * vel.size)
-    fit = fitness_columns(sys, state.positions)
+    fit = fitness_columns(sys, pos)
     improved = fit < state.pb_fitness
-    state.personal_best = np.where(improved[..., None, :], state.positions, state.personal_best)
-    state.pb_fitness = np.where(improved, fit, state.pb_fitness)
+    np.copyto(state.personal_best, pos, where=improved[..., None, :])
+    np.copyto(state.pb_fitness, fit, where=improved)
     state.p_gb, state.gb_fitness = _best_member(state.personal_best, state.pb_fitness)
     state.iteration += 1
     state.w = state.w0 * INERTIA_DECAY ** state.iteration
@@ -215,17 +241,14 @@ def run_swarm(rng: RngStream, sys: RealSystem, params: PsoParams,
     """Full PSO detection; optionally record hard decisions at checkpoints."""
     state = init_swarm(rng, params, seed_vec, sys)
     trace = [np.asarray(state.gb_fitness)]
-    marks = {}
     wanted = set(checkpoints)
-    if 0 in wanted:
-        marks[0] = hard_decision(state.p_gb, constellation)
+    bests = {0: state.p_gb} if 0 in wanted else {}
     for it in range(1, params.n_iter + 1):
         pso_iterate(rng, state, params, sys)
         trace.append(np.asarray(state.gb_fitness))
         if it in wanted:
-            marks[it] = hard_decision(state.p_gb, constellation)
-    return HeuristicRun(hard_decision(state.p_gb, constellation),
-                        np.stack(trace, axis=-1), marks)
+            bests[it] = state.p_gb
+    return _finish(state.p_gb, trace, bests, constellation)
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +259,24 @@ def _mutation_indices(rng: RngStream, n_ind: int, batch_shape: tuple) -> np.ndar
     """Three distinct partner indices per individual, all different from it.
 
     Rejection sampling: every invalid triple is redrawn whole, keeping the
-    marginals uniform over the valid set.
+    marginals uniform over the valid set. Each round draws a full-shape
+    array (that fixes the stream's draw order) but only the triples being
+    redrawn are taken from it and rechecked.
     """
-    own = np.arange(n_ind)
     r = rng.integers(0, n_ind, (3,) + batch_shape + (n_ind,))
-    while True:
-        bad = (
-            (r[0] == r[1]) | (r[0] == r[2]) | (r[1] == r[2])
-            | (r[0] == own) | (r[1] == own) | (r[2] == own)
-        )
-        if not bad.any():
-            return r
-        r = np.where(bad, rng.integers(0, n_ind, r.shape), r)
+    at = np.nonzero(_invalid_triples(r, np.arange(n_ind)))
+    while at[0].size:
+        sel = (slice(None),) + at
+        r[sel] = rng.integers(0, n_ind, r.shape)[sel]
+        still = np.nonzero(_invalid_triples(r[sel], at[-1]))
+        at = tuple(a[still] for a in at)
+    return r
+
+
+def _invalid_triples(r: np.ndarray, own) -> np.ndarray:
+    """True where partners r[0], r[1], r[2] repeat or include the individual."""
+    return ((r[0] == r[1]) | (r[0] == r[2]) | (r[1] == r[2])
+            | (r[0] == own) | (r[1] == own) | (r[2] == own))
 
 
 def de_trials(rng: RngStream, individuals: np.ndarray, params: DeParams) -> np.ndarray:
@@ -263,8 +292,12 @@ def de_trials(rng: RngStream, individuals: np.ndarray, params: DeParams) -> np.n
         raise ValueError("need at least 4 individuals for distinct mutation indices")
     batch_shape = iota.shape[:-2]
     r = _mutation_indices(rng, n_ind, batch_shape)
-    pick = lambda idx: np.take_along_axis(iota, idx[..., None, :], axis=-1)
-    mutants = pick(r[0]) + params.f_mut * (pick(r[1]) - pick(r[2]))
+    # One gather for all three partners: members as rows, with each batch
+    # entry's indices offset to its own block of n_ind rows.
+    rows = np.ascontiguousarray(np.swapaxes(iota, -1, -2)).reshape(-1, n_dim)
+    offsets = (np.arange(rows.shape[0] // n_ind) * n_ind).reshape(batch_shape + (1,))
+    g = np.take(rows, r + offsets, axis=0)                  # (3, ..., n_ind, n_dim)
+    mutants = np.swapaxes(g[0] + params.f_mut * (g[1] - g[2]), -1, -2)
     take = rng.uniform(size=iota.shape) <= params.f_cr
     forced = rng.integers(0, n_dim, batch_shape + (n_ind,))
     take |= np.arange(n_dim)[:, None] == forced[..., None, :]
@@ -309,18 +342,15 @@ def run_population(rng: RngStream, sys: RealSystem, params: DeParams,
     pop = init_population(rng, params, seed_vec, sys)
     best, best_fit = _best_member(pop.individuals, pop.fitness_cache)
     trace = [np.asarray(best_fit)]
-    marks = {}
     wanted = set(checkpoints)
-    if 0 in wanted:
-        marks[0] = hard_decision(best, constellation)
+    bests = {0: best} if 0 in wanted else {}
     for gen in range(1, params.n_gen + 1):
         de_generation(rng, pop, params, sys)
         best, best_fit = _best_member(pop.individuals, pop.fitness_cache)
         trace.append(np.asarray(best_fit))
         if gen in wanted:
-            marks[gen] = hard_decision(best, constellation)
-    return HeuristicRun(hard_decision(best, constellation),
-                        np.stack(trace, axis=-1), marks)
+            bests[gen] = best
+    return _finish(best, trace, bests, constellation)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ sign sense and unit average symbol energy.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass
 
@@ -40,7 +41,7 @@ class Constellation:
     def bits_per_symbol(self) -> int:
         return self.bit_labels.shape[1]
 
-    @property
+    @functools.cached_property
     def axis_levels(self) -> np.ndarray:
         """Sorted distinct per-axis amplitudes (used for hard slicing)."""
         return np.unique(self.points.real)

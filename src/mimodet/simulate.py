@@ -226,6 +226,8 @@ class SimulationConfig:
         if min(self.n_t, self.n_r, self.n_subcarriers, self.m_order,
                self.max_trials, self.target_bit_errors) < 1:
             raise ConfigError("all counts must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.n_r != self.n_t:
             raise ConfigError(f"n_r = {self.n_r} != n_t = {self.n_t}: "
                               "only square arrays are simulated")
@@ -384,15 +386,18 @@ def _detect_frame(res: ResolvedDetector, config: SimulationConfig,
     return out, np.zeros(n_sc, dtype=bool), run.trace if want_trace else None
 
 
-def _bits_for_grid(grid, const: Constellation, tx_bits, bits_per_vector: int,
-                   failed) -> np.ndarray:
-    """Per-bit error mask for one hard-decision grid against the sent bits."""
-    rx_bits = demap_symbols(grid, const)
+def _error_masks(grids, const: Constellation, tx_bits, bits_per_vector: int,
+                 erased) -> np.ndarray:
+    """Per-bit error masks, one row per hard-decision grid, from one demap.
+
+    `erased[i]` is grid i's mask of erased vectors (or None); an erasure
+    counts every bit of its vector.
+    """
+    rx_bits = demap_symbols(np.stack(grids), const).reshape(len(grids), -1)
     errors = rx_bits != tx_bits
-    if failed is not None and failed.any():
-        errors = errors.reshape(-1, bits_per_vector)
-        errors[failed] = True  # erasure counts every bit of the vector
-        errors = errors.ravel()
+    for row, failed in zip(errors, erased):
+        if failed is not None and failed.any():
+            row.reshape(-1, bits_per_vector)[failed] = True
     return errors
 
 
@@ -424,21 +429,23 @@ def _simulate_frames(config: SimulationConfig, detectors, ebn0_db: float,
     for frame in range(frame_lo, frame_hi):
         bits, hs, ys, noise = _frame_channel_and_rx(config, const, sqrt_r,
                                                     ebn0_db, rho, frame)
-        masks = {}
+        keys, grids, erased = [], [], []
         for res in detectors:
             det_rng = RngStream(config.master_seed).substream(
                 "det", res.label, _ebkey(ebn0_db), _rhokey(rho), frame)
-            grids, failed, trace = _detect_frame(
+            det_grids, failed, trace = _detect_frame(
                 res, config, const, hs, ys, noise, det_rng, checkpoints,
                 want_trace=want_trace and frame == frame_lo)
-            for cp, grid in grids.items():
-                mask = _bits_for_grid(grid, const, bits, config.bits_per_vector,
-                                      failed if cp is None else None)
-                masks[(res.label, cp)] = mask
-                out.errors[(res.label, cp)] = out.errors.get((res.label, cp), 0) \
-                    + int(mask.sum())
+            for cp, grid in det_grids.items():
+                keys.append((res.label, cp))
+                grids.append(grid)
+                erased.append(failed if cp is None else None)
             if trace is not None and out.trace is None:
                 out.trace = trace
+        errors = _error_masks(grids, const, bits, config.bits_per_vector, erased)
+        masks = dict(zip(keys, errors))
+        for key, count in zip(keys, errors.sum(axis=1)):
+            out.errors[key] += int(count)
         for pair in pairs:
             a, b = masks[pair[0]], masks[pair[1]]
             out.discordance[pair][0] += int(np.sum(a & ~b))

@@ -160,9 +160,34 @@ class TestArgumentErrors:
         ["complexity", "--iters-hybrid", "0"],
         ["complexity", "--m-order", "6"],
         ["validate-channel", "--samples", "0"],
+        ["complexity", "--nt-max", "1"],
+        ["validate-channel", "--n-antennas", "0"],
     ])
     def test_bad_model_argument_rejected(self, argv):
         assert cli_main(argv) == EXIT_CONFIG
+
+    def test_smallest_nt_max_prints_only_two_antennas(self, capsys):
+        assert cli_main(["complexity", "--nt-max", "2"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows and {row.split(",")[0] for row in rows} == {"2"}
+
+    @pytest.mark.parametrize("command", [
+        ["simulate"],
+        ["calibrate", "--detector", "pso"],
+        ["convergence", "--detector", "pso-mmse"],
+        ["validate-channel"],
+    ])
+    def test_negative_seed_rejected(self, config_path, command, capsys):
+        config = [] if command[0] == "validate-channel" else ["--config", config_path]
+        argv = command[:1] + config + command[1:] + ["--seed", "-1"]
+        assert cli_main(argv) == EXIT_CONFIG
+        assert "numerical failure" not in capsys.readouterr().err
+
+    def test_negative_config_seed_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(BASE_CONFIG, master_seed=-1)))
+        assert cli_main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
+        assert "master_seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["convergence", "--detector", "pso-mmse", "--ebn0=-inf"],

@@ -11,6 +11,7 @@ from mimodet.heuristics import (
     INERTIA_DECAY,
     DeParams,
     PsoParams,
+    _best_member,
     _mutation_indices,
     de_generation,
     de_selection,
@@ -303,6 +304,101 @@ class TestDeOperators:
         ml = np.stack([ml_detect(h[b], y[b], CONST) for b in range(1000)])
         hit = np.all(np.isclose(run.symbols, ml), axis=1).mean()
         assert hit >= 0.99
+
+
+class TestKernelOracles:
+    """The batched kernels against direct transcriptions of their rules."""
+
+    @staticmethod
+    def _full_recheck_indices(rng, n_ind, batch_shape):
+        # every round redraws the full array and rechecks every triple
+        own = np.arange(n_ind)
+        r = rng.integers(0, n_ind, (3,) + batch_shape + (n_ind,))
+        while True:
+            bad = ((r[0] == r[1]) | (r[0] == r[2]) | (r[1] == r[2])
+                   | (r[0] == own) | (r[1] == own) | (r[2] == own))
+            if not bad.any():
+                return r
+            r = np.where(bad, rng.integers(0, n_ind, r.shape), r)
+
+    @pytest.mark.parametrize("batch_shape", [(), (3,), (2, 5)])
+    def test_de_mutants_match_take_along_axis(self, batch_shape):
+        iota = RngStream(70).standard_normal(batch_shape + (6, 9))
+        # f_cr = 1 takes every entry from the mutant
+        trials = de_trials(RngStream(71), iota, DeParams(1.3, 1.0, n_ind=9))
+        r = _mutation_indices(RngStream(71), 9, batch_shape)
+        pick = lambda idx: np.take_along_axis(iota, idx[..., None, :], axis=-1)
+        assert np.array_equal(trials, pick(r[0]) + 1.3 * (pick(r[1]) - pick(r[2])))
+
+    @pytest.mark.parametrize("batch_shape", [(), (4,), (2, 3)])
+    def test_best_member_first_index_on_ties(self, batch_shape):
+        rng = RngStream(72)
+        members = rng.standard_normal(batch_shape + (5, 7))
+        fits = rng.integers(0, 3, batch_shape + (7,)).astype(float)  # many ties
+        best, best_fit = _best_member(members, fits)
+        flat_m, flat_f = members.reshape(-1, 5, 7), fits.reshape(-1, 7)
+        want = [flat_f[b].tolist().index(flat_f[b].min()) for b in range(len(flat_f))]
+        assert np.array_equal(best.reshape(-1, 5),
+                              np.stack([flat_m[b, :, k] for b, k in enumerate(want)]))
+        assert np.array_equal(np.reshape(best_fit, -1), flat_f.min(axis=-1))
+        assert not np.shares_memory(best, members)
+        if batch_shape == ():
+            assert type(best_fit) is float
+
+    @pytest.mark.parametrize("n_ind, batch_shape", [(4, ()), (5, (300,)), (40, (64,))])
+    def test_mutation_indices_draw_for_draw(self, n_ind, batch_shape):
+        new, old = RngStream(73), RngStream(73)
+        assert np.array_equal(_mutation_indices(new, n_ind, batch_shape),
+                              self._full_recheck_indices(old, n_ind, batch_shape))
+        assert np.array_equal(new.integers(0, 2**62, 4), old.integers(0, 2**62, 4))
+
+    def test_pso_update_bit_equal_to_formula(self):
+        _, _, _, sys = _instance(76)
+        params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=10, n_iter=1, v_max=np.inf)
+        state = init_swarm(RngStream(77), params, None, sys)
+        state.velocities = RngStream(78).standard_normal(state.velocities.shape)
+        state.positions = state.positions + 0.3  # detach P from M_pb
+        p, v, pb, gb = (state.positions.copy(), state.velocities.copy(),
+                        state.personal_best.copy(), state.p_gb.copy())
+        u1, u2 = RngStream(79).uniform(size=(2,) + p.shape)
+        pso_iterate(RngStream(80), state, params, sys, uniforms=(u1, u2))
+        vel = 2.0 * v + 3.5 * u1 * (pb - p) + 0.5 * u2 * (gb[:, None] - p)
+        assert np.array_equal(state.velocities, vel)
+        assert np.array_equal(state.positions, p + vel)
+
+    @pytest.mark.parametrize("kind", ["pso", "de"])
+    def test_checkpoints_slice_each_recorded_best(self, kind):
+        systems = [_instance(74 + b, sigma=0.5) for b in range(6)]
+        sys = realify(np.stack([s[0] for s in systems]), np.stack([s[2] for s in systems]))
+        steps = 12
+        if kind == "pso":
+            params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=10, n_iter=steps)
+            run = run_swarm(RngStream(75), sys, params, None, CONST, range(steps + 1))
+            rng = RngStream(75)
+            state = init_swarm(rng, params, None, sys)
+            bests = [state.p_gb.copy()]
+            for _ in range(steps):
+                pso_iterate(rng, state, params, sys)
+                bests.append(state.p_gb.copy())
+        else:
+            params = DeParams(1.7, 0.6, n_ind=10, n_gen=steps)
+            run = run_population(RngStream(75), sys, params, None, CONST, range(steps + 1))
+            rng = RngStream(75)
+            pop = init_population(rng, params, None, sys)
+            bests = [_best_member(pop.individuals, pop.fitness_cache)[0]]
+            for _ in range(steps):
+                de_generation(rng, pop, params, sys)
+                bests.append(_best_member(pop.individuals, pop.fitness_cache)[0])
+        marks = run.checkpoint_symbols
+        assert sorted(marks) == list(range(steps + 1))
+        for it, best in enumerate(bests):
+            assert np.array_equal(marks[it], hard_decision(best, CONST))
+        assert np.array_equal(run.symbols, hard_decision(bests[-1], CONST))
+        # the decisions move during the run, so an aliased snapshot would show
+        assert any(not np.array_equal(marks[0], marks[it]) for it in marks)
+        for a in marks:
+            for b in marks:
+                assert a == b or not np.shares_memory(marks[a], marks[b])
 
 
 class TestHybrid:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -257,6 +258,40 @@ class TestConvergence:
                                   max_iters=5, n_vectors=128, want_trace=True)
         assert study.trace is not None
         assert study.trace.shape == (cfg.n_subcarriers, 6)
+
+
+class TestGolden:
+    """Pinned outputs of the seeded engine (4x4, 64 subcarriers, 4-QAM,
+    8 dB, rho 0.5, default detector parameters).
+
+    Every draw and every floating-point operation of the detectors feeds
+    these numbers, so a change that alters the draw order or the
+    arithmetic order fails here. Such a change updates the values on
+    purpose and says so in CHANGES.md.
+    """
+
+    CONFIG = SimulationConfig(detectors=(DetectorConfig("mmse"),), master_seed=2024)
+    CONVERGENCE = {
+        "pso-mmse": ([43, 43, 43, 43, 43, 43],
+                     "83c87639be0c9a8cbe09592f3735e375c7f5e69941d5a6e74cefaa9266d4e99b"),
+        "de-mf": ([214, 279, 322, 369, 397, 410],
+                  "57262e32370a5b62131a8718bd09419883c020a729631eac95698078c2ef9569"),
+    }
+    PAIRED = {"PSO": 155, "DE": 124, "PSO-MF": 379, "DE-MMSE": 43}
+
+    @pytest.mark.parametrize("kind", sorted(CONVERGENCE))
+    def test_convergence_study(self, kind):
+        study = convergence_study(self.CONFIG, DetectorConfig(kind), [8.0], max_iters=5,
+                                  rho=0.5, n_vectors=128, want_trace=True)  # 2 frames
+        errors, trace_sha = self.CONVERGENCE[kind]
+        assert [r.bit_errors for r in study.rows] == errors
+        trace = np.ascontiguousarray(study.trace, dtype="<f8")
+        assert hashlib.sha256(trace.tobytes()).hexdigest() == trace_sha
+
+    def test_run_paired(self):
+        dets = [DetectorConfig(k.lower()) for k in self.PAIRED]
+        paired = run_paired(self.CONFIG, dets, 8.0, 0.5, n_vectors=128)
+        assert paired.errors == self.PAIRED
 
 
 class TestCalibrate:

@@ -34,7 +34,6 @@ from .heuristics import (
     SwarmState,
     de_selection,
     de_trials,
-    hard_decision,
     init_population,
     init_swarm,
     pso_iterate,

@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convergence", help="BER versus iteration budget")
     p.add_argument("--config", required=True)
     p.add_argument("--detector", required=True)
-    p.add_argument("--max-iters", type=int, default=25)
+    p.add_argument("--max-iters", type=_nonnegative_int, default=25)
     p.add_argument("--ebn0", type=float, nargs="+", default=[16.0])
     p.add_argument("--rho", type=float, default=0.0)
     p.add_argument("--vectors", type=_positive_int, default=None,
@@ -146,10 +146,9 @@ def _cmd_convergence(args) -> int:
     det = sim.DetectorConfig(kind=args.detector.lower())
     study = sim.convergence_study(config, det, args.ebn0, args.max_iters,
                                   rho=args.rho, n_vectors=args.vectors,
-                                  workers=args.workers,
-                                  want_trace=args.traces_out is not None)
+                                  workers=args.workers)
     _emit(sim.convergence_rows_to_csv(study.rows), args.out)
-    if args.traces_out is not None and study.trace is not None:
+    if args.traces_out is not None:
         _emit(sim.fitness_traces_to_csv(det.label, study.trace), args.traces_out)
     return EXIT_OK
 

@@ -6,8 +6,10 @@ Linear detection is x_soft = W y with
     ZF:   W = (H^H H)^-1 H^H
     MMSE: W = (H^H H + (N0/Es) I)^-1 H^H
 
-computed for a whole stack of channels at once (linear_weights), followed
-by nearest-point slicing (see ofdm.demap_symbols). The MF output is
+computed for a whole stack of channels at once (linear_weights). The
+detectors return the soft estimate; ofdm.demap_symbols, the only slicer,
+turns it into bits, sending an estimate equidistant from several points
+to the first of them in `Constellation.points`. The MF output is
 deliberately not column-normalized: quadrant slicing of square QAM is
 scale-invariant per real axis. ML detection enumerates every candidate
 symbol vector and minimizes ||y - H x||^2.

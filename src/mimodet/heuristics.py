@@ -26,9 +26,11 @@ detector's soft estimate, so they can never end with worse fitness than
 that seed. Where the linear stage failed (singular Gram matrix), the
 engine passes the zero vector as that subcarrier's seed.
 
-Hard decisions slice each real dimension with one set of per-axis levels,
-which is only right for square QAM (m_order a power of 4); the simulator
-config rejects other orders.
+A run returns complex soft estimates, the best member of each step, not
+constellation points: `ofdm.demap_symbols` is the only slicer, for these
+runs as for the linear detectors, so a hybrid's iteration 0 is exactly its
+linear detector's decision. An estimate equidistant from several points
+goes to the first of them in `Constellation.points`.
 
 All state arrays accept an optional leading batch axis; the Monte Carlo
 engine batches every subcarrier of an OFDM frame through one state.
@@ -41,7 +43,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexity import FlopCounter, charge
-from .ofdm import Constellation
 from .realdomain import RealSystem, complexify, fitness, fitness_columns
 from .rng import RngStream
 
@@ -116,17 +117,9 @@ class PopulationState:
 class HeuristicRun:
     """Outcome of one batched heuristic detection."""
 
-    symbols: np.ndarray                     # (..., n_tx) hard complex decisions
+    estimate: np.ndarray                    # (..., n_tx) complex soft estimate
     trace: np.ndarray                       # (..., n_steps + 1) best fitness per step
-    checkpoint_symbols: dict = field(default_factory=dict)
-
-
-def hard_decision(position, constellation: Constellation) -> np.ndarray:
-    """Snap each real dimension to the nearest per-axis level, then complexify."""
-    levels = constellation.axis_levels
-    mids = (levels[1:] + levels[:-1]) / 2.0
-    idx = np.searchsorted(mids, np.asarray(position))
-    return complexify(levels[idx])
+    checkpoint_estimates: dict = field(default_factory=dict)
 
 
 def initial_positions(rng: RngStream, n_dim: int, n_members: int,
@@ -160,14 +153,14 @@ def _best_member(members: np.ndarray, fits: np.ndarray):
     return best, best_fit.reshape(fits.shape[:-1])
 
 
-def _finish(best, trace, bests: dict, constellation: Constellation) -> HeuristicRun:
-    """Slice the final best vector and every checkpoint's in one call.
+def _finish(best, trace, bests: dict) -> HeuristicRun:
+    """Complexify the final best vector and every checkpoint's in one call.
 
     `bests` maps checkpoint -> that step's best vector; each is a fresh
     array from _best_member, so no later step overwrites it.
     """
-    symbols = hard_decision(np.stack(list(bests.values()) + [best]), constellation)
-    return HeuristicRun(symbols[-1], np.stack(trace, axis=-1), dict(zip(bests, symbols)))
+    estimates = complexify(np.stack(list(bests.values()) + [best]))
+    return HeuristicRun(estimates[-1], np.stack(trace, axis=-1), dict(zip(bests, estimates)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +229,8 @@ def pso_iterate(rng: RngStream, state: SwarmState, params: PsoParams,
 
 
 def run_swarm(rng: RngStream, sys: RealSystem, params: PsoParams,
-              seed_vec: np.ndarray | None, constellation: Constellation,
-              checkpoints=()) -> HeuristicRun:
-    """Full PSO detection; optionally record hard decisions at checkpoints."""
+              seed_vec: np.ndarray | None, checkpoints=()) -> HeuristicRun:
+    """Full PSO detection; optionally record estimates at checkpoints."""
     state = init_swarm(rng, params, seed_vec, sys)
     trace = [np.asarray(state.gb_fitness)]
     wanted = set(checkpoints)
@@ -248,7 +240,7 @@ def run_swarm(rng: RngStream, sys: RealSystem, params: PsoParams,
         trace.append(np.asarray(state.gb_fitness))
         if it in wanted:
             bests[it] = state.p_gb
-    return _finish(state.p_gb, trace, bests, constellation)
+    return _finish(state.p_gb, trace, bests)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +289,12 @@ def de_trials(rng: RngStream, individuals: np.ndarray, params: DeParams) -> np.n
     rows = np.ascontiguousarray(np.swapaxes(iota, -1, -2)).reshape(-1, n_dim)
     offsets = (np.arange(rows.shape[0] // n_ind) * n_ind).reshape(batch_shape + (1,))
     g = np.take(rows, r + offsets, axis=0)                  # (3, ..., n_ind, n_dim)
-    mutants = np.swapaxes(g[0] + params.f_mut * (g[1] - g[2]), -1, -2)
+    # The mutants are built inside g: fresh temporaries here let glibc trim
+    # the heap between generations, which costs page faults on every one.
+    np.subtract(g[1], g[2], out=g[1])
+    g[1] *= params.f_mut
+    g[0] += g[1]
+    mutants = np.swapaxes(g[0], -1, -2)
     take = rng.uniform(size=iota.shape) <= params.f_cr
     forced = rng.integers(0, n_dim, batch_shape + (n_ind,))
     take |= np.arange(n_dim)[:, None] == forced[..., None, :]
@@ -315,7 +312,7 @@ def de_selection(pop: PopulationState, trials: np.ndarray, sys: RealSystem) -> P
     f_inc = fitness_columns(sys, pop.individuals)
     f_tri = fitness_columns(sys, trials)
     take = f_tri < f_inc
-    pop.individuals = np.where(take[..., None, :], trials, pop.individuals)
+    np.copyto(pop.individuals, trials, where=take[..., None, :])
     pop.fitness_cache = np.where(take, f_tri, f_inc)
     pop.generation += 1
     return pop
@@ -336,9 +333,8 @@ def de_generation(rng: RngStream, pop: PopulationState, params: DeParams,
 
 
 def run_population(rng: RngStream, sys: RealSystem, params: DeParams,
-                   seed_vec: np.ndarray | None, constellation: Constellation,
-                   checkpoints=()) -> HeuristicRun:
-    """Full DE detection; optionally record hard decisions at checkpoints."""
+                   seed_vec: np.ndarray | None, checkpoints=()) -> HeuristicRun:
+    """Full DE detection; optionally record estimates at checkpoints."""
     pop = init_population(rng, params, seed_vec, sys)
     best, best_fit = _best_member(pop.individuals, pop.fitness_cache)
     trace = [np.asarray(best_fit)]
@@ -350,7 +346,7 @@ def run_population(rng: RngStream, sys: RealSystem, params: DeParams,
         trace.append(np.asarray(best_fit))
         if gen in wanted:
             bests[gen] = best
-    return _finish(best, trace, bests, constellation)
+    return _finish(best, trace, bests)
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +354,14 @@ def run_population(rng: RngStream, sys: RealSystem, params: DeParams,
 # ---------------------------------------------------------------------------
 
 def run_hybrid(rng: RngStream, sys: RealSystem, seed_vec: np.ndarray,
-               params: PsoParams | DeParams, constellation: Constellation,
-               checkpoints=()) -> HeuristicRun:
+               params: PsoParams | DeParams, checkpoints=()) -> HeuristicRun:
     """Heuristic refinement around a linear detector's soft estimate.
 
     PsoParams run the swarm, DeParams the population, both seeded with
     seed_vec (see initial_positions). A system whose linear stage failed
     arrives with the zero vector as its seed and is refined the same way.
-    Checkpoint 0 and the zero-budget output are the sliced seed itself,
-    which is exactly the linear detector's decision.
+    Checkpoint 0 and the zero-budget output are the seed itself, the linear
+    detector's soft estimate, so demap_symbols gives exactly its decision.
     """
     if isinstance(params, PsoParams):
         budget, runner = params.n_iter, run_swarm
@@ -375,12 +370,12 @@ def run_hybrid(rng: RngStream, sys: RealSystem, seed_vec: np.ndarray,
     else:
         raise TypeError(f"expected PsoParams or DeParams, got {type(params).__name__}")
     seed_vec = np.asarray(seed_vec)
-    seed_symbols = hard_decision(seed_vec, constellation)
+    seed_estimate = complexify(seed_vec)
     if budget == 0:
         trace = np.asarray(fitness(sys, seed_vec))[..., None]
-        marks = {0: seed_symbols} if 0 in set(checkpoints) else {}
-        return HeuristicRun(seed_symbols, trace, marks)
-    run = runner(rng, sys, params, seed_vec, constellation, checkpoints)
-    if 0 in run.checkpoint_symbols:
-        run.checkpoint_symbols[0] = seed_symbols
+        marks = {0: seed_estimate} if 0 in set(checkpoints) else {}
+        return HeuristicRun(seed_estimate, trace, marks)
+    run = runner(rng, sys, params, seed_vec, checkpoints)
+    if 0 in run.checkpoint_estimates:
+        run.checkpoint_estimates[0] = seed_estimate
     return run

@@ -20,7 +20,6 @@ sign sense and unit average symbol energy.
 
 from __future__ import annotations
 
-import functools
 import io
 from dataclasses import dataclass
 
@@ -40,11 +39,6 @@ class Constellation:
     @property
     def bits_per_symbol(self) -> int:
         return self.bit_labels.shape[1]
-
-    @functools.cached_property
-    def axis_levels(self) -> np.ndarray:
-        """Sorted distinct per-axis amplitudes (used for hard slicing)."""
-        return np.unique(self.points.real)
 
 
 def _gray_levels(n_bits: int) -> np.ndarray:
@@ -147,7 +141,12 @@ def map_bits(bits, n_tx: int, constellation: Constellation,
 
 
 def demap_symbols(symbols, constellation: Constellation) -> np.ndarray:
-    """Slice to the nearest constellation point and emit its bit label."""
+    """Slice to the nearest constellation point and emit its bit label.
+
+    This is the simulator's only slicer: linear, heuristic and hybrid
+    estimates all reach bits through it. An estimate equidistant from
+    several points goes to the first of them in `constellation.points`.
+    """
     flat = np.asarray(symbols).ravel()
     dist = np.abs(flat[:, None] - constellation.points[None, :])
     return constellation.bit_labels[np.argmin(dist, axis=1)].ravel()

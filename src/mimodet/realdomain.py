@@ -84,6 +84,7 @@ def fitness(sys: RealSystem, zeta) -> np.ndarray | float:
 def fitness_columns(sys: RealSystem, candidates) -> np.ndarray:
     """Fitness of a column-stacked candidate set, shape (..., dim, k) -> (..., k)."""
     candidates = np.asarray(candidates)
-    res = sys.y[..., None] - sys.h @ candidates
+    res = sys.h @ candidates
+    np.subtract(sys.y[..., None], res, out=res)
     charge(FlopCounter.add_fitness_evals, res.size // res.shape[-2], sys.n_tx, sys.n_rx)
     return np.einsum("...ik,...ik->...k", res, res)

@@ -110,7 +110,7 @@ def check_operating_point(ebn0_db: float, rho: float) -> None:
 
 
 def check_square_qam(m: int) -> None:
-    """Only square QAM is simulated: hard decisions slice both axes with one set of levels."""
+    """Only square QAM is simulated: m_order must be a power of 4."""
     if m < 4 or m & (m - 1) or (m.bit_length() - 1) % 2:
         raise ConfigError(f"m_order {m} is not a power of 4: only square QAM is simulated")
 
@@ -354,12 +354,12 @@ def _frame_channel_and_rx(config: SimulationConfig, const: Constellation,
 
 def _detect_frame(res: ResolvedDetector, config: SimulationConfig,
                   const: Constellation, hs, ys, noise: NoiseSpec,
-                  det_rng: RngStream, checkpoints=(), want_trace=False):
-    """Decisions for one frame.
+                  det_rng: RngStream, checkpoints=()):
+    """Estimates for one frame.
 
     Returns (grids dict, failed mask, trace or None). The grids dict maps
     checkpoint -> (n_sc, n_t) grid, which demap_symbols slices; key None
-    is the final output.
+    is the final output. Only the heuristics have a fitness trace.
     """
     heuristic, linear = DETECTORS[res.kind]
     n_sc = hs.shape[0]
@@ -377,18 +377,18 @@ def _detect_frame(res: ResolvedDetector, config: SimulationConfig,
     sys = realify(hs, ys)
     if linear is None:
         runner = run_swarm if heuristic == "pso" else run_population
-        run = runner(det_rng, sys, res.params, None, const, checkpoints)
+        run = runner(det_rng, sys, res.params, None, checkpoints)
     else:  # a lost seed is the zero vector, since its W rows are zero
-        run = run_hybrid(det_rng, sys, realify_vec(soft), res.params, const, checkpoints)
-    out = dict(run.checkpoint_symbols)
-    out[None] = run.symbols
+        run = run_hybrid(det_rng, sys, realify_vec(soft), res.params, checkpoints)
+    out = dict(run.checkpoint_estimates)
+    out[None] = run.estimate
     # the heuristic decides every vector, lost seeds included
-    return out, np.zeros(n_sc, dtype=bool), run.trace if want_trace else None
+    return out, np.zeros(n_sc, dtype=bool), run.trace
 
 
 def _error_masks(grids, const: Constellation, tx_bits, bits_per_vector: int,
                  erased) -> np.ndarray:
-    """Per-bit error masks, one row per hard-decision grid, from one demap.
+    """Per-bit error masks, one row per estimate grid, from one demap.
 
     `erased[i]` is grid i's mask of erased vectors (or None); an erasure
     counts every bit of its vector.
@@ -407,12 +407,12 @@ class FrameBatchResult:
     nbits: int = 0
     errors: dict = field(default_factory=dict)        # (det, checkpoint) -> int
     discordance: dict = field(default_factory=dict)   # (col_a, col_b) -> [a_only, b_only]
-    trace: np.ndarray | None = None
+    trace: np.ndarray | None = None                   # frame 0's, if run here
 
 
 def _simulate_frames(config: SimulationConfig, detectors, ebn0_db: float,
                      rho: float, frame_lo: int, frame_hi: int,
-                     checkpoints=(), pairs=(), want_trace=False) -> FrameBatchResult:
+                     checkpoints=(), pairs=()) -> FrameBatchResult:
     """Simulate frames [frame_lo, frame_hi) for all detectors at one point.
 
     `pairs` lists ((det_label, checkpoint), (det_label, checkpoint)) column
@@ -434,13 +434,12 @@ def _simulate_frames(config: SimulationConfig, detectors, ebn0_db: float,
             det_rng = RngStream(config.master_seed).substream(
                 "det", res.label, _ebkey(ebn0_db), _rhokey(rho), frame)
             det_grids, failed, trace = _detect_frame(
-                res, config, const, hs, ys, noise, det_rng, checkpoints,
-                want_trace=want_trace and frame == frame_lo)
+                res, config, const, hs, ys, noise, det_rng, checkpoints)
             for cp, grid in det_grids.items():
                 keys.append((res.label, cp))
                 grids.append(grid)
                 erased.append(failed if cp is None else None)
-            if trace is not None and out.trace is None:
+            if frame == 0 and out.trace is None:
                 out.trace = trace
         errors = _error_masks(grids, const, bits, config.bits_per_vector, erased)
         masks = dict(zip(keys, errors))
@@ -461,12 +460,13 @@ def _simulate_frames_task(args) -> FrameBatchResult:
 
 def _run_batches(config: SimulationConfig, detectors, ebn0_db, rho,
                  total_frames: int, checkpoints=(), pairs=(), workers: int = 1,
-                 stop_errors: int | None = None, want_trace=False) -> FrameBatchResult:
-    """Run frames in fixed batches, optionally in parallel, merging by sum.
+                 stop_errors: int | None = None) -> FrameBatchResult:
+    """Run frames in fixed batches, split over the workers, merging by sum.
 
-    The stop check (on the final-output error count of the first detector)
-    happens only between complete batches, so results are identical for
-    any worker count.
+    Each batch is cut into one frame range per worker; a single worker
+    runs its one range in this process. The stop check (on the
+    final-output error count of the first detector) happens only between
+    complete batches, so results are identical for any worker count.
     """
     if total_frames < 1:
         raise ConfigError("need at least one symbol vector per point")
@@ -474,24 +474,15 @@ def _run_batches(config: SimulationConfig, detectors, ebn0_db, rho,
     merged.errors = {}
     merged.discordance = {p: [0, 0] for p in pairs}
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    run = executor.map if executor is not None else map
     try:
         frame = 0
         while frame < total_frames:
             hi = min(frame + BATCH_FRAMES, total_frames)
-            chunks = []
-            if executor is None:
-                chunks.append(_simulate_frames(config, detectors, ebn0_db, rho,
-                                               frame, hi, checkpoints, pairs,
-                                               want_trace and frame == 0))
-            else:
-                step = math.ceil((hi - frame) / workers)
-                tasks = []
-                for lo in range(frame, hi, step):
-                    tasks.append((config, detectors, ebn0_db, rho, lo,
-                                  min(lo + step, hi), checkpoints, pairs,
-                                  want_trace and lo == 0))
-                chunks.extend(executor.map(_simulate_frames_task, tasks))
-            for chunk in chunks:
+            step = math.ceil((hi - frame) / workers)
+            tasks = [(config, detectors, ebn0_db, rho, lo, min(lo + step, hi),
+                      checkpoints, pairs) for lo in range(frame, hi, step)]
+            for chunk in run(_simulate_frames_task, tasks):
                 merged.vectors += chunk.vectors
                 merged.nbits += chunk.nbits
                 for key, val in chunk.errors.items():
@@ -598,20 +589,24 @@ class ConvergenceStudy:
     rows: list
     nbits: int
     discordance: dict     # (ebn0, iter_a, iter_b) -> (a_only, b_only)
-    trace: np.ndarray | None = None
+    trace: np.ndarray     # (n_sc, max_iters + 1) best fitness, first Eb/N0's frame 0
 
 
 def convergence_study(config: SimulationConfig, detector: DetectorConfig,
                       ebn0_list, max_iters: int, rho: float = 0.0,
                       n_vectors: int | None = None, iteration_pairs=(),
-                      workers: int = 1, want_trace: bool = False) -> ConvergenceStudy:
+                      workers: int = 1) -> ConvergenceStudy:
     """BER as a function of the iteration budget, one run per Eb/N0.
 
     A single run with budget max_iters is snapshotted at every iteration;
     snapshots are equivalent to separate runs because the update rules
     never look at the remaining budget. For hybrids, iteration 0 is the
-    bare linear detector.
+    bare linear detector, except on a lost seed, which the bare detector
+    erases and the hybrid decides from the zero vector. Only heuristic
+    kinds have iterations.
     """
+    if DETECTORS[detector.kind].heuristic is None:
+        raise ConfigError(f"convergence applies to heuristic detectors, not {detector.kind!r}")
     base = replace(detector, iters=max_iters)
     checkpoints = tuple(range(0, max_iters + 1))
     for ebn0 in ebn0_list:
@@ -627,7 +622,7 @@ def convergence_study(config: SimulationConfig, detector: DetectorConfig,
         col_pairs = tuple(((res.label, a), (res.label, b)) for a, b in iteration_pairs)
         merged = _run_batches(config, [res], ebn0, rho, total_frames,
                               checkpoints=checkpoints, pairs=col_pairs,
-                              workers=workers, want_trace=want_trace)
+                              workers=workers)
         nbits = merged.nbits
         for it in checkpoints:
             errs = merged.errors[(res.label, it)]
@@ -637,7 +632,7 @@ def convergence_study(config: SimulationConfig, detector: DetectorConfig,
         for a, b in iteration_pairs:
             discordance[(float(ebn0), a, b)] = tuple(
                 merged.discordance[((res.label, a), (res.label, b))])
-        if merged.trace is not None and trace is None:
+        if trace is None:
             trace = merged.trace
     return ConvergenceStudy(rows, nbits, discordance, trace)
 

@@ -300,7 +300,7 @@ def test_criterion_8_structural_invariants():
     # seed-membership dominance
     seed_vec = realify_vec(CONST.points[rng.substream("sx").integers(0, 4, 4)])
     run = run_hybrid(rng.substream("hyb"), sys, seed_vec,
-                     PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=15, n_iter=15), CONST)
+                     PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=15, n_iter=15))
     checks["seed dominance"] = bool(run.trace[-1] <= fitness(sys, seed_vec) * (1 + 1e-12))
 
     # ZF multiply-back and MMSE -> ZF limit

@@ -123,6 +123,19 @@ class TestConvergenceCommand:
         trace_header = traces.read_text().splitlines()[0]
         assert trace_header == "detector,trial,iteration,fitness"
 
+    @pytest.mark.parametrize("args", [
+        ["--detector", "mmse"],
+        ["--detector", "ml"],
+        ["--detector", "mmse", "--max-iters", "-1"],
+        ["--detector", "pso-mmse", "--max-iters", "-1"],
+    ])
+    def test_non_heuristic_or_negative_budget_rejected(self, config_path, args, tmp_path):
+        out = tmp_path / "conv.csv"
+        argv = ["convergence", "--config", config_path, "--vectors", "64",
+                "--out", str(out)] + args
+        assert cli_main(argv) == EXIT_CONFIG
+        assert not out.exists()
+
 
 class TestValidateChannelCommand:
     def test_passes(self, capsys):

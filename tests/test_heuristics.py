@@ -16,7 +16,6 @@ from mimodet.heuristics import (
     de_generation,
     de_selection,
     de_trials,
-    hard_decision,
     init_population,
     init_swarm,
     initial_positions,
@@ -26,12 +25,19 @@ from mimodet.heuristics import (
     run_swarm,
 )
 from mimodet.linalg import draw_standard_complex_gaussian
-from mimodet.ofdm import NoiseSpec, square_qam
-from mimodet.realdomain import fitness, realify, realify_vec
+from mimodet.ofdm import NoiseSpec, demap_symbols, square_qam
+from mimodet.realdomain import complexify, fitness, realify, realify_vec
 from mimodet.rng import RngStream
 from mimodet.simulate import DetectorConfig, SimulationConfig, run_ber_point
 
 CONST = square_qam(4)
+
+
+def _decided(estimate, x):
+    """True per vector where the sliced estimate carries x's bits."""
+    shape = np.shape(x)[:-1] + (-1,)
+    got = demap_symbols(estimate, CONST).reshape(shape)
+    return np.all(got == demap_symbols(x, CONST).reshape(shape), axis=-1)
 
 
 def _instance(seed, n=4, sigma=0.1):
@@ -153,14 +159,14 @@ class TestPsoDetect:
         y = h @ x
         sys = realify(h, y)
         params = PsoParams(c1=2, c2=2, w0=1, n_pop=8, n_iter=5)
-        run = run_swarm(RngStream(28), sys, params, realify_vec(x), CONST)
+        run = run_swarm(RngStream(28), sys, params, realify_vec(x))
         assert run.trace[0] <= 1e-18
-        assert np.array_equal(run.symbols, x)
+        assert _decided(run.estimate, x)
 
     def test_final_fitness_at_most_initial(self):
         _, _, _, sys = _instance(29)
         params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=10, n_iter=15)
-        trace = run_swarm(RngStream(30), sys, params, None, CONST).trace
+        trace = run_swarm(RngStream(30), sys, params, None).trace
         assert trace[-1] <= trace[0]
         assert np.all(np.diff(trace) <= 0)
 
@@ -168,7 +174,7 @@ class TestPsoDetect:
         _, _, _, sys = _instance(31)
         params = PsoParams(c1=2, c2=2, w0=1, n_pop=13, n_iter=7)
         with counting() as counter:
-            run_swarm(RngStream(32), sys, params, None, CONST)
+            run_swarm(RngStream(32), sys, params, None)
         # init evaluates the swarm once, then once per iteration
         assert counter.fitness_evals == 13 * (7 + 1)
 
@@ -179,10 +185,9 @@ class TestPsoDetect:
         y = np.einsum("brt,bt->br", h, x)
         sys = realify(h, y)
         params = PsoParams(c1=2, c2=2, w0=1.0, n_pop=40, n_iter=300)
-        run = run_swarm(rng.substream("pso"), sys, params,
-                        None, CONST)
+        run = run_swarm(rng.substream("pso"), sys, params, None)
         ml = np.stack([ml_detect(h[b], y[b], CONST) for b in range(1000)])
-        hit = np.all(np.isclose(run.symbols, ml), axis=1).mean()
+        hit = _decided(run.estimate, ml).mean()
         assert hit >= 0.99
 
 
@@ -278,7 +283,7 @@ class TestDeOperators:
         _, _, _, sys = _instance(50)
         params = DeParams(0.6, 0.6, n_ind=9, n_gen=5)
         with counting() as counter:
-            run_population(RngStream(51), sys, params, None, CONST)
+            run_population(RngStream(51), sys, params, None)
         # init evaluates once, then individuals + trials per generation
         assert counter.fitness_evals == 9 + 5 * 2 * 9
 
@@ -287,8 +292,8 @@ class TestDeOperators:
         y = h @ x
         sys = realify(h, y)
         params = DeParams(0.6, 0.6, n_ind=8, n_gen=4)
-        run = run_population(RngStream(53), sys, params, realify_vec(x), CONST)
-        assert np.array_equal(run.symbols, x)
+        run = run_population(RngStream(53), sys, params, realify_vec(x))
+        assert _decided(run.estimate, x)
         assert run.trace[0] <= 1e-18
         assert np.all(np.diff(run.trace) <= 0)
 
@@ -299,10 +304,9 @@ class TestDeOperators:
         y = np.einsum("brt,bt->br", h, x)
         sys = realify(h, y)
         params = DeParams(0.6, 0.6, n_ind=40, n_gen=300)
-        run = run_population(rng.substream("de"), sys, params,
-                             None, CONST)
+        run = run_population(rng.substream("de"), sys, params, None)
         ml = np.stack([ml_detect(h[b], y[b], CONST) for b in range(1000)])
-        hit = np.all(np.isclose(run.symbols, ml), axis=1).mean()
+        hit = _decided(run.estimate, ml).mean()
         assert hit >= 0.99
 
 
@@ -373,7 +377,7 @@ class TestKernelOracles:
         steps = 12
         if kind == "pso":
             params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=10, n_iter=steps)
-            run = run_swarm(RngStream(75), sys, params, None, CONST, range(steps + 1))
+            run = run_swarm(RngStream(75), sys, params, None, range(steps + 1))
             rng = RngStream(75)
             state = init_swarm(rng, params, None, sys)
             bests = [state.p_gb.copy()]
@@ -382,19 +386,19 @@ class TestKernelOracles:
                 bests.append(state.p_gb.copy())
         else:
             params = DeParams(1.7, 0.6, n_ind=10, n_gen=steps)
-            run = run_population(RngStream(75), sys, params, None, CONST, range(steps + 1))
+            run = run_population(RngStream(75), sys, params, None, range(steps + 1))
             rng = RngStream(75)
             pop = init_population(rng, params, None, sys)
             bests = [_best_member(pop.individuals, pop.fitness_cache)[0]]
             for _ in range(steps):
                 de_generation(rng, pop, params, sys)
                 bests.append(_best_member(pop.individuals, pop.fitness_cache)[0])
-        marks = run.checkpoint_symbols
+        marks = run.checkpoint_estimates
         assert sorted(marks) == list(range(steps + 1))
         for it, best in enumerate(bests):
-            assert np.array_equal(marks[it], hard_decision(best, CONST))
-        assert np.array_equal(run.symbols, hard_decision(bests[-1], CONST))
-        # the decisions move during the run, so an aliased snapshot would show
+            assert np.array_equal(marks[it], complexify(best))
+        assert np.array_equal(run.estimate, complexify(bests[-1]))
+        # the estimates move during the run, so an aliased snapshot would show
         assert any(not np.array_equal(marks[0], marks[it]) for it in marks)
         for a in marks:
             for b in marks:
@@ -420,8 +424,8 @@ class TestHybrid:
     def test_budget_zero_returns_sliced_seed(self):
         h, x, y, sys, seed_vec, sigma2 = self._seeded_setup(55)
         params = PsoParams(c1=2, c2=2, w0=1, n_pop=8, n_iter=0)
-        run = run_hybrid(RngStream(56), sys, seed_vec, params, CONST)
-        assert np.array_equal(run.symbols, hard_decision(seed_vec, CONST))
+        run = run_hybrid(RngStream(56), sys, seed_vec, params)
+        assert np.array_equal(run.estimate, complexify(seed_vec))
         assert run.trace.shape == (1,)
 
     # A hybrid never ends worse than its seed: member 0 is the seed and
@@ -433,7 +437,7 @@ class TestHybrid:
     def test_seed_membership_dominance(self, seed):
         sys, seed_vec = self._batch(seed)
         params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=10, n_iter=15)
-        run = run_hybrid(RngStream(seed), sys, seed_vec, params, CONST)
+        run = run_hybrid(RngStream(seed), sys, seed_vec, params)
         assert np.all(np.diff(run.trace, axis=-1) <= 0)
         assert np.all(run.trace[..., -1] <= fitness(sys, seed_vec) * (1 + 1e-12))
 
@@ -442,15 +446,15 @@ class TestHybrid:
     def test_de_hybrid_dominance(self, seed):
         sys, seed_vec = self._batch(seed)
         params = DeParams(1.7, 0.6, n_ind=10, n_gen=15)
-        run = run_hybrid(RngStream(seed), sys, seed_vec, params, CONST)
+        run = run_hybrid(RngStream(seed), sys, seed_vec, params)
         assert np.all(np.diff(run.trace, axis=-1) <= 0)
         assert np.all(run.trace[..., -1] <= fitness(sys, seed_vec) * (1 + 1e-12))
 
     def test_checkpoint_zero_is_linear_decision(self):
         h, x, y, sys, seed_vec, sigma2 = self._seeded_setup(57)
         params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=8, n_iter=5)
-        run = run_hybrid(RngStream(58), sys, seed_vec, params, CONST, checkpoints=(0, 5))
-        assert np.array_equal(run.checkpoint_symbols[0], hard_decision(seed_vec, CONST))
+        run = run_hybrid(RngStream(58), sys, seed_vec, params, checkpoints=(0, 5))
+        assert np.array_equal(run.checkpoint_estimates[0], complexify(seed_vec))
 
     def test_fallback_on_singular_seed(self, caplog):
         # rho = 1 makes every channel rank one, so the noiseless MMSE seed
@@ -467,7 +471,7 @@ class TestHybrid:
     def test_unknown_kind_rejected(self):
         _, _, _, sys = _instance(60)
         with pytest.raises(TypeError):
-            run_hybrid(RngStream(61), sys, np.zeros(8), object(), CONST)
+            run_hybrid(RngStream(61), sys, np.zeros(8), object())
 
 
 class TestOracleParity:
@@ -487,10 +491,8 @@ class TestOracleParity:
         return h, x, y
 
     @staticmethod
-    def _ber(symbols, x):
-        from mimodet.ofdm import demap_symbols
-
-        got = demap_symbols(symbols, CONST)
+    def _ber(estimates, x):
+        got = demap_symbols(estimates, CONST)
         want = demap_symbols(x, CONST)
         return np.mean(got != want), got.size
 
@@ -504,13 +506,12 @@ class TestOracleParity:
         h, x, y = self._trials()
         sys = realify(h, y)
         params = PsoParams(c1=4.0, c2=1.0, w0=1.5, n_pop=16, n_iter=10)
-        run = run_swarm(RngStream(800), sys, params, None, CONST)
-        p_impl, nbits = self._ber(run.symbols, x)
+        run = run_swarm(RngStream(800), sys, params, None)
+        p_impl, nbits = self._ber(run.estimate, x)
 
         # independent oracle: direct transcription of the update rules
         gen = np.random.default_rng(4242)
         out = np.empty_like(x)
-        levels = CONST.axis_levels
         for t in range(self.TRIALS):
             hr = np.block([[h[t].real, -h[t].imag], [h[t].imag, h[t].real]])
             yr = np.concatenate([y[t].real, y[t].imag])
@@ -536,8 +537,7 @@ class TestOracleParity:
                     g = pbest[np.argmin(pbest_fit)].copy()
                     g_fit = pbest_fit.min()
                 w *= 0.99
-            sliced = levels[(g >= 0).astype(int)] if len(levels) == 2 else None
-            out[t] = sliced[:4] + 1j * sliced[4:]
+            out[t] = g[:4] + 1j * g[4:]
         p_oracle, _ = self._ber(out, x)
         assert self._parity_ok(p_impl, p_oracle, nbits), (p_impl, p_oracle)
 
@@ -545,13 +545,11 @@ class TestOracleParity:
         h, x, y = self._trials()
         sys = realify(h, y)
         params = DeParams(f_mut=0.6, f_cr=0.6, n_ind=12, n_gen=8)
-        run = run_population(RngStream(801), sys, params,
-                             None, CONST)
-        p_impl, nbits = self._ber(run.symbols, x)
+        run = run_population(RngStream(801), sys, params, None)
+        p_impl, nbits = self._ber(run.estimate, x)
 
         gen = np.random.default_rng(2424)
         out = np.empty_like(x)
-        levels = CONST.axis_levels
         n_ind, n_gen = 12, 8
         for t in range(self.TRIALS):
             hr = np.block([[h[t].real, -h[t].imag], [h[t].imag, h[t].real]])
@@ -572,7 +570,6 @@ class TestOracleParity:
                 pop = new_pop
             fit = np.sum((yr - pop @ hr.T) ** 2, axis=1)
             g = pop[np.argmin(fit)]
-            sliced = levels[(g >= 0).astype(int)]
-            out[t] = sliced[:4] + 1j * sliced[4:]
+            out[t] = g[:4] + 1j * g[4:]
         p_oracle, _ = self._ber(out, x)
         assert self._parity_ok(p_impl, p_oracle, nbits), (p_impl, p_oracle)

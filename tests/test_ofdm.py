@@ -52,10 +52,6 @@ class TestConstellation:
                     hamming = int(np.sum(const.bit_labels[i] != const.bit_labels[j]))
                     assert hamming == 1
 
-    def test_axis_levels_qpsk(self):
-        const = square_qam(4)
-        assert np.allclose(const.axis_levels, [-1 / ROOT2, 1 / ROOT2])
-
     def test_bad_order(self):
         with pytest.raises(ValueError):
             square_qam(12)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimodet.ofdm import map_bits, square_qam
 from mimodet.simulate import (
@@ -227,7 +229,6 @@ class TestPaired:
             run_paired(cfg, [DetectorConfig("zf"), DetectorConfig("zf")],
                        8.0, 0.0, n_vectors=64)
 
-
     def test_zero_vectors_rejected(self):
         cfg = _config("mmse")
         with pytest.raises(ConfigError):
@@ -236,15 +237,44 @@ class TestPaired:
             convergence_study(cfg, DetectorConfig("pso-mmse"), [8.0], max_iters=1,
                               n_vectors=0)
 
+    # Frames are keyed by index and merged by sum, so how a batch is split
+    # over worker processes cannot change any count.
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), frames=st.integers(1, 2),
+           rho=st.sampled_from([0.0, 0.9]))
+    def test_worker_count_invariance(self, seed, frames, rho):
+        cfg = _config("mmse", master_seed=seed)
+        dets = [DetectorConfig(k) for k in ("mmse", "ml", "pso-mf")]
+        pairs = (("MMSE", "ML"), ("ML", "PSO-MF"))
+        runs = [run_paired(cfg, dets, 8.0, rho, n_vectors=frames * cfg.n_subcarriers,
+                           pairs=pairs, workers=workers) for workers in (1, 2, 3)]
+        for res in runs[1:]:
+            assert res.errors == runs[0].errors
+            assert res.discordance == runs[0].discordance
+
 
 class TestConvergence:
-    def test_budget_zero_equals_linear(self):
-        cfg = _config("pso-mmse")
-        study = convergence_study(cfg, DetectorConfig("pso-mmse"), [12.0],
-                                  max_iters=3, rho=0.0, n_vectors=1024)
+    # At rho = 1 and no noise the MF estimates of many vectors lie exactly on
+    # a decision boundary, so iteration 0 matches MF only if both are sliced
+    # the same way.
+    @pytest.mark.parametrize("hybrid, linear, ebn0, rho", [
+        ("pso-mmse", "mmse", 12.0, 0.0),
+        ("pso-mf", "mf", math.inf, 1.0),
+    ])
+    def test_budget_zero_equals_linear(self, hybrid, linear, ebn0, rho):
+        cfg = _config(hybrid)
+        study = convergence_study(cfg, DetectorConfig(hybrid), [ebn0],
+                                  max_iters=3, rho=rho, n_vectors=1024)
         iter0 = next(r for r in study.rows if r.iteration == 0)
-        mmse = run_paired(cfg, [DetectorConfig("mmse")], 12.0, 0.0, n_vectors=1024)
-        assert iter0.bit_errors == mmse.errors["MMSE"]
+        bare = run_paired(cfg, [DetectorConfig(linear)], ebn0, rho, n_vectors=1024)
+        assert iter0.bit_errors == bare.errors[linear.upper()]
+
+    @pytest.mark.parametrize("kind", ["mmse", "ml"])
+    def test_non_heuristic_rejected(self, kind):
+        # a kind without a heuristic has no iterations to report
+        with pytest.raises(ConfigError):
+            convergence_study(_config(kind), DetectorConfig(kind), [8.0],
+                              max_iters=3, n_vectors=64)
 
     def test_rows_cover_all_iterations(self):
         cfg = _config("de-mmse")
@@ -255,7 +285,7 @@ class TestConvergence:
     def test_trace_capture(self):
         cfg = _config("pso")
         study = convergence_study(cfg, DetectorConfig("pso", iters=5), [8.0],
-                                  max_iters=5, n_vectors=128, want_trace=True)
+                                  max_iters=5, n_vectors=128)
         assert study.trace is not None
         assert study.trace.shape == (cfg.n_subcarriers, 6)
 
@@ -282,7 +312,7 @@ class TestGolden:
     @pytest.mark.parametrize("kind", sorted(CONVERGENCE))
     def test_convergence_study(self, kind):
         study = convergence_study(self.CONFIG, DetectorConfig(kind), [8.0], max_iters=5,
-                                  rho=0.5, n_vectors=128, want_trace=True)  # 2 frames
+                                  rho=0.5, n_vectors=128)  # 2 frames
         errors, trace_sha = self.CONVERGENCE[kind]
         assert [r.bit_errors for r in study.rows] == errors
         trace = np.ascontiguousarray(study.trace, dtype="<f8")

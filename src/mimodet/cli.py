@@ -169,6 +169,7 @@ def _cmd_complexity(args) -> int:
 
 
 def _cmd_validate_channel(args) -> int:
+    sim.check_rho(args.rho)
     rng = RngStream(args.seed)
     spec = CorrelationSpec(rho=args.rho, n_antennas=args.n_antennas)
     n = args.n_antennas

@@ -203,9 +203,13 @@ def counting():
         _active.reset(token)
 
 
-def charge(add, *sizes) -> None:
+def charge(add, *sizes, times: int = 1) -> None:
     """Charge ``add(counter, *sizes)`` (a FlopCounter.add* method) to the
-    active counter; does nothing outside a counting() block."""
+    active counter, ``times`` times over, as for a stack of that many
+    systems; does nothing outside a counting() block."""
     counter = _active.get()
     if counter is not None:
-        add(counter, *sizes)
+        unit = FlopCounter()
+        add(unit, *sizes)
+        counter.flops += times * unit.flops
+        counter.fitness_evals += times * unit.fitness_evals

@@ -49,12 +49,12 @@ def linear_weights(kind: str, hs: np.ndarray, n0_over_es: float) -> tuple[np.nda
     if kind == "mmse":
         gram = gram + n0_over_es * np.eye(n_tx)
     inv, failed = invert_hermitian(gram)
-    for _ in range(failed.size):
-        charge(FlopCounter.add_matmat, 2 * n_tx, 2 * n_tx, 2 * n_rx)
-        if kind == "mmse":
-            charge(FlopCounter.add, 4 * n_tx * n_tx + 2 * n_tx)  # regularizer scale + add
-        charge(FlopCounter.add_lu_inversion, 2 * n_tx)
-        charge(FlopCounter.add_matmat, 2 * n_tx, 2 * n_rx, 2 * n_tx)
+    n = failed.size
+    charge(FlopCounter.add_matmat, 2 * n_tx, 2 * n_tx, 2 * n_rx, times=n)
+    if kind == "mmse":
+        charge(FlopCounter.add, 4 * n_tx * n_tx + 2 * n_tx, times=n)  # regularizer scale + add
+    charge(FlopCounter.add_lu_inversion, 2 * n_tx, times=n)
+    charge(FlopCounter.add_matmat, 2 * n_tx, 2 * n_rx, 2 * n_tx, times=n)
     w = inv @ hh
     w[failed] = 0.0  # also where a non-finite H would leave 0 * inf
     return w, failed
@@ -69,8 +69,7 @@ def apply_equalizer(w: np.ndarray, y: np.ndarray) -> np.ndarray:
     if y.shape[-1] != n_rx:
         raise ValueError(f"observation length {y.shape[-1]} != {n_rx}")
     soft = (w @ y[..., None])[..., 0]
-    for _ in range(soft.size // n_tx):
-        charge(FlopCounter.add_matvec, 2 * n_tx, 2 * n_rx)
+    charge(FlopCounter.add_matvec, 2 * n_tx, 2 * n_rx, times=soft.size // n_tx)
     return soft
 
 

@@ -35,6 +35,9 @@ class RngStream:
     Substreams derived via :meth:`substream` are statistically independent
     of each other and of the parent; deriving them commutes with execution
     order, which is what makes parallel Monte Carlo trials reproducible.
+    The generator is built at the first draw, so a stream that only derives
+    substreams, or never draws, costs no generator; a stream that draws late
+    gives the same sequence as one that draws at once.
     """
 
     algorithm = ALGORITHM
@@ -42,8 +45,7 @@ class RngStream:
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.key = tuple(key)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)
-        self._gen = np.random.Generator(np.random.PCG64(ss))
+        self._gen = None
 
     def substream(self, *parts) -> "RngStream":
         """Derive an independent stream keyed by this stream's key + parts."""
@@ -51,15 +53,29 @@ class RngStream:
 
     # Draw methods delegate to one numpy Generator owned by this stream.
 
+    def _generator(self) -> np.random.Generator:
+        if self._gen is None:
+            ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)
+            self._gen = np.random.Generator(np.random.PCG64(ss))
+        return self._gen
+
     def uniform(self, low=0.0, high=1.0, size=None):
-        return self._gen.uniform(low, high, size)
+        """Uniform draws on [low, high) for scalar bounds.
+
+        numpy computes low + (high - low) * u from one double u per draw,
+        so on [0, 1) `Generator.random`, which returns u itself, gives the
+        same values and leaves the same state, faster.
+        """
+        if low == 0.0 and high == 1.0:
+            return self._generator().random(size)
+        return self._generator().uniform(low, high, size)
 
     def standard_normal(self, size=None):
-        return self._gen.standard_normal(size)
+        return self._generator().standard_normal(size)
 
     def integers(self, low, high, size=None):
         """Integers in [low, high), matching numpy's half-open convention."""
-        return self._gen.integers(low, high, size=size)
+        return self._generator().integers(low, high, size=size)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, key={self.key})"

@@ -14,9 +14,11 @@ by value, never by execution order:
 The trial stream deliberately excludes the detector, so every detector at
 a given operating point sees identical channels, bits and noise. That
 makes cross-detector BER comparisons paired, which is how the ordering
-and refinement experiments get their statistical power. Results are
-reduced by summation over frames, so totals do not depend on worker count
-or scheduling.
+and refinement experiments get their statistical power. It also lets all
+detectors of a point share one frame loop: each frame is drawn once, and
+each linear stage runs once for the bare detector and its hybrids.
+Results are reduced by summation over frames, so totals do not depend on
+worker count or scheduling.
 
 Config files are JSON:
 
@@ -39,6 +41,7 @@ operating point's correlation index (see CALIBRATED_* tables below).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -46,6 +49,7 @@ import logging
 import math
 import os
 import tempfile
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -97,6 +101,12 @@ class ConfigError(ValueError):
     """Invalid simulation configuration."""
 
 
+def check_rho(rho: float) -> None:
+    """Reject a correlation index outside [0, 1], NaN included."""
+    if not 0.0 <= rho <= 1.0:
+        raise ConfigError(f"rho {rho} outside [0, 1]")
+
+
 def check_operating_point(ebn0_db: float, rho: float) -> None:
     """Reject an operating point the model cannot simulate.
 
@@ -105,8 +115,7 @@ def check_operating_point(ebn0_db: float, rho: float) -> None:
     """
     if math.isnan(ebn0_db) or ebn0_db == -math.inf:
         raise ConfigError(f"Eb/N0 {ebn0_db} dB outside the model: it must be finite or +inf")
-    if not 0.0 <= rho <= 1.0:  # also rejects NaN
-        raise ConfigError(f"rho {rho} outside [0, 1]")
+    check_rho(rho)
 
 
 def check_square_qam(m: int) -> None:
@@ -239,6 +248,8 @@ class SimulationConfig:
         for rho in self.rho_list:
             for ebn0 in self.ebn0_db_list:
                 check_operating_point(ebn0, rho)
+            for det in self.detectors:  # bad parameters fail here, not mid-sweep
+                resolve_detector(det, rho)
 
     @property
     def bits_per_vector(self) -> int:
@@ -354,12 +365,15 @@ def _frame_channel_and_rx(config: SimulationConfig, const: Constellation,
 
 def _detect_frame(res: ResolvedDetector, config: SimulationConfig,
                   const: Constellation, hs, ys, noise: NoiseSpec,
-                  det_rng: RngStream, checkpoints=()):
+                  det_rng: RngStream | None, checkpoints, shared: dict):
     """Estimates for one frame.
 
     Returns (grids dict, failed mask, trace or None). The grids dict maps
     checkpoint -> (n_sc, n_t) grid, which demap_symbols slices; key None
     is the final output. Only the heuristics have a fitness trace.
+    `shared` maps a linear kind to its stage for this frame (soft
+    estimates and failed mask); the first detector that needs a stage
+    computes it, and the bare detector and its hybrids share it.
     """
     heuristic, linear = DETECTORS[res.kind]
     n_sc = hs.shape[0]
@@ -367,8 +381,10 @@ def _detect_frame(res: ResolvedDetector, config: SimulationConfig,
         out = np.stack([ml_detect(hs[n], ys[n], const) for n in range(n_sc)])
         return {None: out}, np.zeros(n_sc, dtype=bool), None
     if linear is not None:
-        w, failed = linear_weights(linear, hs, noise.sigma2)
-        soft = apply_equalizer(w, ys)
+        if linear not in shared:
+            w, failed = linear_weights(linear, hs, noise.sigma2)
+            shared[linear] = apply_equalizer(w, ys), failed
+        soft, failed = shared[linear]
         if heuristic is None:
             return {None: soft}, failed, None
         if failed.any():
@@ -403,11 +419,23 @@ def _error_masks(grids, const: Constellation, tx_bits, bits_per_vector: int,
 
 @dataclass
 class FrameBatchResult:
-    vectors: int = 0
-    nbits: int = 0
-    errors: dict = field(default_factory=dict)        # (det, checkpoint) -> int
-    discordance: dict = field(default_factory=dict)   # (col_a, col_b) -> [a_only, b_only]
-    trace: np.ndarray | None = None                   # frame 0's, if run here
+    """Sums over frames. Detectors are keyed by their position in the
+    caller's list, since two entries may share a kind and a label."""
+
+    vectors: Counter = field(default_factory=Counter)  # position -> symbol vectors
+    errors: Counter = field(default_factory=Counter)   # (position, checkpoint) -> bit errors
+    discordance: dict = field(default_factory=dict)    # (col_a, col_b) -> [a_only, b_only]
+    trace: np.ndarray | None = None                    # frame 0's, if run here
+
+    def merge(self, other: "FrameBatchResult") -> None:
+        self.vectors.update(other.vectors)
+        self.errors.update(other.errors)
+        for key, (a_only, b_only) in other.discordance.items():
+            acc = self.discordance.setdefault(key, [0, 0])
+            acc[0] += a_only
+            acc[1] += b_only
+        if self.trace is None:
+            self.trace = other.trace
 
 
 def _simulate_frames(config: SimulationConfig, detectors, ebn0_db: float,
@@ -415,28 +443,30 @@ def _simulate_frames(config: SimulationConfig, detectors, ebn0_db: float,
                      checkpoints=(), pairs=()) -> FrameBatchResult:
     """Simulate frames [frame_lo, frame_hi) for all detectors at one point.
 
-    `pairs` lists ((det_label, checkpoint), (det_label, checkpoint)) column
-    pairs whose bitwise error discordance should be accumulated.
+    `detectors` lists (position, ResolvedDetector) pairs. `pairs` lists
+    ((position, checkpoint), (position, checkpoint)) column pairs whose
+    bitwise error discordance should be accumulated.
     """
     const = square_qam(config.m_order)
     spec = CorrelationSpec(rho=rho, n_antennas=config.n_t)
     sqrt_r = None if rho == 0.0 else correlation_sqrt(spec)
+    det_root = RngStream(config.master_seed).substream("det")
+    point_key = (_ebkey(ebn0_db), _rhokey(rho))
     out = FrameBatchResult()
-    for key in [(d.label, cp) for d in detectors for cp in list(checkpoints) + [None]]:
-        out.errors[key] = 0
     for pair in pairs:
         out.discordance[pair] = [0, 0]
     for frame in range(frame_lo, frame_hi):
         bits, hs, ys, noise = _frame_channel_and_rx(config, const, sqrt_r,
                                                     ebn0_db, rho, frame)
         keys, grids, erased = [], [], []
-        for res in detectors:
-            det_rng = RngStream(config.master_seed).substream(
-                "det", res.label, _ebkey(ebn0_db), _rhokey(rho), frame)
+        shared = {}
+        for i, res in detectors:
+            det_rng = (det_root.substream(res.label, *point_key, frame)
+                       if DETECTORS[res.kind].heuristic else None)
             det_grids, failed, trace = _detect_frame(
-                res, config, const, hs, ys, noise, det_rng, checkpoints)
+                res, config, const, hs, ys, noise, det_rng, checkpoints, shared)
             for cp, grid in det_grids.items():
-                keys.append((res.label, cp))
+                keys.append((i, cp))
                 grids.append(grid)
                 erased.append(failed if cp is None else None)
             if frame == 0 and out.trace is None:
@@ -449,8 +479,8 @@ def _simulate_frames(config: SimulationConfig, detectors, ebn0_db: float,
             a, b = masks[pair[0]], masks[pair[1]]
             out.discordance[pair][0] += int(np.sum(a & ~b))
             out.discordance[pair][1] += int(np.sum(b & ~a))
-        out.vectors += config.n_subcarriers
-        out.nbits += bits.size
+    for i, _ in detectors:
+        out.vectors[i] = (frame_hi - frame_lo) * config.n_subcarriers
     return out
 
 
@@ -458,55 +488,76 @@ def _simulate_frames_task(args) -> FrameBatchResult:
     return _simulate_frames(*args)
 
 
+@contextlib.contextmanager
+def _worker_map(workers: int):
+    """Yield a map over one pool of `workers` processes, kept for the whole
+    block; one worker maps in this process and starts no pool."""
+    if workers == 1:
+        yield map
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            yield executor.map
+
+
 def _run_batches(config: SimulationConfig, detectors, ebn0_db, rho,
-                 total_frames: int, checkpoints=(), pairs=(), workers: int = 1,
+                 total_frames: int, workers: int, run, checkpoints=(), pairs=(),
                  stop_errors: int | None = None) -> FrameBatchResult:
     """Run frames in fixed batches, split over the workers, merging by sum.
 
-    Each batch is cut into one frame range per worker; a single worker
-    runs its one range in this process. The stop check (on the
-    final-output error count of the first detector) happens only between
-    complete batches, so results are identical for any worker count.
+    `detectors` lists (position, ResolvedDetector) pairs. Each batch is
+    cut into one frame range per worker and handed to `run`, the map of a
+    _worker_map block. With `stop_errors`, a detector leaves once its
+    final-output errors reach it; the check happens only between complete
+    batches, so results are identical for any worker count.
     """
     if total_frames < 1:
         raise ConfigError("need at least one symbol vector per point")
     merged = FrameBatchResult()
-    merged.errors = {}
-    merged.discordance = {p: [0, 0] for p in pairs}
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    run = executor.map if executor is not None else map
-    try:
-        frame = 0
-        while frame < total_frames:
-            hi = min(frame + BATCH_FRAMES, total_frames)
-            step = math.ceil((hi - frame) / workers)
-            tasks = [(config, detectors, ebn0_db, rho, lo, min(lo + step, hi),
-                      checkpoints, pairs) for lo in range(frame, hi, step)]
-            for chunk in run(_simulate_frames_task, tasks):
-                merged.vectors += chunk.vectors
-                merged.nbits += chunk.nbits
-                for key, val in chunk.errors.items():
-                    merged.errors[key] = merged.errors.get(key, 0) + val
-                for key, val in chunk.discordance.items():
-                    acc = merged.discordance[key]
-                    acc[0] += val[0]
-                    acc[1] += val[1]
-                if chunk.trace is not None and merged.trace is None:
-                    merged.trace = chunk.trace
-            frame = hi
-            if stop_errors is not None:
-                first = (detectors[0].label, None)
-                if merged.errors.get(first, 0) >= stop_errors:
-                    break
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    active = tuple(detectors)
+    frame = 0
+    while active and frame < total_frames:
+        hi = min(frame + BATCH_FRAMES, total_frames)
+        step = math.ceil((hi - frame) / workers)
+        tasks = [(config, active, ebn0_db, rho, lo, min(lo + step, hi),
+                  checkpoints, pairs) for lo in range(frame, hi, step)]
+        for chunk in run(_simulate_frames_task, tasks):
+            merged.merge(chunk)
+        frame = hi
+        if stop_errors is not None:
+            active = tuple((i, res) for i, res in active
+                           if merged.errors[(i, None)] < stop_errors)
     return merged
 
 
 # ---------------------------------------------------------------------------
 # Public entry points
 # ---------------------------------------------------------------------------
+
+def _ber_records(config: SimulationConfig, detectors, ebn0_db: float, rho: float,
+                 workers: int, run) -> list[BerRecord]:
+    """One record per detector at one operating point, all on one frame loop.
+
+    Each detector stops on its own after max_trials symbol vectors or
+    target_bit_errors bit errors, whichever comes first (checked on batch
+    boundaries).
+    """
+    resolved = [resolve_detector(d, rho) for d in detectors]
+    total_frames = math.ceil(config.max_trials / config.n_subcarriers)
+    merged = _run_batches(config, list(enumerate(resolved)), ebn0_db, rho, total_frames,
+                          workers=workers, run=run, stop_errors=config.target_bit_errors)
+    records = []
+    for i, res in enumerate(resolved):
+        errors = merged.errors[(i, None)]
+        nbits = merged.vectors[i] * config.bits_per_vector
+        records.append(BerRecord(
+            detector=res.label, ebn0_db=float(ebn0_db), rho=float(rho),
+            trials=merged.vectors[i], bit_errors=errors, ber=errors / nbits,
+            ci95_halfwidth=binomial_ci95_halfwidth(errors, nbits),
+            mean_iterations=float(res.iterations),
+            flops_per_subcarrier=detector_flops(config, res),
+        ))
+    return records
+
 
 def run_ber_point(config: SimulationConfig, detector: DetectorConfig,
                   ebn0_db: float, rho: float, workers: int = 1) -> BerRecord:
@@ -515,29 +566,18 @@ def run_ber_point(config: SimulationConfig, detector: DetectorConfig,
     Stops after max_trials symbol vectors or target_bit_errors bit errors,
     whichever comes first (checked on batch boundaries).
     """
-    res = resolve_detector(detector, rho)
-    total_frames = math.ceil(config.max_trials / config.n_subcarriers)
-    merged = _run_batches(config, [res], ebn0_db, rho, total_frames,
-                          workers=workers, stop_errors=config.target_bit_errors)
-    errors = merged.errors[(res.label, None)]
-    ber = errors / merged.nbits if merged.nbits else 0.0
-    return BerRecord(
-        detector=res.label, ebn0_db=float(ebn0_db), rho=float(rho),
-        trials=merged.vectors, bit_errors=errors, ber=ber,
-        ci95_halfwidth=binomial_ci95_halfwidth(errors, merged.nbits),
-        mean_iterations=float(res.iterations),
-        flops_per_subcarrier=detector_flops(config, res),
-    )
+    with _worker_map(workers) as run:
+        return _ber_records(config, [detector], ebn0_db, rho, workers, run)[0]
 
 
 def run_sweep(config: SimulationConfig, workers: int = 1) -> list[BerRecord]:
-    """Cartesian sweep over detectors x Eb/N0 x rho; one record per triple."""
-    records = []
-    for det in config.detectors:
-        for ebn0 in config.ebn0_db_list:
-            for rho in config.rho_list:
-                records.append(run_ber_point(config, det, ebn0, rho, workers))
-    return records
+    """Cartesian sweep over detectors x Eb/N0 x rho; one record per triple,
+    detector-major. All detectors of a point share one frame loop, and one
+    worker pool serves the whole sweep."""
+    with _worker_map(workers) as run:
+        points = [_ber_records(config, config.detectors, ebn0, rho, workers, run)
+                  for ebn0 in config.ebn0_db_list for rho in config.rho_list]
+    return [records[i] for i in range(len(config.detectors)) for records in points]
 
 
 @dataclass
@@ -559,17 +599,20 @@ def run_paired(config: SimulationConfig, detectors, ebn0_db: float, rho: float,
     """Run several detectors over the same n_vectors trials (no early stop)."""
     resolved = [resolve_detector(d, rho) for d in detectors]
     labels = [r.label for r in resolved]
-    if len(set(labels)) != len(labels):
+    position = {label: i for i, label in enumerate(labels)}
+    if len(position) != len(labels):
         raise ConfigError("paired runs need distinct detector labels")
     total_frames = math.ceil(n_vectors / config.n_subcarriers)
-    col_pairs = tuple(((a, None), (b, None)) for a, b in pairs)
-    merged = _run_batches(config, resolved, ebn0_db, rho, total_frames,
-                          pairs=col_pairs, workers=workers)
+    col_pairs = tuple(((position[a], None), (position[b], None)) for a, b in pairs)
+    with _worker_map(workers) as run:
+        merged = _run_batches(config, list(enumerate(resolved)), ebn0_db, rho,
+                              total_frames, pairs=col_pairs, workers=workers, run=run)
     return PairedResult(
-        labels=labels, vectors=merged.vectors, nbits=merged.nbits,
-        errors={lab: merged.errors[(lab, None)] for lab in labels},
-        discordance={(a, b): tuple(merged.discordance[((a, None), (b, None))])
-                     for a, b in pairs},
+        labels=labels, vectors=merged.vectors[0],
+        nbits=merged.vectors[0] * config.bits_per_vector,
+        errors={lab: merged.errors[(i, None)] for i, lab in enumerate(labels)},
+        discordance={pair: tuple(merged.discordance[cols])
+                     for pair, cols in zip(pairs, col_pairs)},
     )
 
 
@@ -613,27 +656,27 @@ def convergence_study(config: SimulationConfig, detector: DetectorConfig,
         check_operating_point(ebn0, rho)
     n_vectors = n_vectors if n_vectors is not None else config.max_trials
     total_frames = math.ceil(n_vectors / config.n_subcarriers)
+    res = resolve_detector(base, rho)
+    col_pairs = tuple(((0, a), (0, b)) for a, b in iteration_pairs)
     rows = []
     discordance = {}
     trace = None
     nbits = 0
-    for ebn0 in ebn0_list:
-        res = resolve_detector(base, rho)
-        col_pairs = tuple(((res.label, a), (res.label, b)) for a, b in iteration_pairs)
-        merged = _run_batches(config, [res], ebn0, rho, total_frames,
-                              checkpoints=checkpoints, pairs=col_pairs,
-                              workers=workers)
-        nbits = merged.nbits
-        for it in checkpoints:
-            errs = merged.errors[(res.label, it)]
-            rows.append(ConvergenceRecord(res.label, float(ebn0), float(rho), it,
-                                          merged.vectors, errs,
-                                          errs / merged.nbits))
-        for a, b in iteration_pairs:
-            discordance[(float(ebn0), a, b)] = tuple(
-                merged.discordance[((res.label, a), (res.label, b))])
-        if trace is None:
-            trace = merged.trace
+    with _worker_map(workers) as run:
+        for ebn0 in ebn0_list:
+            merged = _run_batches(config, [(0, res)], ebn0, rho, total_frames,
+                                  checkpoints=checkpoints, pairs=col_pairs,
+                                  workers=workers, run=run)
+            vectors = merged.vectors[0]
+            nbits = vectors * config.bits_per_vector
+            for it in checkpoints:
+                errs = merged.errors[(0, it)]
+                rows.append(ConvergenceRecord(res.label, float(ebn0), float(rho), it,
+                                              vectors, errs, errs / nbits))
+            for (a, b), cols in zip(iteration_pairs, col_pairs):
+                discordance[(float(ebn0), a, b)] = tuple(merged.discordance[cols])
+            if trace is None:
+                trace = merged.trace
     return ConvergenceStudy(rows, nbits, discordance, trace)
 
 
@@ -723,31 +766,32 @@ def calibrate(plan: CalibrationPlan, config: SimulationConfig,
                           target_bit_errors=plan.min_error_events)
     cache: dict = {}
 
-    def evaluate(params: dict) -> tuple[float, BerRecord]:
-        key = tuple(sorted(params.items()))
-        if key not in cache:
-            det = replace(detector, **params)
-            cache[key] = run_ber_point(eval_config, det, plan.ebn0_db, plan.rho,
-                                       workers=workers)
-        rec = cache[key]
-        return rec.ber, rec
+    def evaluate(param_sets, run) -> list[BerRecord]:
+        """Records of several parameter sets; the uncached ones share one
+        frame loop, under one label and so one detector stream."""
+        keys = [tuple(sorted(params.items())) for params in param_sets]
+        todo = [key for key in keys if key not in cache]
+        if todo:
+            dets = [replace(detector, **dict(key)) for key in todo]
+            cache.update(zip(todo, _ber_records(eval_config, dets, plan.ebn0_db,
+                                                plan.rho, workers, run)))
+        return [cache[key] for key in keys]
 
     current = dict(plan.start)
-    start_ber, _ = evaluate(current)
     evaluations = []
-    for name in plan.parameter_order:
-        candidates = sorted(set(float(c) for c in plan.grids[name]) | {current[name]})
-        best_value, best_ber = None, math.inf
-        for cand in candidates:
-            trial = dict(current)
-            trial[name] = cand
-            ber, rec = evaluate(trial)
-            evaluations.append(CalibrationEvaluation(name, cand, ber,
-                                                     rec.bit_errors, rec.trials))
-            if ber < best_ber:  # strict: first (smallest) candidate wins ties
-                best_value, best_ber = cand, ber
-        current[name] = best_value
-    final_ber, _ = evaluate(current)
+    with _worker_map(workers) as run:
+        start_ber = evaluate([current], run)[0].ber
+        for name in plan.parameter_order:
+            candidates = sorted(set(float(c) for c in plan.grids[name]) | {current[name]})
+            trials = [{**current, name: cand} for cand in candidates]
+            best_value, best_ber = None, math.inf
+            for cand, rec in zip(candidates, evaluate(trials, run)):
+                evaluations.append(CalibrationEvaluation(name, cand, rec.ber,
+                                                         rec.bit_errors, rec.trials))
+                if rec.ber < best_ber:  # strict: first (smallest) candidate wins ties
+                    best_value, best_ber = cand, rec.ber
+            current[name] = best_value
+        final_ber = evaluate([current], run)[0].ber
     return CalibrationResult(detector.label, current, final_ber, start_ber,
                              evaluations)
 

@@ -214,6 +214,26 @@ class TestArgumentErrors:
         argv = command[:1] + ["--config", config_path] + command[1:]
         assert cli_main(argv) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("rho", ["1.5", "nan", "-0.1"])
+    def test_validate_channel_rho_outside_model_rejected(self, rho, capsys):
+        assert cli_main(["validate-channel", "--samples", "10", "--rho", rho]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "rho" in err and "numerical failure" not in err
+
+    def test_bad_detector_parameters_rejected_before_any_frame(self, tmp_path, monkeypatch,
+                                                               capsys):
+        import mimodet.simulate as sim
+
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a frame ran before the config was rejected")
+
+        monkeypatch.setattr(sim, "_simulate_frames", no_frames)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(BASE_CONFIG, detectors=[
+            {"kind": "mmse"}, {"kind": "de", "n_pop": 3}])))
+        assert cli_main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
+        assert "DE" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fields", [{"ebn0_db_list": [float("-inf")]},
                                         {"ebn0_db_list": [float("nan")]},
                                         {"rho_list": [float("nan")]}])

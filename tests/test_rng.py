@@ -50,3 +50,22 @@ def test_nested_substreams():
 def test_bad_key_type_rejected():
     with pytest.raises(TypeError):
         RngStream(1).substream(1.5)
+
+
+@pytest.mark.parametrize("low, high", [(0.0, 1.0), (-1.0, 1.0)])
+def test_uniform_matches_numpy_draw_for_draw(low, high):
+    stream = RngStream(21).substream("u")
+    ref = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=21, spawn_key=stream.key)))
+    for size in (None, 7, (3, 5)):
+        assert np.array_equal(stream.uniform(low, high, size), ref.uniform(low, high, size))
+    # the stream is left in the same state: later draws agree too
+    assert np.array_equal(stream.standard_normal(9), ref.standard_normal(9))
+    assert np.array_equal(stream.uniform(size=4), ref.uniform(size=4))
+
+
+def test_late_first_draw_gives_the_same_sequence():
+    late = RngStream(13).substream("det", 2)
+    late.substream("other")  # deriving a substream draws nothing
+    first = late.integers(0, 100, 20)
+    assert np.array_equal(first, RngStream(13).substream("det", 2).integers(0, 100, 20))

@@ -65,6 +65,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SimulationConfig.from_dict({"detectors": [{"kind": "zf"}], "bogus": 1})
 
+    @pytest.mark.parametrize("det", [{"kind": "de", "n_pop": 3},
+                                     {"kind": "pso-mmse", "iters": -1},
+                                     {"kind": "de-mf", "f_cr": 1.5}])
+    def test_bad_detector_parameters_rejected_at_load(self, det):
+        # every detector is resolved at every rho of the config, so a bad
+        # entry fails here, not when its first point runs
+        with pytest.raises(ConfigError):
+            SimulationConfig.from_dict({"detectors": [{"kind": "mmse"}, det],
+                                        "rho_list": [0.0, 0.9]})
+
     def test_unknown_detector_field_rejected(self):
         with pytest.raises(ConfigError):
             DetectorConfig.from_dict({"kind": "pso", "velocity": 3})
@@ -322,6 +332,67 @@ class TestGolden:
         dets = [DetectorConfig(k.lower()) for k in self.PAIRED]
         paired = run_paired(self.CONFIG, dets, 8.0, 0.5, n_vectors=128)
         assert paired.errors == self.PAIRED
+
+    # Two batches of 16 frames x 16 subcarriers. MMSE and PSO-MMSE at rho 0
+    # run to max_trials, every other point passes 60 errors in batch 1; the
+    # two DE entries share a label, so they share their random streams.
+    SWEEP = SimulationConfig.from_dict({
+        "n_subcarriers": 16, "rho_list": [0.0, 0.9], "ebn0_db_list": [8.0],
+        "max_trials": 512, "target_bit_errors": 60, "master_seed": 2024,
+        "detectors": [{"kind": "mmse"}, {"kind": "pso-mmse", "iters": 4}, {"kind": "ml"},
+                      {"kind": "de", "iters": 2}, {"kind": "de", "iters": 6}]})
+    SWEEP_RECORDS = [  # (detector, rho, trials, bit errors), detector-major
+        ("MMSE", 0.0, 512, 58), ("MMSE", 0.9, 256, 374),
+        ("PSO-MMSE", 0.0, 512, 58), ("PSO-MMSE", 0.9, 256, 380),
+        ("ML", 0.0, 512, 0), ("ML", 0.9, 256, 65),
+        ("DE", 0.0, 256, 445), ("DE", 0.9, 256, 689),
+        ("DE", 0.0, 256, 311), ("DE", 0.9, 256, 706),
+    ]
+    # PSO (3 iterations, 8 particles) at 8 dB, rho 0.5: a candidate below
+    # 625 errors after batch 1 runs batch 2.
+    PLAN = CalibrationPlan(parameter_order=("c1", "w0"),
+                           grids={"c1": (1.0, 3.0), "w0": (1.0, 2.0)},
+                           start={"c1": 2.0, "w0": 1.5}, ebn0_db=8.0, rho=0.5,
+                           min_error_events=625, max_vectors=512)
+    CALIBRATION = [  # (parameter, candidate, bit errors, trials)
+        ("c1", 1.0, 632, 256), ("c1", 2.0, 630, 256), ("c1", 3.0, 629, 256),
+        ("w0", 1.0, 1224, 512), ("w0", 1.5, 629, 256), ("w0", 2.0, 1251, 512),
+    ]
+
+    def _calibrate(self, workers=1):
+        return calibrate(self.PLAN, self.SWEEP, DetectorConfig("pso", iters=3, n_pop=8),
+                         workers=workers)
+
+    def test_run_sweep(self):
+        records = run_sweep(self.SWEEP)
+        assert [(r.detector, r.rho, r.trials, r.bit_errors) for r in records] == \
+            self.SWEEP_RECORDS
+        assert {r.ebn0_db for r in records} == {8.0}
+
+    def test_calibrate(self):
+        result = self._calibrate()
+        assert [(e.parameter, e.candidate, e.bit_errors, e.trials)
+                for e in result.evaluations] == self.CALIBRATION
+        assert result.final_params == {"c1": 3.0, "w0": 1.0}
+
+    def test_worker_count_invariance(self):
+        assert run_sweep(self.SWEEP, workers=2) == run_sweep(self.SWEEP)
+        assert self._calibrate(workers=2) == self._calibrate()
+
+    def test_one_pool_per_sweep(self, monkeypatch):
+        import mimodet.simulate as sim
+        started = []
+
+        class CountingPool(sim.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", CountingPool)
+        run_sweep(self.SWEEP, workers=2)
+        assert len(started) == 1
+        run_sweep(self.SWEEP)
+        assert len(started) == 1  # one worker starts no pool
 
 
 class TestCalibrate:

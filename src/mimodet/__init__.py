@@ -37,9 +37,7 @@ from .heuristics import (
     init_population,
     init_swarm,
     pso_iterate,
-    run_hybrid,
-    run_population,
-    run_swarm,
+    run_heuristic,
 )
 from .linalg import draw_standard_complex_gaussian, invert_hermitian, psd_sqrt
 from .ofdm import (

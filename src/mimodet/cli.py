@@ -21,7 +21,7 @@ import numpy as np
 
 from . import complexity as cx
 from . import simulate as sim
-from .channel import CorrelationSpec, build_correlation_matrix, correlation_sqrt, generate_channel
+from .channel import CorrelationSpec, build_correlation_matrix, generate_channel
 from .linalg import draw_standard_complex_gaussian
 from .ofdm import map_bits, square_qam, time_domain_roundtrip
 from .rng import RngStream
@@ -175,9 +175,7 @@ def _cmd_validate_channel(args) -> int:
     n = args.n_antennas
 
     # Sample covariance of vec(H) against the Kronecker target R_t (x) R_r.
-    sqrt_r = correlation_sqrt(spec)
-    g = draw_standard_complex_gaussian(rng.substream("cov"), n, n, count=args.samples)
-    h = np.einsum("ij,njk,kl->nil", sqrt_r, g, sqrt_r)
+    h = generate_channel(rng.substream("cov"), spec, args.samples).per_subcarrier
     vecs = h.transpose(0, 2, 1).reshape(args.samples, n * n)  # column-major vec
     cov = (vecs[:, :, None] * vecs[:, None, :].conj()).mean(axis=0)
     target = np.kron(build_correlation_matrix(spec), build_correlation_matrix(spec))

@@ -19,7 +19,7 @@ Per-subcarrier detector totals (n_dim = 2 n_t, I = iteration count):
     ZF        16/3 n_t^3 + 4 n_t^2 + 32 n_t^2 n_r + 4 n_t n_r - 2 n_t
     MMSE      16/3 n_t^3 + 8 n_t^2 + 32 n_t^2 n_r + 4 n_t n_r
     PSO       n_pop I (8 n_t n_r + 20 n_t + 4 n_r + 7)
-    DE        n_ind I (16 n_t n_r + 12 n_t + 8 n_r + 14)
+    DE        n_pop I (16 n_t n_r + 12 n_t + 8 n_r + 14)
     PSO-MF    PSO(I_hyb) + MF        (and analogously for the other hybrids)
     ML        M^(2 n_t) (8 n_t n_r + 4 n_r + 7)
 
@@ -130,7 +130,7 @@ def complexity_sweep(nt_values, pop_factor: int = 5, iters: int = 50,
                      detectors=tuple(k.upper() for k in DETECTORS)):
     """Rows (n_t, detector, flops) for square arrays of increasing size.
 
-    Populations scale with the search dimensionality: n_pop = n_ind =
+    Populations scale with the search dimensionality: n_pop =
     pop_factor * 2 * n_t. Hybrids run iters_hybrid iterations, plain
     heuristics run iters.
     """

@@ -15,7 +15,7 @@ Differential evolution uses the rand/1/bin strategy: mutants
 iota_r1 + F_mut (iota_r2 - iota_r3) with distinct random indices, binomial
 crossover with one forced dimension, and greedy selection on strict
 fitness improvement. Both the current individuals and the trial vectors
-are evaluated every generation (2 n_ind evaluations), which is the
+are evaluated every generation (2 n_pop evaluations), which is the
 accounting the complexity model charges.
 
 Initial members are drawn in one of two ways. Without a seed vector,
@@ -38,7 +38,10 @@ engine batches every subcarrier of an OFDM frame through one state.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -49,48 +52,70 @@ from .rng import RngStream
 INERTIA_DECAY = 0.99
 
 
-@dataclass(frozen=True)
-class PsoParams:
-    c1: float
-    c2: float
-    w0: float
+@dataclass(frozen=True, kw_only=True)
+class HeuristicParams:
+    """What both heuristics share: population size, step budget (PSO
+    iterations or DE generations) and the box uniform starts are drawn from.
+
+    Subclasses name their tuned coefficients in TUNED, in calibration order;
+    the coefficients must be finite.
+    """
+
+    TUNED: ClassVar[tuple] = ()
+    MIN_POP: ClassVar[int] = 2
+
     n_pop: int = 40
-    n_iter: int = 50
-    v_max: float = 2.0
+    iters: int = 50
     search_lo: float = -1.0
     search_hi: float = 1.0
 
     def __post_init__(self):
-        if self.c1 < 0 or self.c2 < 0:
-            raise ValueError("c1 and c2 must be >= 0")
-        if self.n_pop < 2:
-            raise ValueError("n_pop must be >= 2")
-        if self.n_iter < 0:
-            raise ValueError("n_iter must be >= 0")
-        if not self.v_max > 0:
-            raise ValueError("v_max must be positive")
+        for name in ("n_pop", "iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.n_pop < self.MIN_POP:
+            raise ValueError(f"n_pop must be >= {self.MIN_POP}")
+        if self.iters < 0:
+            raise ValueError("iters must be >= 0")
+        for name in self.TUNED + ("search_lo", "search_hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.search_lo < self.search_hi:
             raise ValueError("search_lo must be below search_hi")
 
 
 @dataclass(frozen=True)
-class DeParams:
-    f_mut: float
-    f_cr: float
-    n_ind: int = 40
-    n_gen: int = 50
-    search_lo: float = -1.0
-    search_hi: float = 1.0
+class PsoParams(HeuristicParams):
+    TUNED: ClassVar[tuple] = ("c1", "c2", "w0")
+
+    c1: float
+    c2: float
+    w0: float
+    v_max: float = 2.0
 
     def __post_init__(self):
+        super().__post_init__()
+        if self.c1 < 0 or self.c2 < 0:
+            raise ValueError("c1 and c2 must be >= 0")
+        if not self.v_max > 0:  # +inf is allowed and turns the clamp off
+            raise ValueError("v_max must be positive")
+
+
+@dataclass(frozen=True)
+class DeParams(HeuristicParams):
+    TUNED: ClassVar[tuple] = ("f_mut", "f_cr")
+    MIN_POP: ClassVar[int] = 4  # mutation draws three distinct partners
+
+    f_mut: float
+    f_cr: float
+
+    def __post_init__(self):
+        super().__post_init__()
         if not 0.0 <= self.f_mut <= 2.0:
             raise ValueError("f_mut must be in [0, 2]")
         if not 0.0 <= self.f_cr <= 1.0:
             raise ValueError("f_cr must be in [0, 1]")
-        if self.n_ind < 4:
-            raise ValueError("n_ind must be >= 4 (mutation draws three distinct partners)")
-        if self.n_gen < 0:
-            raise ValueError("n_gen must be >= 0")
 
 
 @dataclass
@@ -108,8 +133,10 @@ class SwarmState:
 
 @dataclass
 class PopulationState:
-    individuals: np.ndarray    # (..., dim, n_ind)
-    fitness_cache: np.ndarray  # (..., n_ind)
+    individuals: np.ndarray    # (..., dim, n_pop)
+    fitness_cache: np.ndarray  # (..., n_pop)
+    p_gb: np.ndarray           # (..., dim) best individual
+    gb_fitness: np.ndarray | float
     generation: int = 0
 
 
@@ -156,8 +183,8 @@ def _best_member(members: np.ndarray, fits: np.ndarray):
 def _finish(best, trace, bests: dict) -> HeuristicRun:
     """Complexify the final best vector and every checkpoint's in one call.
 
-    `bests` maps checkpoint -> that step's best vector; each is a fresh
-    array from _best_member, so no later step overwrites it.
+    `bests` maps checkpoint -> that step's best vector: a fresh array from
+    _best_member, or the seed, which no step writes to.
     """
     estimates = complexify(np.stack(list(bests.values()) + [best]))
     return HeuristicRun(estimates[-1], np.stack(trace, axis=-1), dict(zip(bests, estimates)))
@@ -228,26 +255,11 @@ def pso_iterate(rng: RngStream, state: SwarmState, params: PsoParams,
     return state
 
 
-def run_swarm(rng: RngStream, sys: RealSystem, params: PsoParams,
-              seed_vec: np.ndarray | None, checkpoints=()) -> HeuristicRun:
-    """Full PSO detection; optionally record estimates at checkpoints."""
-    state = init_swarm(rng, params, seed_vec, sys)
-    trace = [np.asarray(state.gb_fitness)]
-    wanted = set(checkpoints)
-    bests = {0: state.p_gb} if 0 in wanted else {}
-    for it in range(1, params.n_iter + 1):
-        pso_iterate(rng, state, params, sys)
-        trace.append(np.asarray(state.gb_fitness))
-        if it in wanted:
-            bests[it] = state.p_gb
-    return _finish(state.p_gb, trace, bests)
-
-
 # ---------------------------------------------------------------------------
 # Differential evolution, strategy rand/1/bin
 # ---------------------------------------------------------------------------
 
-def _mutation_indices(rng: RngStream, n_ind: int, batch_shape: tuple) -> np.ndarray:
+def _mutation_indices(rng: RngStream, n_pop: int, batch_shape: tuple) -> np.ndarray:
     """Three distinct partner indices per individual, all different from it.
 
     Rejection sampling: every invalid triple is redrawn whole, keeping the
@@ -255,11 +267,11 @@ def _mutation_indices(rng: RngStream, n_ind: int, batch_shape: tuple) -> np.ndar
     array (that fixes the stream's draw order) but only the triples being
     redrawn are taken from it and rechecked.
     """
-    r = rng.integers(0, n_ind, (3,) + batch_shape + (n_ind,))
-    at = np.nonzero(_invalid_triples(r, np.arange(n_ind)))
+    r = rng.integers(0, n_pop, (3,) + batch_shape + (n_pop,))
+    at = np.nonzero(_invalid_triples(r, np.arange(n_pop)))
     while at[0].size:
         sel = (slice(None),) + at
-        r[sel] = rng.integers(0, n_ind, r.shape)[sel]
+        r[sel] = rng.integers(0, n_pop, r.shape)[sel]
         still = np.nonzero(_invalid_triples(r[sel], at[-1]))
         at = tuple(a[still] for a in at)
     return r
@@ -279,16 +291,16 @@ def de_trials(rng: RngStream, individuals: np.ndarray, params: DeParams) -> np.n
     <= f_cr and at one forced dimension, and keeps iota_k elsewhere.
     """
     iota = individuals
-    n_dim, n_ind = iota.shape[-2], iota.shape[-1]
-    if n_ind < 4:
+    n_dim, n_pop = iota.shape[-2], iota.shape[-1]
+    if n_pop < 4:
         raise ValueError("need at least 4 individuals for distinct mutation indices")
     batch_shape = iota.shape[:-2]
-    r = _mutation_indices(rng, n_ind, batch_shape)
+    r = _mutation_indices(rng, n_pop, batch_shape)
     # One gather for all three partners: members as rows, with each batch
-    # entry's indices offset to its own block of n_ind rows.
+    # entry's indices offset to its own block of n_pop rows.
     rows = np.ascontiguousarray(np.swapaxes(iota, -1, -2)).reshape(-1, n_dim)
-    offsets = (np.arange(rows.shape[0] // n_ind) * n_ind).reshape(batch_shape + (1,))
-    g = np.take(rows, r + offsets, axis=0)                  # (3, ..., n_ind, n_dim)
+    offsets = (np.arange(rows.shape[0] // n_pop) * n_pop).reshape(batch_shape + (1,))
+    g = np.take(rows, r + offsets, axis=0)                  # (3, ..., n_pop, n_dim)
     # The mutants are built inside g: fresh temporaries here let glibc trim
     # the heap between generations, which costs page faults on every one.
     np.subtract(g[1], g[2], out=g[1])
@@ -296,7 +308,7 @@ def de_trials(rng: RngStream, individuals: np.ndarray, params: DeParams) -> np.n
     g[0] += g[1]
     mutants = np.swapaxes(g[0], -1, -2)
     take = rng.uniform(size=iota.shape) <= params.f_cr
-    forced = rng.integers(0, n_dim, batch_shape + (n_ind,))
+    forced = rng.integers(0, n_dim, batch_shape + (n_pop,))
     take |= np.arange(n_dim)[:, None] == forced[..., None, :]
     # 3 flops per dimension for mutation, 3 for crossover bookkeeping;
     # matches the complexity model's per-generation convention.
@@ -305,7 +317,7 @@ def de_trials(rng: RngStream, individuals: np.ndarray, params: DeParams) -> np.n
 
 
 def de_selection(pop: PopulationState, trials: np.ndarray, sys: RealSystem) -> PopulationState:
-    """Greedy selection; evaluates both incumbents and trials (2 n_ind evals)."""
+    """Greedy selection; evaluates both incumbents and trials (2 n_pop evals)."""
     trials = np.asarray(trials)
     if trials.shape != pop.individuals.shape:
         raise ValueError("trial set must match the population shape")
@@ -314,6 +326,7 @@ def de_selection(pop: PopulationState, trials: np.ndarray, sys: RealSystem) -> P
     take = f_tri < f_inc
     np.copyto(pop.individuals, trials, where=take[..., None, :])
     pop.fitness_cache = np.where(take, f_tri, f_inc)
+    pop.p_gb, pop.gb_fitness = _best_member(pop.individuals, pop.fitness_cache)
     pop.generation += 1
     return pop
 
@@ -321,9 +334,10 @@ def de_selection(pop: PopulationState, trials: np.ndarray, sys: RealSystem) -> P
 def init_population(rng: RngStream, params: DeParams, seed_vec: np.ndarray | None,
                     sys: RealSystem) -> PopulationState:
     batch_shape = sys.h.shape[:-2]
-    pos = initial_positions(rng, sys.dim, params.n_ind, seed_vec,
+    pos = initial_positions(rng, sys.dim, params.n_pop, seed_vec,
                             params.search_lo, params.search_hi, batch_shape)
-    return PopulationState(pos, fitness_columns(sys, pos))
+    fit = fitness_columns(sys, pos)
+    return PopulationState(pos, fit, *_best_member(pos, fit))
 
 
 def de_generation(rng: RngStream, pop: PopulationState, params: DeParams,
@@ -332,50 +346,42 @@ def de_generation(rng: RngStream, pop: PopulationState, params: DeParams,
     return de_selection(pop, de_trials(rng, pop.individuals, params), sys)
 
 
-def run_population(rng: RngStream, sys: RealSystem, params: DeParams,
-                   seed_vec: np.ndarray | None, checkpoints=()) -> HeuristicRun:
-    """Full DE detection; optionally record estimates at checkpoints."""
-    pop = init_population(rng, params, seed_vec, sys)
-    best, best_fit = _best_member(pop.individuals, pop.fitness_cache)
-    trace = [np.asarray(best_fit)]
-    wanted = set(checkpoints)
-    bests = {0: best} if 0 in wanted else {}
-    for gen in range(1, params.n_gen + 1):
-        de_generation(rng, pop, params, sys)
-        best, best_fit = _best_member(pop.individuals, pop.fitness_cache)
-        trace.append(np.asarray(best_fit))
-        if gen in wanted:
-            bests[gen] = best
-    return _finish(best, trace, bests)
-
-
 # ---------------------------------------------------------------------------
-# Hybrid linear-heuristic detectors
+# One run loop for both heuristics
 # ---------------------------------------------------------------------------
 
-def run_hybrid(rng: RngStream, sys: RealSystem, seed_vec: np.ndarray,
-               params: PsoParams | DeParams, checkpoints=()) -> HeuristicRun:
-    """Heuristic refinement around a linear detector's soft estimate.
+def run_heuristic(rng: RngStream, sys: RealSystem, params: PsoParams | DeParams,
+                  seed_vec: np.ndarray | None = None, checkpoints=()) -> HeuristicRun:
+    """Full PSO or DE detection; optionally record estimates at checkpoints.
 
-    PsoParams run the swarm, DeParams the population, both seeded with
-    seed_vec (see initial_positions). A system whose linear stage failed
+    PsoParams run the swarm, DeParams the population. Without seed_vec the
+    members start uniform in the search box. With it they start around
+    seed_vec (see initial_positions): that is the hybrid refinement of a
+    linear detector's soft estimate. A system whose linear stage failed
     arrives with the zero vector as its seed and is refined the same way.
-    Checkpoint 0 and the zero-budget output are the seed itself, the linear
-    detector's soft estimate, so demap_symbols gives exactly its decision.
+    A seeded run's checkpoint 0, and its whole output at a zero budget, is
+    the seed itself, so demap_symbols gives exactly the linear decision.
     """
+    # Looked up at call time, so a wrapper patched into this module applies.
     if isinstance(params, PsoParams):
-        budget, runner = params.n_iter, run_swarm
+        init, step = init_swarm, pso_iterate
     elif isinstance(params, DeParams):
-        budget, runner = params.n_gen, run_population
+        init, step = init_population, de_generation
     else:
         raise TypeError(f"expected PsoParams or DeParams, got {type(params).__name__}")
-    seed_vec = np.asarray(seed_vec)
-    seed_estimate = complexify(seed_vec)
-    if budget == 0:
-        trace = np.asarray(fitness(sys, seed_vec))[..., None]
-        marks = {0: seed_estimate} if 0 in set(checkpoints) else {}
-        return HeuristicRun(seed_estimate, trace, marks)
-    run = runner(rng, sys, params, seed_vec, checkpoints)
-    if 0 in run.checkpoint_estimates:
-        run.checkpoint_estimates[0] = seed_estimate
-    return run
+    wanted = set(checkpoints)
+    if seed_vec is not None:
+        seed_vec = np.asarray(seed_vec)
+        if params.iters == 0:
+            trace = [np.asarray(fitness(sys, seed_vec))]
+            return _finish(seed_vec, trace, {0: seed_vec} if 0 in wanted else {})
+    state = init(rng, params, seed_vec, sys)
+    trace = [np.asarray(state.gb_fitness)]
+    start = state.p_gb if seed_vec is None else seed_vec
+    bests = {0: start} if 0 in wanted else {}
+    for it in range(1, params.iters + 1):
+        step(rng, state, params, sys)
+        trace.append(np.asarray(state.gb_fitness))
+        if it in wanted:
+            bests[it] = state.p_gb
+    return _finish(state.p_gb, trace, bests)

@@ -36,7 +36,8 @@ Config files are JSON:
     }
 
 Detector fields left null pick up the calibrated defaults for the
-operating point's correlation index (see CALIBRATED_* tables below).
+operating point's correlation index (see CALIBRATED_* tables below). A
+field the detector's kind does not read is a configuration error.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import os
 import tempfile
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -59,7 +60,7 @@ from . import complexity
 from .channel import CorrelationSpec, add_awgn, correlation_sqrt, generate_channel
 from .complexity import DETECTORS
 from .detectors import apply_equalizer, linear_weights, ml_detect
-from .heuristics import DeParams, PsoParams, run_hybrid, run_population, run_swarm
+from .heuristics import DeParams, PsoParams, run_heuristic
 from .ofdm import Constellation, NoiseSpec, demap_symbols, map_bits, square_qam
 from .realdomain import realify, realify_vec
 from .rng import RngStream
@@ -82,14 +83,16 @@ CALIBRATED_PSO = {
     "mf":     {0.0: (4.0, 0.5, 1.5), 0.5: (4.0, 0.5, 2.0), 0.9: (4.0, 1.0, 2.5)},
     "mmse":   {0.0: (3.5, 0.5, 2.0), 0.5: (4.0, 0.5, 3.0), 0.9: (4.0, 0.5, 3.0)},
 }
-PSO_START = (2.0, 2.0, 1.0)  # (c1, c2, w0) calibration start values
 
 CALIBRATED_DE = {
     "random": {0.0: (0.6, 0.6), 0.5: (0.8, 0.6), 0.9: (1.8, 0.8)},
     "mf":     {0.0: (2.0, 0.8), 0.5: (2.0, 0.7), 0.9: (2.0, 0.9)},
     "mmse":   {0.0: (1.7, 0.6), 0.5: (2.0, 0.7), 0.9: (2.0, 0.8)},
 }
-DE_START = (1.0, 0.5)  # (f_mut, f_cr)
+
+# heuristic -> (parameter class, calibrated table); the class's TUNED names
+# the table's columns.
+HEURISTICS = {"pso": (PsoParams, CALIBRATED_PSO), "de": (DeParams, CALIBRATED_DE)}
 
 SEQUENTIAL_STOP_NOTE = (
     "points stopped at target_bit_errors use a sequential rule; the BER "
@@ -130,7 +133,11 @@ def _nearest_rho_key(rho: float) -> float:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """One detector selection; None fields resolve to calibrated defaults."""
+    """One detector selection; None fields resolve to calibrated defaults.
+
+    A kind reads the fields of its heuristic's parameter class and no
+    others; any other field must keep its default.
+    """
 
     kind: str
     n_pop: int | None = None
@@ -147,6 +154,12 @@ class DetectorConfig:
     def __post_init__(self):
         if self.kind not in DETECTORS:
             raise ConfigError(f"unknown detector kind {self.kind!r}")
+        heuristic = DETECTORS[self.kind].heuristic
+        used = {f.name for f in fields(HEURISTICS[heuristic][0])} if heuristic else set()
+        unused = [f.name for f in fields(self)[1:]  # after kind
+                  if f.name not in used and getattr(self, f.name) != f.default]
+        if unused:
+            raise ConfigError(f"detector {self.label} does not use {unused}")
 
     @property
     def label(self) -> str:
@@ -156,9 +169,7 @@ class DetectorConfig:
     def from_dict(cls, d: dict) -> "DetectorConfig":
         d = dict(d)
         kind = str(d.pop("kind", "")).lower()
-        allowed = {"n_pop", "iters", "c1", "c2", "w0", "f_mut", "f_cr",
-                   "v_max", "search_lo", "search_hi"}
-        unknown = set(d) - allowed
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown detector fields: {sorted(unknown)}")
         return cls(kind=kind, **d)
@@ -174,15 +185,7 @@ class ResolvedDetector:
 
     @property
     def iterations(self) -> int:
-        if isinstance(self.params, PsoParams):
-            return self.params.n_iter
-        return self.params.n_gen if self.params is not None else 0
-
-    @property
-    def population(self) -> int:
-        if isinstance(self.params, PsoParams):
-            return self.params.n_pop
-        return self.params.n_ind if self.params is not None else 0
+        return self.params.iters if self.params is not None else 0
 
 
 def resolve_detector(det: DetectorConfig, rho: float) -> ResolvedDetector:
@@ -190,30 +193,14 @@ def resolve_detector(det: DetectorConfig, rho: float) -> ResolvedDetector:
     heuristic, linear = DETECTORS[det.kind]
     if heuristic is None:
         return ResolvedDetector(det.label, det.kind)
-    init = linear or "random"
-    rho_key = _nearest_rho_key(rho)
-    n_pop = det.n_pop if det.n_pop is not None else 40
-    default_iters = DEFAULT_HYBRID_ITERS if linear else DEFAULT_RANDOM_ITERS
-    iters = det.iters if det.iters is not None else default_iters
+    cls, table = HEURISTICS[heuristic]
+    values = dict(zip(cls.TUNED, table[linear or "random"][_nearest_rho_key(rho)]))
+    values["iters"] = DEFAULT_HYBRID_ITERS if linear else DEFAULT_RANDOM_ITERS
+    for f in fields(cls):
+        if getattr(det, f.name) is not None:
+            values[f.name] = getattr(det, f.name)
     try:
-        if heuristic == "pso":
-            c1, c2, w0 = CALIBRATED_PSO[init][rho_key]
-            params = PsoParams(
-                c1=det.c1 if det.c1 is not None else c1,
-                c2=det.c2 if det.c2 is not None else c2,
-                w0=det.w0 if det.w0 is not None else w0,
-                n_pop=n_pop, n_iter=iters, v_max=det.v_max,
-                search_lo=det.search_lo, search_hi=det.search_hi,
-            )
-            return ResolvedDetector(det.label, det.kind, params)
-        f_mut, f_cr = CALIBRATED_DE[init][rho_key]
-        params = DeParams(
-            f_mut=det.f_mut if det.f_mut is not None else f_mut,
-            f_cr=det.f_cr if det.f_cr is not None else f_cr,
-            n_ind=n_pop, n_gen=iters,
-            search_lo=det.search_lo, search_hi=det.search_hi,
-        )
-        return ResolvedDetector(det.label, det.kind, params)
+        return ResolvedDetector(det.label, det.kind, cls(**values))
     except ValueError as exc:
         raise ConfigError(f"detector {det.label}: {exc}") from exc
 
@@ -259,9 +246,7 @@ class SimulationConfig:
     def from_dict(cls, d: dict) -> "SimulationConfig":
         d = dict(d)
         dets = tuple(DetectorConfig.from_dict(x) for x in d.pop("detectors", []))
-        allowed = {"n_t", "n_r", "n_subcarriers", "m_order", "rho_list",
-                   "ebn0_db_list", "max_trials", "target_bit_errors", "master_seed"}
-        unknown = set(d) - allowed
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "rho_list" in d:
@@ -324,7 +309,7 @@ def binomial_ci95_halfwidth(errors: int, n: int) -> float:
 def detector_flops(config: SimulationConfig, res: ResolvedDetector) -> float:
     inp = complexity.FlopFormulaInput(
         n_t=config.n_t, n_r=config.n_r,
-        n_pop=max(res.population, 1), iters=max(res.iterations, 1),
+        n_pop=getattr(res.params, "n_pop", 1), iters=max(res.iterations, 1),
         m_order=config.m_order,
     )
     return float(complexity.flops_detector(res.label, inp))
@@ -390,12 +375,9 @@ def _detect_frame(res: ResolvedDetector, config: SimulationConfig,
         if failed.any():
             log.warning("%s: %d subcarriers lost their linear seed",
                         res.label, int(failed.sum()))
-    sys = realify(hs, ys)
-    if linear is None:
-        runner = run_swarm if heuristic == "pso" else run_population
-        run = runner(det_rng, sys, res.params, None, checkpoints)
-    else:  # a lost seed is the zero vector, since its W rows are zero
-        run = run_hybrid(det_rng, sys, realify_vec(soft), res.params, checkpoints)
+    # a lost seed is the zero vector, since its W rows are zero
+    seed = realify_vec(soft) if linear is not None else None
+    run = run_heuristic(det_rng, realify(hs, ys), res.params, seed, checkpoints)
     out = dict(run.checkpoint_estimates)
     out[None] = run.estimate
     # the heuristic decides every vector, lost seeds included
@@ -684,15 +666,15 @@ def convergence_study(config: SimulationConfig, detector: DetectorConfig,
 # Coordinate-descent parameter calibration
 # ---------------------------------------------------------------------------
 
-PSO_DEFAULT_GRIDS = {
+# Candidate grid and start value of every tuned parameter, by name.
+DEFAULT_GRIDS = {
     "c1": tuple(np.arange(0.5, 4.01, 0.5)),
     "c2": tuple(np.arange(0.5, 4.01, 0.5)),
     "w0": tuple(np.arange(1.0, 3.51, 0.5)),
-}
-DE_DEFAULT_GRIDS = {
     "f_mut": tuple(np.round(np.arange(0.6, 2.001, 0.1), 10)),
     "f_cr": tuple(np.round(np.arange(0.5, 0.901, 0.1), 10)),
 }
+CALIBRATION_START = {"c1": 2.0, "c2": 2.0, "w0": 1.0, "f_mut": 1.0, "f_cr": 0.5}
 
 
 @dataclass(frozen=True)
@@ -722,14 +704,11 @@ class CalibrationPlan:
 
 def default_calibration_plan(kind: str, **overrides) -> CalibrationPlan:
     heuristic = DETECTORS[kind].heuristic if kind in DETECTORS else None
-    if heuristic == "pso":
-        base = dict(parameter_order=("c1", "c2", "w0"), grids=PSO_DEFAULT_GRIDS,
-                    start=dict(zip(("c1", "c2", "w0"), PSO_START)))
-    elif heuristic == "de":
-        base = dict(parameter_order=("f_mut", "f_cr"), grids=DE_DEFAULT_GRIDS,
-                    start=dict(zip(("f_mut", "f_cr"), DE_START)))
-    else:
+    if heuristic is None:
         raise ConfigError(f"calibration applies to heuristic detectors, not {kind!r}")
+    names = HEURISTICS[heuristic][0].TUNED
+    base = dict(parameter_order=names, grids={n: DEFAULT_GRIDS[n] for n in names},
+                start={n: CALIBRATION_START[n] for n in names})
     base.update(overrides)
     return CalibrationPlan(**base)
 

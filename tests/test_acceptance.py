@@ -30,7 +30,7 @@ from mimodet.heuristics import (
     init_population,
     init_swarm,
     pso_iterate,
-    run_hybrid,
+    run_heuristic,
 )
 from mimodet.linalg import draw_standard_complex_gaussian
 from mimodet.ofdm import map_bits, square_qam, time_domain_roundtrip
@@ -275,7 +275,7 @@ def test_criterion_8_structural_invariants():
     sys = realify(h, y)
 
     # PSO global-best monotonicity and velocity clamping
-    params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=20, n_iter=1, v_max=1.0)
+    params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=20, iters=1, v_max=1.0)
     state = init_swarm(rng.substream("swarm"), params, None, sys)
     mono, clamp = True, True
     prev = state.gb_fitness
@@ -288,7 +288,7 @@ def test_criterion_8_structural_invariants():
     checks["velocity clamp"] = clamp
 
     # DE per-individual monotonicity
-    de_params = DeParams(f_mut=0.8, f_cr=0.7, n_ind=12, n_gen=1)
+    de_params = DeParams(f_mut=0.8, f_cr=0.7, n_pop=12, iters=1)
     pop = init_population(rng.substream("pop"), de_params, None, sys)
     de_mono = True
     for g in range(25):
@@ -299,8 +299,8 @@ def test_criterion_8_structural_invariants():
 
     # seed-membership dominance
     seed_vec = realify_vec(CONST.points[rng.substream("sx").integers(0, 4, 4)])
-    run = run_hybrid(rng.substream("hyb"), sys, seed_vec,
-                     PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=15, n_iter=15))
+    run = run_heuristic(rng.substream("hyb"), sys,
+                        PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=15, iters=15), seed_vec)
     checks["seed dominance"] = bool(run.trace[-1] <= fitness(sys, seed_vec) * (1 + 1e-12))
 
     # ZF multiply-back and MMSE -> ZF limit

@@ -229,10 +229,17 @@ class TestArgumentErrors:
 
         monkeypatch.setattr(sim, "_simulate_frames", no_frames)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(dict(BASE_CONFIG, detectors=[
-            {"kind": "mmse"}, {"kind": "de", "n_pop": 3}])))
-        assert cli_main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
-        assert "DE" in capsys.readouterr().err
+        # an invalid value, then fields the kind does not read, then values
+        # that used to fail mid-run or never
+        for det in [{"kind": "de", "n_pop": 3}, {"kind": "de", "c1": 3},
+                    {"kind": "mmse", "iters": 50}, {"kind": "ml", "n_pop": 3},
+                    {"kind": "de", "search_lo": 1, "search_hi": -1},
+                    {"kind": "pso", "n_pop": 40.5}, {"kind": "de-mmse", "iters": 2.5},
+                    {"kind": "pso", "c1": float("nan")},
+                    {"kind": "de", "search_lo": float("-inf")}]:
+            bad.write_text(json.dumps(dict(BASE_CONFIG, detectors=[{"kind": "zf"}, det])))
+            assert cli_main(["simulate", "--config", str(bad)]) == EXIT_CONFIG, det
+            assert det["kind"].upper() in capsys.readouterr().err
 
     @pytest.mark.parametrize("fields", [{"ebn0_db_list": [float("-inf")]},
                                         {"ebn0_db_list": [float("nan")]},

@@ -11,7 +11,7 @@ from mimodet.complexity import (
     flops_primitive,
 )
 from mimodet.detectors import apply_equalizer, linear_weights
-from mimodet.heuristics import DeParams, PsoParams, run_population, run_swarm
+from mimodet.heuristics import DeParams, PsoParams, run_heuristic
 from mimodet.linalg import draw_standard_complex_gaussian
 from mimodet.realdomain import realify
 from mimodet.rng import RngStream
@@ -135,9 +135,9 @@ class TestInstrumentedCounts:
     def test_pso_per_iteration_counts(self):
         h, y = self._system(4)
         sys = realify(h, y)
-        params = PsoParams(c1=2, c2=2, w0=1, n_pop=40, n_iter=3)
+        params = PsoParams(c1=2, c2=2, w0=1, n_pop=40, iters=3)
         with counting() as counter:
-            run_swarm(RngStream(5), sys, params, None)
+            run_heuristic(RngStream(5), sys, params, None)
         # evals: one init sweep + one sweep per iteration
         assert counter.fitness_evals == 40 * 4
         # flops: init evals + 3 iterations of the closed-form bracket
@@ -147,9 +147,9 @@ class TestInstrumentedCounts:
     def test_de_per_generation_counts(self):
         h, y = self._system(6)
         sys = realify(h, y)
-        params = DeParams(f_mut=0.8, f_cr=0.7, n_ind=40, n_gen=5)
+        params = DeParams(f_mut=0.8, f_cr=0.7, n_pop=40, iters=5)
         with counting() as counter:
-            run_population(RngStream(7), sys, params, None)
+            run_heuristic(RngStream(7), sys, params, None)
         assert counter.fitness_evals == 40 + 5 * 2 * 40
         bracket = flops_detector("DE", FlopFormulaInput(4, 4, n_pop=40, iters=5))
         assert counter.flops == pytest.approx(bracket + 40 * fitness_eval_flops(4, 4))

@@ -20,9 +20,7 @@ from mimodet.heuristics import (
     init_swarm,
     initial_positions,
     pso_iterate,
-    run_hybrid,
-    run_population,
-    run_swarm,
+    run_heuristic,
 )
 from mimodet.linalg import draw_standard_complex_gaussian
 from mimodet.ofdm import NoiseSpec, demap_symbols, square_qam
@@ -63,7 +61,7 @@ class TestInitStrategies:
     def test_seeded_member_bounds_best_fitness(self):
         h, x, y, sys = _instance(3)
         seed = realify_vec(x)
-        params = PsoParams(c1=2, c2=2, w0=1, n_pop=10, n_iter=1)
+        params = PsoParams(c1=2, c2=2, w0=1, n_pop=10, iters=1)
         state = init_swarm(RngStream(4), params, seed, sys)
         assert state.gb_fitness <= state.pb_fitness[0]  # seed is member 0
         assert state.gb_fitness <= fitness(sys, seed) * (1 + 1e-12)
@@ -88,7 +86,7 @@ class TestInitStrategies:
 class TestPsoIterate:
     def test_pure_inertia(self):
         _, _, _, sys = _instance(7)
-        params = PsoParams(c1=0, c2=0, w0=1.0, n_pop=6, n_iter=1, v_max=np.inf)
+        params = PsoParams(c1=0, c2=0, w0=1.0, n_pop=6, iters=1, v_max=np.inf)
         state = init_swarm(RngStream(8), params, None, sys)
         state.velocities = RngStream(9).standard_normal(state.velocities.shape)
         p_before = state.positions.copy()
@@ -100,7 +98,7 @@ class TestPsoIterate:
     def test_forced_uniforms_reduction(self):
         # U1 = U2 = 1, c1 = 1, c2 = 0, w = 0 collapses onto personal bests
         _, _, _, sys = _instance(11)
-        params = PsoParams(c1=1.0, c2=0.0, w0=0.0, n_pop=5, n_iter=1, v_max=np.inf)
+        params = PsoParams(c1=1.0, c2=0.0, w0=0.0, n_pop=5, iters=1, v_max=np.inf)
         state = init_swarm(RngStream(12), params, None, sys)
         state.velocities = RngStream(13).standard_normal(state.velocities.shape)
         state.positions = state.positions + 0.1  # detach P from M_pb
@@ -113,7 +111,7 @@ class TestPsoIterate:
 
     def test_gb_fitness_never_increases(self):
         _, _, _, sys = _instance(15)
-        params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=12, n_iter=1)
+        params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=12, iters=1)
         state = init_swarm(RngStream(16), params, None, sys)
         rng = RngStream(17)
         prev = state.gb_fitness
@@ -124,7 +122,7 @@ class TestPsoIterate:
 
     def test_velocity_clamp(self):
         _, _, _, sys = _instance(18)
-        params = PsoParams(c1=4.0, c2=4.0, w0=3.0, n_pop=10, n_iter=1, v_max=0.5)
+        params = PsoParams(c1=4.0, c2=4.0, w0=3.0, n_pop=10, iters=1, v_max=0.5)
         state = init_swarm(RngStream(19), params, None, sys)
         rng = RngStream(20)
         for i in range(25):
@@ -133,7 +131,7 @@ class TestPsoIterate:
 
     def test_inertia_trajectory_exact(self):
         _, _, _, sys = _instance(21)
-        params = PsoParams(c1=1.0, c2=1.0, w0=3.5, n_pop=6, n_iter=1)
+        params = PsoParams(c1=1.0, c2=1.0, w0=3.5, n_pop=6, iters=1)
         state = init_swarm(RngStream(22), params, None, sys)
         rng = RngStream(23)
         for t in range(1, 30):
@@ -142,7 +140,7 @@ class TestPsoIterate:
 
     def test_personal_best_consistency(self):
         _, _, _, sys = _instance(24)
-        params = PsoParams(c1=2.0, c2=2.0, w0=1.0, n_pop=8, n_iter=1)
+        params = PsoParams(c1=2.0, c2=2.0, w0=1.0, n_pop=8, iters=1)
         state = init_swarm(RngStream(25), params, None, sys)
         rng = RngStream(26)
         for i in range(10):
@@ -158,23 +156,23 @@ class TestPsoDetect:
         h, x, _, _ = _instance(27, sigma=0.0)
         y = h @ x
         sys = realify(h, y)
-        params = PsoParams(c1=2, c2=2, w0=1, n_pop=8, n_iter=5)
-        run = run_swarm(RngStream(28), sys, params, realify_vec(x))
+        params = PsoParams(c1=2, c2=2, w0=1, n_pop=8, iters=5)
+        run = run_heuristic(RngStream(28), sys, params, realify_vec(x))
         assert run.trace[0] <= 1e-18
         assert _decided(run.estimate, x)
 
     def test_final_fitness_at_most_initial(self):
         _, _, _, sys = _instance(29)
-        params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=10, n_iter=15)
-        trace = run_swarm(RngStream(30), sys, params, None).trace
+        params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=10, iters=15)
+        trace = run_heuristic(RngStream(30), sys, params, None).trace
         assert trace[-1] <= trace[0]
         assert np.all(np.diff(trace) <= 0)
 
     def test_counted_evals_per_iteration(self):
         _, _, _, sys = _instance(31)
-        params = PsoParams(c1=2, c2=2, w0=1, n_pop=13, n_iter=7)
+        params = PsoParams(c1=2, c2=2, w0=1, n_pop=13, iters=7)
         with counting() as counter:
-            run_swarm(RngStream(32), sys, params, None)
+            run_heuristic(RngStream(32), sys, params, None)
         # init evaluates the swarm once, then once per iteration
         assert counter.fitness_evals == 13 * (7 + 1)
 
@@ -184,8 +182,8 @@ class TestPsoDetect:
         x = CONST.points[rng.substream("x").integers(0, 4, (1000, 2))]
         y = np.einsum("brt,bt->br", h, x)
         sys = realify(h, y)
-        params = PsoParams(c1=2, c2=2, w0=1.0, n_pop=40, n_iter=300)
-        run = run_swarm(rng.substream("pso"), sys, params, None)
+        params = PsoParams(c1=2, c2=2, w0=1.0, n_pop=40, iters=300)
+        run = run_heuristic(rng.substream("pso"), sys, params, None)
         ml = np.stack([ml_detect(h[b], y[b], CONST) for b in range(1000)])
         hit = _decided(run.estimate, ml).mean()
         assert hit >= 0.99
@@ -198,14 +196,14 @@ class TestDeOperators:
 
     def test_mutation_zero_factor_copies_member(self):
         pop = RngStream(34).standard_normal((6, 8))
-        nu = de_trials(RngStream(35), pop, DeParams(0.0, 1.0, n_ind=8))
+        nu = de_trials(RngStream(35), pop, DeParams(0.0, 1.0, n_pop=8))
         for k in range(8):
             others = [r for r in range(8) if r != k]
             assert any(np.array_equal(nu[:, k], pop[:, r]) for r in others)
 
     def test_mutation_identical_population(self):
         pop = np.tile(np.linspace(0, 1, 6)[:, None], (1, 8))
-        nu = de_trials(RngStream(36), pop, DeParams(1.7, 1.0, n_ind=8))
+        nu = de_trials(RngStream(36), pop, DeParams(1.7, 1.0, n_pop=8))
         assert np.allclose(nu, pop)
 
     def test_mutation_needs_four(self):
@@ -233,7 +231,7 @@ class TestDeOperators:
         # f_mut = 0 makes mutant k a copy of some partner r1 != k; with
         # column k constant at value k, an entry changes iff it was crossed.
         iota = np.broadcast_to(np.arange(8.0), batch_shape + (8, 8)).copy()
-        psi = de_trials(RngStream(seed), iota, DeParams(0.0, f_cr, n_ind=8))
+        psi = de_trials(RngStream(seed), iota, DeParams(0.0, f_cr, n_pop=8))
         return psi != iota
 
     def test_crossover_full_rate(self):
@@ -251,7 +249,7 @@ class TestDeOperators:
 
     def test_selection_keeps_incumbent_on_tie(self):
         _, _, _, sys = _instance(43)
-        pop = init_population(RngStream(44), DeParams(1.0, 0.5, n_ind=6, n_gen=1),
+        pop = init_population(RngStream(44), DeParams(1.0, 0.5, n_pop=6, iters=1),
                               None, sys)
         before = pop.individuals.copy()
         de_selection(pop, before.copy(), sys)  # trials identical -> ties
@@ -262,7 +260,7 @@ class TestDeOperators:
         h, x, _, _ = _instance(45, sigma=0.0)
         y = h @ x
         sys = realify(h, y)
-        pop = init_population(RngStream(46), DeParams(1.0, 0.5, n_ind=6, n_gen=1),
+        pop = init_population(RngStream(46), DeParams(1.0, 0.5, n_pop=6, iters=1),
                               None, sys)
         trials = pop.individuals.copy()
         trials[:, 3] = realify_vec(x)
@@ -271,7 +269,7 @@ class TestDeOperators:
 
     def test_selection_never_increases_fitness(self):
         _, _, _, sys = _instance(47)
-        params = DeParams(0.8, 0.7, n_ind=10, n_gen=1)
+        params = DeParams(0.8, 0.7, n_pop=10, iters=1)
         pop = init_population(RngStream(48), params, None, sys)
         rng = RngStream(49)
         for g in range(20):
@@ -281,9 +279,9 @@ class TestDeOperators:
 
     def test_counted_evals_per_generation(self):
         _, _, _, sys = _instance(50)
-        params = DeParams(0.6, 0.6, n_ind=9, n_gen=5)
+        params = DeParams(0.6, 0.6, n_pop=9, iters=5)
         with counting() as counter:
-            run_population(RngStream(51), sys, params, None)
+            run_heuristic(RngStream(51), sys, params, None)
         # init evaluates once, then individuals + trials per generation
         assert counter.fitness_evals == 9 + 5 * 2 * 9
 
@@ -291,8 +289,8 @@ class TestDeOperators:
         h, x, _, _ = _instance(52, sigma=0.0)
         y = h @ x
         sys = realify(h, y)
-        params = DeParams(0.6, 0.6, n_ind=8, n_gen=4)
-        run = run_population(RngStream(53), sys, params, realify_vec(x))
+        params = DeParams(0.6, 0.6, n_pop=8, iters=4)
+        run = run_heuristic(RngStream(53), sys, params, realify_vec(x))
         assert _decided(run.estimate, x)
         assert run.trace[0] <= 1e-18
         assert np.all(np.diff(run.trace) <= 0)
@@ -303,8 +301,8 @@ class TestDeOperators:
         x = CONST.points[rng.substream("x").integers(0, 4, (1000, 2))]
         y = np.einsum("brt,bt->br", h, x)
         sys = realify(h, y)
-        params = DeParams(0.6, 0.6, n_ind=40, n_gen=300)
-        run = run_population(rng.substream("de"), sys, params, None)
+        params = DeParams(0.6, 0.6, n_pop=40, iters=300)
+        run = run_heuristic(rng.substream("de"), sys, params, None)
         ml = np.stack([ml_detect(h[b], y[b], CONST) for b in range(1000)])
         hit = _decided(run.estimate, ml).mean()
         assert hit >= 0.99
@@ -329,7 +327,7 @@ class TestKernelOracles:
     def test_de_mutants_match_take_along_axis(self, batch_shape):
         iota = RngStream(70).standard_normal(batch_shape + (6, 9))
         # f_cr = 1 takes every entry from the mutant
-        trials = de_trials(RngStream(71), iota, DeParams(1.3, 1.0, n_ind=9))
+        trials = de_trials(RngStream(71), iota, DeParams(1.3, 1.0, n_pop=9))
         r = _mutation_indices(RngStream(71), 9, batch_shape)
         pick = lambda idx: np.take_along_axis(iota, idx[..., None, :], axis=-1)
         assert np.array_equal(trials, pick(r[0]) + 1.3 * (pick(r[1]) - pick(r[2])))
@@ -358,7 +356,7 @@ class TestKernelOracles:
 
     def test_pso_update_bit_equal_to_formula(self):
         _, _, _, sys = _instance(76)
-        params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=10, n_iter=1, v_max=np.inf)
+        params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=10, iters=1, v_max=np.inf)
         state = init_swarm(RngStream(77), params, None, sys)
         state.velocities = RngStream(78).standard_normal(state.velocities.shape)
         state.positions = state.positions + 0.3  # detach P from M_pb
@@ -376,8 +374,8 @@ class TestKernelOracles:
         sys = realify(np.stack([s[0] for s in systems]), np.stack([s[2] for s in systems]))
         steps = 12
         if kind == "pso":
-            params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=10, n_iter=steps)
-            run = run_swarm(RngStream(75), sys, params, None, range(steps + 1))
+            params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=10, iters=steps)
+            run = run_heuristic(RngStream(75), sys, params, None, range(steps + 1))
             rng = RngStream(75)
             state = init_swarm(rng, params, None, sys)
             bests = [state.p_gb.copy()]
@@ -385,8 +383,8 @@ class TestKernelOracles:
                 pso_iterate(rng, state, params, sys)
                 bests.append(state.p_gb.copy())
         else:
-            params = DeParams(1.7, 0.6, n_ind=10, n_gen=steps)
-            run = run_population(RngStream(75), sys, params, None, range(steps + 1))
+            params = DeParams(1.7, 0.6, n_pop=10, iters=steps)
+            run = run_heuristic(RngStream(75), sys, params, None, range(steps + 1))
             rng = RngStream(75)
             pop = init_population(rng, params, None, sys)
             bests = [_best_member(pop.individuals, pop.fitness_cache)[0]]
@@ -423,8 +421,8 @@ class TestHybrid:
 
     def test_budget_zero_returns_sliced_seed(self):
         h, x, y, sys, seed_vec, sigma2 = self._seeded_setup(55)
-        params = PsoParams(c1=2, c2=2, w0=1, n_pop=8, n_iter=0)
-        run = run_hybrid(RngStream(56), sys, seed_vec, params)
+        params = PsoParams(c1=2, c2=2, w0=1, n_pop=8, iters=0)
+        run = run_heuristic(RngStream(56), sys, params, seed_vec)
         assert np.array_equal(run.estimate, complexify(seed_vec))
         assert run.trace.shape == (1,)
 
@@ -436,8 +434,8 @@ class TestHybrid:
     @given(st.integers(0, 2**32 - 1))
     def test_seed_membership_dominance(self, seed):
         sys, seed_vec = self._batch(seed)
-        params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=10, n_iter=15)
-        run = run_hybrid(RngStream(seed), sys, seed_vec, params)
+        params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=10, iters=15)
+        run = run_heuristic(RngStream(seed), sys, params, seed_vec)
         assert np.all(np.diff(run.trace, axis=-1) <= 0)
         assert np.all(run.trace[..., -1] <= fitness(sys, seed_vec) * (1 + 1e-12))
 
@@ -445,15 +443,15 @@ class TestHybrid:
     @given(st.integers(0, 2**32 - 1))
     def test_de_hybrid_dominance(self, seed):
         sys, seed_vec = self._batch(seed)
-        params = DeParams(1.7, 0.6, n_ind=10, n_gen=15)
-        run = run_hybrid(RngStream(seed), sys, seed_vec, params)
+        params = DeParams(1.7, 0.6, n_pop=10, iters=15)
+        run = run_heuristic(RngStream(seed), sys, params, seed_vec)
         assert np.all(np.diff(run.trace, axis=-1) <= 0)
         assert np.all(run.trace[..., -1] <= fitness(sys, seed_vec) * (1 + 1e-12))
 
     def test_checkpoint_zero_is_linear_decision(self):
         h, x, y, sys, seed_vec, sigma2 = self._seeded_setup(57)
-        params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=8, n_iter=5)
-        run = run_hybrid(RngStream(58), sys, seed_vec, params, checkpoints=(0, 5))
+        params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=8, iters=5)
+        run = run_heuristic(RngStream(58), sys, params, seed_vec, checkpoints=(0, 5))
         assert np.array_equal(run.checkpoint_estimates[0], complexify(seed_vec))
 
     def test_fallback_on_singular_seed(self, caplog):
@@ -471,7 +469,7 @@ class TestHybrid:
     def test_unknown_kind_rejected(self):
         _, _, _, sys = _instance(60)
         with pytest.raises(TypeError):
-            run_hybrid(RngStream(61), sys, np.zeros(8), object())
+            run_heuristic(RngStream(61), sys, object(), np.zeros(8))
 
 
 class TestOracleParity:
@@ -505,8 +503,8 @@ class TestOracleParity:
     def test_pso_matches_independent_oracle(self):
         h, x, y = self._trials()
         sys = realify(h, y)
-        params = PsoParams(c1=4.0, c2=1.0, w0=1.5, n_pop=16, n_iter=10)
-        run = run_swarm(RngStream(800), sys, params, None)
+        params = PsoParams(c1=4.0, c2=1.0, w0=1.5, n_pop=16, iters=10)
+        run = run_heuristic(RngStream(800), sys, params, None)
         p_impl, nbits = self._ber(run.estimate, x)
 
         # independent oracle: direct transcription of the update rules
@@ -544,8 +542,8 @@ class TestOracleParity:
     def test_de_matches_independent_oracle(self):
         h, x, y = self._trials()
         sys = realify(h, y)
-        params = DeParams(f_mut=0.6, f_cr=0.6, n_ind=12, n_gen=8)
-        run = run_population(RngStream(801), sys, params, None)
+        params = DeParams(f_mut=0.6, f_cr=0.6, n_pop=12, iters=8)
+        run = run_heuristic(RngStream(801), sys, params, None)
         p_impl, nbits = self._ber(run.estimate, x)
 
         gen = np.random.default_rng(2424)

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mimodet.heuristics import DeParams, PsoParams
 from mimodet.ofdm import map_bits, square_qam
 from mimodet.simulate import (
     CALIBRATED_DE,
@@ -67,13 +69,38 @@ class TestConfig:
 
     @pytest.mark.parametrize("det", [{"kind": "de", "n_pop": 3},
                                      {"kind": "pso-mmse", "iters": -1},
-                                     {"kind": "de-mf", "f_cr": 1.5}])
+                                     {"kind": "de-mf", "f_cr": 1.5},
+                                     {"kind": "de", "c1": 3},
+                                     {"kind": "de-mmse", "v_max": 1.0},
+                                     {"kind": "pso-mf", "f_mut": 0.5},
+                                     {"kind": "mmse", "iters": 50},
+                                     {"kind": "ml", "n_pop": 3},
+                                     {"kind": "zf", "search_hi": 2.0},
+                                     {"kind": "de", "search_lo": 1, "search_hi": -1},
+                                     {"kind": "pso", "n_pop": 40.5},
+                                     {"kind": "de-mf", "iters": 2.5},
+                                     {"kind": "pso", "c1": math.nan},
+                                     {"kind": "pso-mmse", "w0": math.inf},
+                                     {"kind": "de", "search_lo": -math.inf},
+                                     {"kind": "pso", "v_max": math.nan}])
     def test_bad_detector_parameters_rejected_at_load(self, det):
         # every detector is resolved at every rho of the config, so a bad
-        # entry fails here, not when its first point runs
+        # entry fails here, not when its first point runs; a field the
+        # kind does not read is rejected even where its value would be valid
         with pytest.raises(ConfigError):
             SimulationConfig.from_dict({"detectors": [{"kind": "mmse"}, det],
                                         "rho_list": [0.0, 0.9]})
+
+    def test_infinite_v_max_accepted(self):
+        # v_max = inf turns the velocity clamp off
+        cfg = SimulationConfig.from_dict({"detectors": [{"kind": "pso", "v_max": math.inf}]})
+        assert resolve_detector(cfg.detectors[0], 0.0).params.v_max == math.inf
+
+    def test_detector_fields_are_the_heuristics_fields(self):
+        # each detector field reaches a parameter class, so none can be
+        # accepted and then silently ignored
+        det_fields = {f.name for f in fields(DetectorConfig)} - {"kind"}
+        assert det_fields == {f.name for f in fields(PsoParams)} | {f.name for f in fields(DeParams)}
 
     def test_unknown_detector_field_rejected(self):
         with pytest.raises(ConfigError):
@@ -111,18 +138,18 @@ class TestResolve:
         res = resolve_detector(DetectorConfig("pso-mmse"), 0.5)
         c1, c2, w0 = CALIBRATED_PSO["mmse"][0.5]
         assert (res.params.c1, res.params.c2, res.params.w0) == (c1, c2, w0)
-        assert res.params.n_iter == 15  # hybrid default budget
+        assert res.params.iters == 15  # hybrid default budget
 
     def test_calibrated_de_lookup_nearest_rho(self):
         res = resolve_detector(DetectorConfig("de"), 0.85)
         f_mut, f_cr = CALIBRATED_DE["random"][0.9]
         assert (res.params.f_mut, res.params.f_cr) == (f_mut, f_cr)
-        assert res.params.n_gen == 100  # random-init default budget
+        assert res.params.iters == 100  # random-init default budget
 
     def test_overrides_win(self):
         det = DetectorConfig("pso", c1=1.25, iters=7, n_pop=11)
         res = resolve_detector(det, 0.0)
-        assert res.params.c1 == 1.25 and res.params.n_iter == 7 and res.params.n_pop == 11
+        assert res.params.c1 == 1.25 and res.params.iters == 7 and res.params.n_pop == 11
 
     def test_invalid_params_surface_as_config_errors(self):
         with pytest.raises(ConfigError):

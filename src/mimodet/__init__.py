@@ -7,15 +7,12 @@ complexity model.
 """
 
 from .channel import (
-    ChannelRealization,
     CorrelationSpec,
     PdpSpec,
     add_awgn,
     build_correlation_matrix,
     generate_channel,
     generate_pdp_channel,
-    load_channel_realization,
-    save_channel_realization,
 )
 from .complexity import (
     DETECTORS,
@@ -43,7 +40,6 @@ from .linalg import draw_standard_complex_gaussian, invert_hermitian, psd_sqrt
 from .ofdm import (
     Constellation,
     NoiseSpec,
-    TxFrame,
     demap_symbols,
     map_bits,
     square_qam,

@@ -6,24 +6,21 @@ Per-subcarrier channel matrices follow the Kronecker model
 
 where G[n] has i.i.d. unit-variance complex Gaussian entries and R_t, R_r
 are the transmit/receive correlation matrices of a uniform linear array,
-R[i, j] = rho^((i - j)^2). Two generation modes exist: independent draws
-per subcarrier (the detection experiments' workhorse) and a
-frequency-selective mode derived from an exponential power delay profile,
-kept as a validation path for the per-subcarrier abstraction.
+R[i, j] = rho^((i - j)^2). The detection experiments draw G[n]
+independently per subcarrier. A frequency-selective channel built from
+an exponential power delay profile reuses that draw for its taps; it is
+the validation path for the per-subcarrier abstraction, checked against
+the time-domain chain in `ofdm.time_domain_roundtrip`.
 """
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import draw_standard_complex_gaussian, psd_sqrt
 from .rng import RngStream
-
-MODE_IID = "iid-per-subcarrier"
-MODE_PDP = "pdp-frequency-selective"
 
 
 @dataclass(frozen=True)
@@ -64,21 +61,6 @@ class PdpSpec:
         return p / p.sum()
 
 
-@dataclass
-class ChannelRealization:
-    """One drawn channel: a stack of per-subcarrier N_r x N_t matrices."""
-
-    per_subcarrier: np.ndarray  # shape (n_subcarriers, n_rx, n_tx), complex
-    correlation: CorrelationSpec
-    generation_mode: str = MODE_IID
-    seed: int | None = None
-    taps: np.ndarray | None = field(default=None, repr=False)  # PDP mode only
-
-    @property
-    def n_subcarriers(self) -> int:
-        return self.per_subcarrier.shape[0]
-
-
 def build_correlation_matrix(spec: CorrelationSpec) -> np.ndarray:
     """Toeplitz ULA correlation matrix with entries rho^((i - j)^2)."""
     idx = np.arange(spec.n_antennas)
@@ -95,46 +77,38 @@ def correlation_sqrt(spec: CorrelationSpec) -> np.ndarray:
 
 
 def generate_channel(rng: RngStream, spec: CorrelationSpec, n_subcarriers: int,
-                     sqrt_r: np.ndarray | None = None) -> ChannelRealization:
-    """Draw independent correlated channel matrices for each subcarrier.
+                     sqrt_r: np.ndarray | None = None) -> np.ndarray:
+    """Draw independent correlated channel matrices, one per subcarrier.
 
-    With rho = 0 the output is exactly the raw Gaussian draw G[n]. A
-    precomputed correlation square root may be passed to skip the
-    eigendecomposition in tight Monte Carlo loops.
+    Returns the (n_subcarriers, n_r, n_t) stack. With rho = 0 it is exactly
+    the raw Gaussian draw G[n]. A precomputed correlation square root may
+    be passed to skip the eigendecomposition in tight Monte Carlo loops.
     """
     if n_subcarriers < 1:
         raise ValueError("n_subcarriers must be >= 1")
     n = spec.n_antennas
     g = draw_standard_complex_gaussian(rng, n, n, count=n_subcarriers)
     if spec.rho == 0.0:
-        h = g
-    else:
-        if sqrt_r is None:
-            sqrt_r = correlation_sqrt(spec)
-        # sqrt_r is real symmetric, so sqrt(R_t)^H == sqrt_r.
-        h = np.einsum("ij,njk,kl->nil", sqrt_r, g, sqrt_r)
-    return ChannelRealization(h, spec, MODE_IID, seed=rng.seed)
+        return g
+    if sqrt_r is None:
+        sqrt_r = correlation_sqrt(spec)
+    # sqrt_r is real symmetric, so sqrt(R_t)^H == sqrt_r.
+    return np.einsum("ij,njk,kl->nil", sqrt_r, g, sqrt_r)
 
 
 def generate_pdp_channel(rng: RngStream, spec: CorrelationSpec, pdp: PdpSpec,
-                         n_subcarriers: int) -> ChannelRealization:
+                         n_subcarriers: int) -> tuple[np.ndarray, np.ndarray]:
     """Frequency-selective channel from an exponential power delay profile.
 
-    Each tap is an independent spatially correlated matrix scaled by its
-    profile power; H[n] is the tap DFT evaluated at subcarrier n. Per-entry
-    subcarrier power stays one because tap powers are normalized.
+    Returns (taps, h): the (n_taps, n_r, n_t) impulse response, each tap an
+    independent correlated draw scaled by the square root of its profile
+    power, and its (n_subcarriers, n_r, n_t) DFT. Per-entry subcarrier
+    power stays one because tap powers are normalized.
     """
     if pdp.n_taps > n_subcarriers:
         raise ValueError("n_taps must not exceed n_subcarriers")
-    n = spec.n_antennas
-    powers = pdp.tap_powers()
-    taps = draw_standard_complex_gaussian(rng, n, n, count=pdp.n_taps)
-    if spec.rho != 0.0:
-        sqrt_r = correlation_sqrt(spec)
-        taps = np.einsum("ij,ljk,km->lim", sqrt_r, taps, sqrt_r)
-    taps = taps * np.sqrt(powers)[:, None, None]
-    h = np.fft.fft(taps, n=n_subcarriers, axis=0)
-    return ChannelRealization(h, spec, MODE_PDP, seed=rng.seed, taps=taps)
+    taps = generate_channel(rng, spec, pdp.n_taps) * np.sqrt(pdp.tap_powers())[:, None, None]
+    return taps, np.fft.fft(taps, n=n_subcarriers, axis=0)
 
 
 def add_awgn(rng: RngStream, y_clean: np.ndarray, sigma2: float) -> np.ndarray:
@@ -146,64 +120,3 @@ def add_awgn(rng: RngStream, y_clean: np.ndarray, sigma2: float) -> np.ndarray:
         return y_clean.copy()
     parts = rng.standard_normal((2,) + y_clean.shape)
     return y_clean + np.sqrt(sigma2 / 2.0) * (parts[0] + 1j * parts[1])
-
-
-# ---------------------------------------------------------------------------
-# Text export format, for cross-implementation validation.
-#
-# Line 1:  <n_subcarriers> <n_rx> <n_tx> <rho> <seed> <mode>
-# Then one line per subcarrier with n_rx * n_tx complex tokens in row-major
-# order, each token parseable by Python's complex(), e.g. 0.5-1.25j.
-# ---------------------------------------------------------------------------
-
-def _complex_token(z: complex) -> str:
-    re, im = float(z.real), float(z.imag)
-    return f"{re!r}{'+' if im >= 0 else '-'}{abs(im)!r}j"
-
-
-def save_channel_realization(path_or_file, real: ChannelRealization) -> None:
-    """Write a realization in the documented text format."""
-    n_sc, n_rx, n_tx = real.per_subcarrier.shape
-    seed = -1 if real.seed is None else real.seed
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "w") if own else path_or_file
-    try:
-        fh.write(f"{n_sc} {n_rx} {n_tx} {real.correlation.rho!r} {seed} {real.generation_mode}\n")
-        for h in real.per_subcarrier:
-            fh.write(" ".join(_complex_token(z) for z in h.ravel()) + "\n")
-    finally:
-        if own:
-            fh.close()
-
-
-def load_channel_realization(path_or_file) -> ChannelRealization:
-    """Read a realization written by save_channel_realization."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file) if own else path_or_file
-    try:
-        header = fh.readline().split()
-        if len(header) != 6:
-            raise ValueError("malformed channel file header")
-        n_sc, n_rx, n_tx = int(header[0]), int(header[1]), int(header[2])
-        rho, seed, mode = float(header[3]), int(header[4]), header[5]
-        h = np.empty((n_sc, n_rx, n_tx), dtype=complex)
-        for i in range(n_sc):
-            tokens = fh.readline().split()
-            if len(tokens) != n_rx * n_tx:
-                raise ValueError(f"subcarrier {i}: expected {n_rx * n_tx} entries, got {len(tokens)}")
-            h[i] = np.array([complex(t) for t in tokens]).reshape(n_rx, n_tx)
-    finally:
-        if own:
-            fh.close()
-    spec = CorrelationSpec(rho=rho, n_antennas=n_tx)
-    return ChannelRealization(h, spec, mode, seed=None if seed == -1 else seed)
-
-
-def dumps_channel_realization(real: ChannelRealization) -> str:
-    buf = io.StringIO()
-    save_channel_realization(buf, real)
-    return buf.getvalue()
-
-
-def loads_channel_realization(text: str) -> ChannelRealization:
-    return load_channel_realization(io.StringIO(text))

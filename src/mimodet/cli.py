@@ -21,8 +21,13 @@ import numpy as np
 
 from . import complexity as cx
 from . import simulate as sim
-from .channel import CorrelationSpec, build_correlation_matrix, generate_channel
-from .linalg import draw_standard_complex_gaussian
+from .channel import (
+    CorrelationSpec,
+    PdpSpec,
+    build_correlation_matrix,
+    generate_channel,
+    generate_pdp_channel,
+)
 from .ofdm import map_bits, square_qam, time_domain_roundtrip
 from .rng import RngStream
 
@@ -108,10 +113,16 @@ def _emit(text: str, out_path) -> None:
         sim.write_text_atomic(out_path, text)
 
 
-def _cmd_simulate(args) -> int:
+def _load_config(args) -> sim.SimulationConfig:
+    """The --config file, with --seed (when given) as its master seed."""
     config = sim.SimulationConfig.from_json_file(args.config)
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
+    return config
+
+
+def _cmd_simulate(args) -> int:
+    config = _load_config(args)
     records = sim.run_sweep(config, workers=args.workers)
     if args.format == "csv":
         _emit(sim.records_to_csv(records, config), args.out)
@@ -121,9 +132,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    config = sim.SimulationConfig.from_json_file(args.config)
-    if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
+    config = _load_config(args)
     kind = args.detector.lower()
     plan = sim.default_calibration_plan(kind, ebn0_db=args.ebn0, rho=args.rho,
                                         min_error_events=args.min_errors,
@@ -140,9 +149,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    config = sim.SimulationConfig.from_json_file(args.config)
-    if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
+    config = _load_config(args)
     det = sim.DetectorConfig(kind=args.detector.lower())
     study = sim.convergence_study(config, det, args.ebn0, args.max_iters,
                                   rho=args.rho, n_vectors=args.vectors,
@@ -158,9 +165,6 @@ def _cmd_complexity(args) -> int:
     nt_values = [2]
     while nt_values[-1] * 2 <= args.nt_max:
         nt_values.append(nt_values[-1] * 2)
-    if 4 not in nt_values and args.nt_max >= 4:
-        nt_values.append(4)
-        nt_values.sort()
     rows = cx.complexity_sweep(nt_values, pop_factor=args.pop_factor,
                                iters=args.iters, iters_hybrid=args.iters_hybrid,
                                m_order=args.m_order)
@@ -175,7 +179,7 @@ def _cmd_validate_channel(args) -> int:
     n = args.n_antennas
 
     # Sample covariance of vec(H) against the Kronecker target R_t (x) R_r.
-    h = generate_channel(rng.substream("cov"), spec, args.samples).per_subcarrier
+    h = generate_channel(rng.substream("cov"), spec, args.samples)
     vecs = h.transpose(0, 2, 1).reshape(args.samples, n * n)  # column-major vec
     cov = (vecs[:, :, None] * vecs[:, None, :].conj()).mean(axis=0)
     target = np.kron(build_correlation_matrix(spec), build_correlation_matrix(spec))
@@ -184,16 +188,14 @@ def _cmd_validate_channel(args) -> int:
     print(f"kronecker-covariance max entry error {cov_err:.4f} "
           f"({'PASS' if cov_ok else 'FAIL'}, tolerance 0.02 at {args.samples} samples)")
 
-    # Cyclic prefix: time-domain chain must equal the per-subcarrier model.
-    const = square_qam(4)
-    n_sc, n_taps, cp_len = 64, 8, 16
+    # Cyclic prefix: the time-domain chain over the PDP channel's taps must
+    # equal the per-subcarrier model over its DFT.
+    n_sc, cp_len = 64, 16
     bits = rng.substream("cp").integers(0, 2, n_sc * n * 2)
-    frame = map_bits(bits, n, const)
-    taps = draw_standard_complex_gaussian(rng.substream("taps"), n, n, count=n_taps)
-    taps *= np.sqrt(np.linspace(1.0, 0.1, n_taps))[:, None, None]
-    grid = time_domain_roundtrip(taps, frame, cp_len)
-    hf = np.fft.fft(taps, n=n_sc, axis=0)
-    direct = np.einsum("nrt,tn->rn", hf, frame.symbols)
+    symbols = map_bits(bits, n, square_qam(4))
+    taps, hf = generate_pdp_channel(rng.substream("taps"), spec, PdpSpec(), n_sc)
+    grid = time_domain_roundtrip(taps, symbols, cp_len)
+    direct = np.einsum("nrt,tn->rn", hf, symbols)
     cp_err = float(np.max(np.abs(grid - direct)))
     cp_ok = cp_err < 1e-10
     print(f"cyclic-prefix equivalence max error {cp_err:.3e} "
@@ -201,7 +203,7 @@ def _cmd_validate_channel(args) -> int:
 
     # Per-subcarrier generation sanity: rho = 0 returns the raw draws.
     flat = generate_channel(rng.substream("flat"), CorrelationSpec(0.0, n), 8)
-    flat_ok = flat.per_subcarrier.shape == (8, n, n)
+    flat_ok = flat.shape == (8, n, n)
     print(f"iid generation shape check ({'PASS' if flat_ok else 'FAIL'})")
 
     return EXIT_OK if (cov_ok and cp_ok and flat_ok) else EXIT_RUNTIME

@@ -52,6 +52,15 @@ from .rng import RngStream
 INERTIA_DECAY = 0.99
 
 
+def check_integers(obj, names) -> None:
+    """Raise ValueError unless each named attribute of obj is an integer
+    (bool and integral floats such as 4.0 are not)."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, kw_only=True)
 class HeuristicParams:
     """What both heuristics share: population size, step budget (PSO
@@ -70,10 +79,7 @@ class HeuristicParams:
     search_hi: float = 1.0
 
     def __post_init__(self):
-        for name in ("n_pop", "iters"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_integers(self, ("n_pop", "iters"))
         if self.n_pop < self.MIN_POP:
             raise ValueError(f"n_pop must be >= {self.MIN_POP}")
         if self.iters < 0:

@@ -1,9 +1,10 @@
 """QAM mapping and the per-subcarrier OFDM transmit/receive model.
 
 The per-subcarrier model y[n] = H[n] x[n] + z[n] is what every detector
-sees. A full time-domain path (IDFT, cyclic prefix, tap convolution, DFT)
-is included to verify that the per-subcarrier abstraction is exact when
-the prefix covers the channel memory.
+sees. Bits map onto an (n_tx, n_subcarriers) symbol grid, one column per
+subcarrier. A full time-domain path (IDFT, cyclic prefix, tap convolution,
+DFT) is included to verify that the per-subcarrier abstraction is exact
+when the prefix covers the channel memory.
 
 4-QAM bit labeling (fixed wire format, must match across implementations):
 
@@ -14,18 +15,16 @@ the prefix covers the channel memory.
     1    1      ->  (-1 - 1j) / sqrt(2)
 
 i.e. the leading bit flips the real sign and the trailing bit flips the
-imaginary sign. Higher orders use per-axis Gray coding with the same
-sign sense and unit average symbol energy.
+imaginary sign. Only square QAM is built (M a power of 4): higher orders
+use per-axis Gray coding with the same sign sense, the leading half of
+the label on the real axis, and unit average symbol energy.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
-
-from .channel import _complex_token
 
 
 @dataclass(frozen=True)
@@ -57,24 +56,24 @@ def _gray_levels(n_bits: int) -> np.ndarray:
             g ^= c >> shift
             shift += 1
         gray[i] = g
-    levels = np.empty(size)
-    levels[...] = size - 1 - 2 * gray
-    return levels
+    return (size - 1 - 2 * gray).astype(float)
+
+
+def is_square_qam(order: int) -> bool:
+    """True when order is a power of 4 (4, 16, 64, ...): a square QAM."""
+    return order >= 4 and not order & (order - 1) and (order.bit_length() - 1) % 2 == 0
 
 
 def square_qam(order: int) -> Constellation:
-    """Build a square M-QAM constellation (M a power of 4 or 2 * power of 4)."""
-    if order < 2 or order & (order - 1):
-        raise ValueError(f"order must be a power of two >= 2, got {order}")
+    """Build a square M-QAM constellation, M a power of 4."""
+    if not is_square_qam(order):
+        raise ValueError(f"order must be a power of 4, got {order}")
     k = order.bit_length() - 1
-    k_i = (k + 1) // 2
-    k_q = k - k_i
-    lv_i = _gray_levels(k_i)
-    lv_q = _gray_levels(k_q) if k_q else np.zeros(1)
+    half = k // 2
+    levels = _gray_levels(half)
     labels = np.array([[int(b) for b in format(m, f"0{k}b")] for m in range(order)])
-    idx_i = labels[:, :k_i] @ (1 << np.arange(k_i)[::-1]) if k_i else np.zeros(order, int)
-    idx_q = labels[:, k_i:] @ (1 << np.arange(k_q)[::-1]) if k_q else np.zeros(order, int)
-    raw = lv_i[idx_i] + 1j * lv_q[idx_q]
+    weights = 1 << np.arange(half)[::-1]
+    raw = levels[labels[:, :half] @ weights] + 1j * levels[labels[:, half:] @ weights]
     energy = np.mean(np.abs(raw) ** 2)
     return Constellation(order, raw / np.sqrt(energy), labels)
 
@@ -103,26 +102,9 @@ class NoiseSpec:
         return cls(eb_n0_db=float(eb_n0_db), sigma2=sigma2)
 
 
-@dataclass
-class TxFrame:
-    """Bits mapped to an N_t x N symbol grid (one column per subcarrier)."""
-
-    bits: np.ndarray                 # flat 0/1 array
-    symbols: np.ndarray              # (n_tx, n_subcarriers) complex
-    power_allocation: np.ndarray     # (n_tx,) per-antenna amplitude scale
-
-    @property
-    def n_tx(self) -> int:
-        return self.symbols.shape[0]
-
-    @property
-    def n_subcarriers(self) -> int:
-        return self.symbols.shape[1]
-
-
-def map_bits(bits, n_tx: int, constellation: Constellation,
-             power_allocation: np.ndarray | None = None) -> TxFrame:
-    """Map a bit array onto the transmit grid, antenna-major per subcarrier."""
+def map_bits(bits, n_tx: int, constellation: Constellation) -> np.ndarray:
+    """Map a bit array onto the (n_tx, n_subcarriers) symbol grid, antenna-major
+    per subcarrier."""
     bits = np.asarray(bits, dtype=int).ravel()
     bps = constellation.bits_per_symbol
     group = n_tx * bps
@@ -130,14 +112,7 @@ def map_bits(bits, n_tx: int, constellation: Constellation,
         raise ValueError(f"bit count {bits.size} not a positive multiple of {group}")
     weights = 1 << np.arange(bps)[::-1]
     idx = bits.reshape(-1, bps) @ weights
-    symbols = constellation.points[idx].reshape(-1, n_tx).T
-    if power_allocation is None:
-        power_allocation = np.ones(n_tx)
-    else:
-        power_allocation = np.asarray(power_allocation, dtype=float)
-        if power_allocation.shape != (n_tx,):
-            raise ValueError("power_allocation must have one scale per antenna")
-    return TxFrame(bits, symbols * power_allocation[:, None], power_allocation)
+    return constellation.points[idx].reshape(-1, n_tx).T
 
 
 def demap_symbols(symbols, constellation: Constellation) -> np.ndarray:
@@ -152,9 +127,10 @@ def demap_symbols(symbols, constellation: Constellation) -> np.ndarray:
     return constellation.bit_labels[np.argmin(dist, axis=1)].ravel()
 
 
-def time_domain_roundtrip(taps: np.ndarray, frame: TxFrame, cp_len: int,
+def time_domain_roundtrip(taps: np.ndarray, symbols: np.ndarray, cp_len: int,
                           allow_short_cp: bool = False) -> np.ndarray:
-    """Run the frame through the full time-domain chain, noiseless.
+    """Run an (n_tx, n_subcarriers) symbol grid through the full
+    time-domain chain, noiseless.
 
     IDFT per antenna, cyclic prefix of cp_len samples, linear convolution
     with the (n_taps, n_rx, n_tx) impulse response, prefix removal, DFT.
@@ -167,64 +143,15 @@ def time_domain_roundtrip(taps: np.ndarray, frame: TxFrame, cp_len: int,
     if taps.ndim != 3:
         raise ValueError("taps must have shape (n_taps, n_rx, n_tx)")
     n_taps, n_rx, n_tx = taps.shape
-    if n_tx != frame.n_tx:
-        raise ValueError("tap tensor does not match the frame's antenna count")
+    if symbols.ndim != 2 or symbols.shape[0] != n_tx:
+        raise ValueError("tap tensor does not match the grid's antenna count")
     if cp_len < n_taps - 1 and not allow_short_cp:
         raise ValueError(f"cp_len {cp_len} shorter than channel memory {n_taps - 1}")
-    n = frame.n_subcarriers
-    time_tx = np.fft.ifft(frame.symbols, axis=1)
+    n = symbols.shape[1]
+    time_tx = np.fft.ifft(symbols, axis=1)
     with_cp = time_tx[:, np.arange(-cp_len, n) % n]  # cyclic, even for cp_len > n
     received = np.zeros((n_rx, n + cp_len + n_taps - 1), dtype=complex)
     for j in range(n_rx):
         for i in range(n_tx):
             received[j] += np.convolve(with_cp[i], taps[:, j, i])
     return np.fft.fft(received[:, cp_len:cp_len + n], axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Frame text format, sharing the token syntax of the channel export.
-#
-# Line 1: <n_tx> <n_subcarriers> <order>
-# Line 2: power allocation scales
-# Line 3: bits as a contiguous 0/1 string
-# Then one line of n_tx complex tokens per subcarrier.
-# ---------------------------------------------------------------------------
-
-def save_frame(path_or_file, frame: TxFrame, order: int) -> None:
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "w") if own else path_or_file
-    try:
-        fh.write(f"{frame.n_tx} {frame.n_subcarriers} {order}\n")
-        fh.write(" ".join(repr(float(s)) for s in frame.power_allocation) + "\n")
-        fh.write("".join(str(int(b)) for b in frame.bits) + "\n")
-        for col in frame.symbols.T:
-            fh.write(" ".join(_complex_token(z) for z in col) + "\n")
-    finally:
-        if own:
-            fh.close()
-
-
-def load_frame(path_or_file) -> tuple[TxFrame, int]:
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file) if own else path_or_file
-    try:
-        n_tx, n_sc, order = (int(t) for t in fh.readline().split())
-        scales = np.array([float(t) for t in fh.readline().split()])
-        bits = np.array([int(c) for c in fh.readline().strip()])
-        symbols = np.empty((n_tx, n_sc), dtype=complex)
-        for i in range(n_sc):
-            symbols[:, i] = [complex(t) for t in fh.readline().split()]
-    finally:
-        if own:
-            fh.close()
-    return TxFrame(bits, symbols, scales), order
-
-
-def dumps_frame(frame: TxFrame, order: int) -> str:
-    buf = io.StringIO()
-    save_frame(buf, frame, order)
-    return buf.getvalue()
-
-
-def loads_frame(text: str) -> tuple[TxFrame, int]:
-    return load_frame(io.StringIO(text))

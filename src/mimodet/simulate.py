@@ -48,6 +48,7 @@ import io
 import json
 import logging
 import math
+import numbers
 import os
 import tempfile
 from collections import Counter
@@ -60,8 +61,8 @@ from . import complexity
 from .channel import CorrelationSpec, add_awgn, correlation_sqrt, generate_channel
 from .complexity import DETECTORS
 from .detectors import apply_equalizer, linear_weights, ml_detect
-from .heuristics import DeParams, PsoParams, run_heuristic
-from .ofdm import Constellation, NoiseSpec, demap_symbols, map_bits, square_qam
+from .heuristics import DeParams, PsoParams, check_integers, run_heuristic
+from .ofdm import Constellation, NoiseSpec, demap_symbols, is_square_qam, map_bits, square_qam
 from .realdomain import realify, realify_vec
 from .rng import RngStream
 
@@ -123,7 +124,7 @@ def check_operating_point(ebn0_db: float, rho: float) -> None:
 
 def check_square_qam(m: int) -> None:
     """Only square QAM is simulated: m_order must be a power of 4."""
-    if m < 4 or m & (m - 1) or (m.bit_length() - 1) % 2:
+    if not is_square_qam(m):
         raise ConfigError(f"m_order {m} is not a power of 4: only square QAM is simulated")
 
 
@@ -167,6 +168,8 @@ class DetectorConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DetectorConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"detectors entries must be JSON objects, got {d!r}")
         d = dict(d)
         kind = str(d.pop("kind", "")).lower()
         unknown = set(d) - {f.name for f in fields(cls)}
@@ -205,6 +208,14 @@ def resolve_detector(det: DetectorConfig, rho: float) -> ResolvedDetector:
         raise ConfigError(f"detector {det.label}: {exc}") from exc
 
 
+def _number_tuple(name: str, values) -> tuple:
+    """A JSON list of numbers as a tuple of floats; anything else is rejected."""
+    if not isinstance(values, (list, tuple)) or not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
+    return tuple(float(v) for v in values)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     n_t: int = 4
@@ -219,6 +230,11 @@ class SimulationConfig:
     master_seed: int = 1
 
     def __post_init__(self):
+        try:
+            check_integers(self, ("n_t", "n_r", "n_subcarriers", "m_order",
+                                  "max_trials", "target_bit_errors", "master_seed"))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if min(self.n_t, self.n_r, self.n_subcarriers, self.m_order,
                self.max_trials, self.target_bit_errors) < 1:
             raise ConfigError("all counts must be >= 1")
@@ -244,16 +260,17 @@ class SimulationConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config must be a JSON object, got {d!r}")
         d = dict(d)
-        dets = tuple(DetectorConfig.from_dict(x) for x in d.pop("detectors", []))
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "rho_list" in d:
-            d["rho_list"] = tuple(float(r) for r in d["rho_list"])
-        if "ebn0_db_list" in d:
-            d["ebn0_db_list"] = tuple(float(e) for e in d["ebn0_db_list"])
+        for name in ("rho_list", "ebn0_db_list"):
+            if name in d:
+                d[name] = _number_tuple(name, d[name])
         try:
+            dets = tuple(DetectorConfig.from_dict(x) for x in d.pop("detectors", []))
             return cls(detectors=dets, **d)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
@@ -339,10 +356,8 @@ def _frame_channel_and_rx(config: SimulationConfig, const: Constellation,
     nbits = n_sc * config.bits_per_vector
     bits = trial_rng.integers(0, 2, nbits)
     spec = CorrelationSpec(rho=rho, n_antennas=config.n_t)
-    realization = generate_channel(trial_rng, spec, n_sc, sqrt_r=sqrt_r)
-    hs = realization.per_subcarrier                       # (n_sc, n_r, n_t)
-    frame_tx = map_bits(bits, config.n_t, const)
-    clean = np.einsum("nrt,tn->nr", hs, frame_tx.symbols)
+    hs = generate_channel(trial_rng, spec, n_sc, sqrt_r=sqrt_r)  # (n_sc, n_r, n_t)
+    clean = np.einsum("nrt,tn->nr", hs, map_bits(bits, config.n_t, const))
     noise = NoiseSpec.from_ebn0(ebn0_db, config.m_order)
     ys = add_awgn(trial_rng, clean, noise.sigma2)
     return bits, hs, ys, noise
@@ -793,16 +808,20 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
-def records_to_csv(records, config: SimulationConfig) -> str:
+def _csv_text(header, rows, preamble: str = "") -> str:
+    """CSV text: the preamble, then the header row and the data rows."""
     buf = io.StringIO()
-    echo = json.dumps(config.to_dict(), sort_keys=True)
-    buf.write(f"# config {echo}\n")
-    buf.write(f"# note {SEQUENTIAL_STOP_NOTE}\n")
+    buf.write(preamble)
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        writer.writerow(rec.to_row())
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def records_to_csv(records, config: SimulationConfig) -> str:
+    echo = json.dumps(config.to_dict(), sort_keys=True)
+    return _csv_text(CSV_COLUMNS, (rec.to_row() for rec in records),
+                     f"# config {echo}\n# note {SEQUENTIAL_STOP_NOTE}\n")
 
 
 def records_to_json(records, config: SimulationConfig) -> str:
@@ -816,43 +835,26 @@ def records_to_json(records, config: SimulationConfig) -> str:
 
 
 def convergence_rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("detector", "ebn0_db", "rho", "iteration", "trials",
-                     "bit_errors", "ber"))
-    for r in rows:
-        writer.writerow([r.detector, repr(r.ebn0_db), repr(r.rho), r.iteration,
-                         r.trials, r.bit_errors, repr(r.ber)])
-    return buf.getvalue()
+    return _csv_text(("detector", "ebn0_db", "rho", "iteration", "trials", "bit_errors", "ber"),
+                     ([r.detector, repr(r.ebn0_db), repr(r.rho), r.iteration, r.trials,
+                       r.bit_errors, repr(r.ber)] for r in rows))
 
 
 def fitness_traces_to_csv(detector: str, trace: np.ndarray) -> str:
     """Per-iteration best-fitness rows (detector, trial, iteration, fitness)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("detector", "trial", "iteration", "fitness"))
     trace = np.atleast_2d(trace)
-    for trial in range(trace.shape[0]):
-        for it in range(trace.shape[1]):
-            writer.writerow([detector, trial, it, repr(float(trace[trial, it]))])
-    return buf.getvalue()
+    return _csv_text(("detector", "trial", "iteration", "fitness"),
+                     ([detector, trial, it, repr(float(trace[trial, it]))]
+                      for trial in range(trace.shape[0]) for it in range(trace.shape[1])))
 
 
 def calibration_to_csv(result: CalibrationResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("detector", "parameter", "candidate", "ber", "bit_errors",
-                     "trials"))
-    for ev in result.evaluations:
-        writer.writerow([result.detector, ev.parameter, repr(ev.candidate),
-                         repr(ev.ber), ev.bit_errors, ev.trials])
-    return buf.getvalue()
+    return _csv_text(("detector", "parameter", "candidate", "ber", "bit_errors", "trials"),
+                     ([result.detector, ev.parameter, repr(ev.candidate), repr(ev.ber),
+                       ev.bit_errors, ev.trials] for ev in result.evaluations))
 
 
 def complexity_rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("n_t", "detector", "flops"))
-    for n_t, kind, flops in rows:
-        writer.writerow([n_t, kind, repr(flops) if isinstance(flops, float) else flops])
-    return buf.getvalue()
+    return _csv_text(("n_t", "detector", "flops"),
+                     ([n_t, kind, repr(flops) if isinstance(flops, float) else flops]
+                      for n_t, kind, flops in rows))

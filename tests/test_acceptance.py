@@ -326,12 +326,12 @@ def test_criterion_8_structural_invariants():
 
     # cyclic prefix time/frequency equivalence to 1e-10
     bits = rng.substream("bits").integers(0, 2, 64 * 4 * 2)
-    frame = map_bits(bits, 4, CONST)
+    symbols = map_bits(bits, 4, CONST)
     taps = draw_standard_complex_gaussian(rng.substream("taps"), 4, 4, count=8)
     taps = taps * np.sqrt(np.linspace(1.0, 0.05, 8))[:, None, None]
-    grid = time_domain_roundtrip(taps, frame, cp_len=16)
+    grid = time_domain_roundtrip(taps, symbols, cp_len=16)
     hf = np.fft.fft(taps, n=64, axis=0)
-    direct = np.einsum("nrt,tn->rn", hf, frame.symbols)
+    direct = np.einsum("nrt,tn->rn", hf, symbols)
     cp_err = float(np.max(np.abs(grid - direct)))
     checks["cp equivalence"] = cp_err < 1e-10
 

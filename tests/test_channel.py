@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from mimodet.channel import (
-    MODE_PDP,
     CorrelationSpec,
     PdpSpec,
     add_awgn,
     build_correlation_matrix,
     correlation_sqrt,
-    dumps_channel_realization,
     generate_channel,
     generate_pdp_channel,
-    loads_channel_realization,
 )
 from mimodet.linalg import draw_standard_complex_gaussian
 from mimodet.rng import RngStream
@@ -52,15 +49,15 @@ class TestCorrelationMatrix:
 class TestGenerateChannel:
     def test_uncorrelated_is_raw_draw(self):
         spec = CorrelationSpec(rho=0.0, n_antennas=4)
-        real = generate_channel(RngStream(3).substream("c"), spec, 16)
+        h = generate_channel(RngStream(3).substream("c"), spec, 16)
         g = draw_standard_complex_gaussian(RngStream(3).substream("c"), 4, 4, count=16)
-        assert np.array_equal(real.per_subcarrier, g)
+        assert np.array_equal(h, g)
 
     def test_deterministic(self):
         spec = CorrelationSpec(rho=0.5, n_antennas=4)
         a = generate_channel(RngStream(4), spec, 8)
         b = generate_channel(RngStream(4), spec, 8)
-        assert np.array_equal(a.per_subcarrier, b.per_subcarrier)
+        assert np.array_equal(a, b)
 
     def test_kronecker_covariance(self):
         # sample covariance of vec(H) approaches R_t (x) R_r
@@ -77,19 +74,29 @@ class TestGenerateChannel:
 
     def test_entry_marginal_stays_unit_variance(self):
         spec = CorrelationSpec(rho=0.9, n_antennas=4)
-        real = generate_channel(RngStream(6), spec, 4000)
-        power = np.mean(np.abs(real.per_subcarrier) ** 2, axis=0)
+        h = generate_channel(RngStream(6), spec, 4000)
+        power = np.mean(np.abs(h) ** 2, axis=0)
         assert np.max(np.abs(power - 1.0)) < 0.05
-        assert abs(np.mean(np.abs(real.per_subcarrier) ** 2) - 1.0) < 0.02
+        assert abs(np.mean(np.abs(h) ** 2) - 1.0) < 0.02
 
 
 class TestPdpChannel:
     def test_single_tap_is_flat(self):
         spec = CorrelationSpec(rho=0.0, n_antennas=2)
         pdp = PdpSpec(n_taps=1)
-        real = generate_pdp_channel(RngStream(7), spec, pdp, 16)
-        assert real.generation_mode == MODE_PDP
-        assert np.allclose(real.per_subcarrier, real.per_subcarrier[0])
+        _, h = generate_pdp_channel(RngStream(7), spec, pdp, 16)
+        assert np.allclose(h, h[0])
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    def test_taps_are_the_scaled_kronecker_draw(self, rho):
+        # the taps are generate_channel's draw times sqrt(tap power), and
+        # the subcarrier channels are their DFT
+        spec = CorrelationSpec(rho=rho, n_antennas=3)
+        pdp = PdpSpec(n_taps=5)
+        taps, h = generate_pdp_channel(RngStream(13).substream("t"), spec, pdp, 32)
+        draw = generate_channel(RngStream(13).substream("t"), spec, 5)
+        assert np.array_equal(taps, draw * np.sqrt(pdp.tap_powers())[:, None, None])
+        assert np.array_equal(h, np.fft.fft(taps, n=32, axis=0))
 
     def test_tap_powers_normalized(self):
         pdp = PdpSpec(bandwidth=20e6, tau_rms=64e-9, n_taps=8)
@@ -103,8 +110,8 @@ class TestPdpChannel:
         rng = RngStream(8)
         acc = []
         for i in range(2000):
-            real = generate_pdp_channel(rng.substream(i), spec, pdp, 16)
-            acc.append(np.mean(np.abs(real.per_subcarrier) ** 2))
+            _, h = generate_pdp_channel(rng.substream(i), spec, pdp, 16)
+            acc.append(np.mean(np.abs(h) ** 2))
         assert abs(np.mean(acc) - 1.0) < 0.05
 
     def test_coherence_shrinks_with_delay_spread(self):
@@ -116,8 +123,9 @@ class TestPdpChannel:
             pdp = PdpSpec(tau_rms=tau_rms, n_taps=16)
             vals = []
             for i in range(3000):
-                h = generate_pdp_channel(rng.substream(int(tau_rms * 1e12), i),
-                                         spec, pdp, 64).per_subcarrier[:, 0, 0]
+                _, h = generate_pdp_channel(rng.substream(int(tau_rms * 1e12), i),
+                                            spec, pdp, 64)
+                h = h[:, 0, 0]
                 vals.append(np.mean(h[:-1] * h[1:].conj()))
             return abs(np.mean(vals))
 
@@ -151,33 +159,3 @@ class TestAwgn:
         with pytest.raises(ValueError):
             add_awgn(RngStream(3), np.zeros(4, dtype=complex), -1.0)
 
-
-class TestExportFormat:
-    def test_round_trip_exact(self):
-        spec = CorrelationSpec(rho=0.5, n_antennas=4)
-        real = generate_channel(RngStream(10), spec, 8)
-        text = dumps_channel_realization(real)
-        back = loads_channel_realization(text)
-        assert np.array_equal(back.per_subcarrier, real.per_subcarrier)
-        assert back.correlation == real.correlation
-        assert back.generation_mode == real.generation_mode
-        assert back.seed == real.seed
-
-    def test_header_contents(self):
-        spec = CorrelationSpec(rho=0.9, n_antennas=2)
-        real = generate_channel(RngStream(11), spec, 3)
-        header = dumps_channel_realization(real).splitlines()[0].split()
-        assert header[:3] == ["3", "2", "2"]
-        assert float(header[3]) == 0.9
-        assert int(header[4]) == 11
-
-    def test_pdp_mode_preserved(self):
-        spec = CorrelationSpec(rho=0.0, n_antennas=2)
-        real = generate_pdp_channel(RngStream(12), spec, PdpSpec(n_taps=4), 16)
-        back = loads_channel_realization(dumps_channel_realization(real))
-        assert back.generation_mode == MODE_PDP
-        assert np.array_equal(back.per_subcarrier, real.per_subcarrier)
-
-    def test_malformed_header_rejected(self):
-        with pytest.raises(ValueError):
-            loads_channel_realization("1 2\n")

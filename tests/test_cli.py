@@ -65,7 +65,12 @@ class TestSimulateCommand:
         bad.write_text(json.dumps(cfg))
         assert cli_main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("fields", [{"n_r": 2}, {"m_order": 6}, {"m_order": 8}])
+    @pytest.mark.parametrize("fields", [
+        {"n_r": 2}, {"m_order": 6}, {"m_order": 8},
+        # mistyped fields fail at load, not as a seed-1 run or a traceback
+        {"master_seed": 1.5}, {"master_seed": True}, {"max_trials": 100.5},
+        {"target_bit_errors": 1.5}, {"n_subcarriers": 64.0}, {"n_t": 4.0, "n_r": 4.0},
+        {"rho_list": "09"}, {"ebn0_db_list": [8, "x"]}, {"detectors": ["mmse"]}])
     def test_unsimulable_config_fails(self, tmp_path, capsys, fields):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(dict(BASE_CONFIG, **fields)))
@@ -144,6 +149,13 @@ class TestValidateChannelCommand:
         assert rc == EXIT_OK
         assert "PASS" in out
         assert "FAIL" not in out
+
+    def test_passes_on_a_correlated_two_antenna_array(self, capsys):
+        rc = cli_main(["validate-channel", "--samples", "20000", "--rho", "0.9",
+                       "--n-antennas", "2"])
+        out = capsys.readouterr().out
+        assert rc == EXIT_OK
+        assert out.count("PASS") == 3
 
 
 class TestArgumentErrors:

@@ -91,6 +91,24 @@ class TestConfig:
             SimulationConfig.from_dict({"detectors": [{"kind": "mmse"}, det],
                                         "rho_list": [0.0, 0.9]})
 
+    @pytest.mark.parametrize("field", [{"master_seed": 1.5}, {"master_seed": True},
+                                       {"max_trials": 100.5}, {"target_bit_errors": 1.5},
+                                       {"n_subcarriers": 64.0}, {"n_t": 4.0, "n_r": 4.0},
+                                       {"m_order": 4.0}, {"rho_list": "09"},
+                                       {"rho_list": 0.5}, {"ebn0_db_list": [8, "x"]},
+                                       {"ebn0_db_list": [8, None]}, {"rho_list": [True]},
+                                       {"detectors": ["mmse"]}, {"detectors": "mmse"},
+                                       {"detectors": 5}])
+    def test_mistyped_field_rejected_at_load(self, field):
+        # counts and the seed are integers (bool and 4.0 are not), the
+        # operating-point lists are lists of numbers, detectors are objects
+        with pytest.raises(ConfigError):
+            SimulationConfig.from_dict({"detectors": [{"kind": "mmse"}], **field})
+
+    def test_non_object_config_rejected(self):
+        with pytest.raises(ConfigError):
+            SimulationConfig.from_dict([1, 2])
+
     def test_infinite_v_max_accepted(self):
         # v_max = inf turns the velocity clamp off
         cfg = SimulationConfig.from_dict({"detectors": [{"kind": "pso", "v_max": math.inf}]})
@@ -207,7 +225,7 @@ class TestFrameChannel:
         cfg = _config("mmse")
         const = square_qam(cfg.m_order)
         bits, hs, ys, noise = _frame_channel_and_rx(cfg, const, None, ebn0_db, 0.0, frame)
-        clean = np.einsum("nrt,tn->nr", hs, map_bits(bits, cfg.n_t, const).symbols)
+        clean = np.einsum("nrt,tn->nr", hs, map_bits(bits, cfg.n_t, const))
         return clean, ys, noise
 
     def test_noiseless_is_channel_times_symbols(self):

@@ -14,9 +14,14 @@ far excursions on its own.
 Differential evolution uses the rand/1/bin strategy: mutants
 iota_r1 + F_mut (iota_r2 - iota_r3) with distinct random indices, binomial
 crossover with one forced dimension, and greedy selection on strict
-fitness improvement. Both the current individuals and the trial vectors
-are evaluated every generation (2 n_pop evaluations), which is the
-accounting the complexity model charges.
+fitness improvement. The partners r1, r2, r3 of individual k come from one
+integer draw, uniform over the (n_pop-1)(n_pop-2)(n_pop-3) valid ordered
+triples: it decodes to three offsets, and each offset is shifted past k
+and the partners already chosen. That map is a bijection, so every valid
+triple is equally likely and no draw is ever rejected. Both the current
+individuals and the trial vectors are evaluated every generation
+(2 n_pop evaluations), which is the accounting the complexity model
+charges.
 
 Initial members are drawn in one of two ways. Without a seed vector,
 every member is uniform over [search_lo, search_hi] per dimension. With
@@ -265,28 +270,39 @@ def pso_iterate(rng: RngStream, state: SwarmState, params: PsoParams,
 # Differential evolution, strategy rand/1/bin
 # ---------------------------------------------------------------------------
 
+def _skip_taken(d: np.ndarray, *taken: np.ndarray) -> None:
+    """Shift offsets d in place past the taken indices, given in ascending
+    order, so that offset d becomes the d-th index not taken."""
+    for t in taken:
+        d += d >= t
+
+
 def _mutation_indices(rng: RngStream, n_pop: int, batch_shape: tuple) -> np.ndarray:
-    """Three distinct partner indices per individual, all different from it.
+    """Three distinct partner indices per individual k, all different from k.
 
-    Rejection sampling: every invalid triple is redrawn whole, keeping the
-    marginals uniform over the valid set. Each round draws a full-shape
-    array (that fixes the stream's draw order) but only the triples being
-    redrawn are taken from it and rechecked.
+    One integer x, uniform on [0, (n-1)(n-2)(n-3)) with n = n_pop, per
+    individual decodes to offsets d0 = x mod (n-1), d1 = (x div (n-1))
+    mod (n-2) and d2 = x div ((n-1)(n-2)). Partner j is the d_j-th index
+    not yet taken: d_j shifted past k and the earlier partners, in
+    ascending order. Each step maps its offset range one-to-one onto the
+    indices still free, so x -> (r0, r1, r2) is a bijection onto the ordered
+    triples of distinct indices other than k, and the triples stay exactly
+    uniform. The returned array is (3,) + batch_shape + (n_pop,).
     """
-    r = rng.integers(0, n_pop, (3,) + batch_shape + (n_pop,))
-    at = np.nonzero(_invalid_triples(r, np.arange(n_pop)))
-    while at[0].size:
-        sel = (slice(None),) + at
-        r[sel] = rng.integers(0, n_pop, r.shape)[sel]
-        still = np.nonzero(_invalid_triples(r[sel], at[-1]))
-        at = tuple(a[still] for a in at)
+    n = n_pop
+    x = rng.integers(0, (n - 1) * (n - 2) * (n - 3), batch_shape + (n,))
+    r = np.empty((3,) + x.shape, dtype=x.dtype)
+    x, r[0] = np.divmod(x, n - 1)
+    r[2], r[1] = np.divmod(x, n - 2)
+    own = np.arange(n)
+    _skip_taken(r[0], own)
+    lo, hi = np.minimum(own, r[0]), np.maximum(own, r[0])
+    _skip_taken(r[1], lo, hi)
+    # sorted {k, r0, r1}: r1 differs from both, so it sits below, between or above
+    low, high = np.minimum(lo, r[1]), np.maximum(hi, r[1])
+    mid = lo + hi + r[1] - low - high
+    _skip_taken(r[2], low, mid, high)
     return r
-
-
-def _invalid_triples(r: np.ndarray, own) -> np.ndarray:
-    """True where partners r[0], r[1], r[2] repeat or include the individual."""
-    return ((r[0] == r[1]) | (r[0] == r[2]) | (r[1] == r[2])
-            | (r[0] == own) | (r[1] == own) | (r[2] == own))
 
 
 def de_trials(rng: RngStream, individuals: np.ndarray, params: DeParams) -> np.ndarray:

@@ -1,3 +1,4 @@
+import itertools
 import logging
 
 import numpy as np
@@ -311,18 +312,6 @@ class TestDeOperators:
 class TestKernelOracles:
     """The batched kernels against direct transcriptions of their rules."""
 
-    @staticmethod
-    def _full_recheck_indices(rng, n_ind, batch_shape):
-        # every round redraws the full array and rechecks every triple
-        own = np.arange(n_ind)
-        r = rng.integers(0, n_ind, (3,) + batch_shape + (n_ind,))
-        while True:
-            bad = ((r[0] == r[1]) | (r[0] == r[2]) | (r[1] == r[2])
-                   | (r[0] == own) | (r[1] == own) | (r[2] == own))
-            if not bad.any():
-                return r
-            r = np.where(bad, rng.integers(0, n_ind, r.shape), r)
-
     @pytest.mark.parametrize("batch_shape", [(), (3,), (2, 5)])
     def test_de_mutants_match_take_along_axis(self, batch_shape):
         iota = RngStream(70).standard_normal(batch_shape + (6, 9))
@@ -347,12 +336,44 @@ class TestKernelOracles:
         if batch_shape == ():
             assert type(best_fit) is float
 
-    @pytest.mark.parametrize("n_ind, batch_shape", [(4, ()), (5, (300,)), (40, (64,))])
-    def test_mutation_indices_draw_for_draw(self, n_ind, batch_shape):
-        new, old = RngStream(73), RngStream(73)
-        assert np.array_equal(_mutation_indices(new, n_ind, batch_shape),
-                              self._full_recheck_indices(old, n_ind, batch_shape))
-        assert np.array_equal(new.integers(0, 2**62, 4), old.integers(0, 2**62, 4))
+    class _EveryDraw:
+        """Stream stub: column k of an (M, n) integers draw holds every x in
+        [0, M) once, so one call enumerates all draws for every individual."""
+
+        def __init__(self):
+            self.calls = 0
+
+        def integers(self, low, high, size):
+            self.calls += 1
+            assert low == 0 and size == (high, size[-1])
+            return np.repeat(np.arange(high)[:, None], size[-1], axis=1)
+
+    @pytest.mark.parametrize("n_pop", [4, 5, 9])
+    def test_mutation_indices_exactly_uniform(self, n_pop):
+        # (n-1)(n-2)(n-3) draws must give each ordered triple of distinct
+        # partners other than k exactly once: 6, 24 and 336 here
+        m = (n_pop - 1) * (n_pop - 2) * (n_pop - 3)
+        rng = self._EveryDraw()
+        r = _mutation_indices(rng, n_pop, (m,))
+        assert rng.calls == 1
+        assert r.shape == (3, m, n_pop)
+        for k in range(n_pop):
+            others = [i for i in range(n_pop) if i != k]
+            assert sorted(map(tuple, r[:, :, k].T.tolist())) == \
+                list(itertools.permutations(others, 3))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(4, 64),
+           st.one_of(st.just(()), st.tuples(st.integers(1, 6)),
+                     st.tuples(st.integers(1, 4), st.integers(1, 4))),
+           st.integers(0, 2**32 - 1))
+    def test_mutation_indices_distinct_and_in_range(self, n_pop, batch_shape, seed):
+        r = _mutation_indices(RngStream(seed), n_pop, batch_shape)
+        assert r.shape == (3,) + batch_shape + (n_pop,)
+        assert r.min() >= 0 and r.max() < n_pop
+        own = np.arange(n_pop)
+        assert not np.any((r[0] == r[1]) | (r[0] == r[2]) | (r[1] == r[2]))
+        assert not np.any(r == own)
 
     def test_pso_update_bit_equal_to_formula(self):
         _, _, _, sys = _instance(76)

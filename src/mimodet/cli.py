@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -109,8 +110,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, out_path) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         sim.write_text_atomic(out_path, text)
+    except OSError as exc:
+        raise sim.ConfigError(f"cannot write {out_path}: {exc}") from exc
+
+
+def _check_out_dirs(args) -> None:
+    """Reject an output path into a missing directory before any work starts."""
+    for path in (getattr(args, "out", None), getattr(args, "traces_out", None)):
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise sim.ConfigError(f"cannot write {path}: no such directory")
 
 
 def _load_config(args) -> sim.SimulationConfig:
@@ -223,6 +234,7 @@ def cli_main(argv=None) -> int:
         "validate-channel": _cmd_validate_channel,
     }
     try:
+        _check_out_dirs(args)
         return handlers[args.command](args)
     except sim.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexity import FlopCounter, charge
+from .complexity import charge, fitness_eval_flops, flops_primitive
 from .linalg import invert_hermitian
 from .ofdm import Constellation
 
@@ -49,12 +49,12 @@ def linear_weights(kind: str, hs: np.ndarray, n0_over_es: float) -> tuple[np.nda
     if kind == "mmse":
         gram = gram + n0_over_es * np.eye(n_tx)
     inv, failed = invert_hermitian(gram)
-    n = failed.size
-    charge(FlopCounter.add_matmat, 2 * n_tx, 2 * n_tx, 2 * n_rx, times=n)
+    per_system = (flops_primitive("matmat", m=2 * n_tx, p=2 * n_tx, q=2 * n_rx)
+                  + flops_primitive("lu_inversion", q=2 * n_tx)
+                  + flops_primitive("matmat", m=2 * n_tx, p=2 * n_rx, q=2 * n_tx))
     if kind == "mmse":
-        charge(FlopCounter.add, 4 * n_tx * n_tx + 2 * n_tx, times=n)  # regularizer scale + add
-    charge(FlopCounter.add_lu_inversion, 2 * n_tx, times=n)
-    charge(FlopCounter.add_matmat, 2 * n_tx, 2 * n_rx, 2 * n_tx, times=n)
+        per_system += 4 * n_tx * n_tx + 2 * n_tx  # regularizer scale + add
+    charge(failed.size * per_system)
     w = inv @ hh
     w[failed] = 0.0  # also where a non-finite H would leave 0 * inf
     return w, failed
@@ -69,7 +69,7 @@ def apply_equalizer(w: np.ndarray, y: np.ndarray) -> np.ndarray:
     if y.shape[-1] != n_rx:
         raise ValueError(f"observation length {y.shape[-1]} != {n_rx}")
     soft = (w @ y[..., None])[..., 0]
-    charge(FlopCounter.add_matvec, 2 * n_tx, 2 * n_rx, times=soft.size // n_tx)
+    charge(soft.size // n_tx * flops_primitive("matvec", m=2 * n_tx, q=2 * n_rx))
     return soft
 
 
@@ -107,6 +107,6 @@ def ml_detect(h: np.ndarray, y: np.ndarray, constellation: Constellation) -> np.
     n_rx, n_tx = h.shape
     cands = candidate_matrix(constellation, n_tx)
     dist = np.abs(y[:, None] - h @ cands) ** 2
-    charge(FlopCounter.add_fitness_evals, cands.shape[1], n_tx, n_rx)
+    charge(cands.shape[1] * fitness_eval_flops(n_tx, n_rx), cands.shape[1])
     best = int(np.argmin(dist.sum(axis=0)))
     return cands[:, best].copy()

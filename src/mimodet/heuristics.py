@@ -45,12 +45,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
 
-from .complexity import FlopCounter, charge
+from .complexity import charge
 from .realdomain import RealSystem, complexify, fitness, fitness_columns
 from .rng import RngStream
 
@@ -84,7 +84,13 @@ class HeuristicParams:
     search_hi: float = 1.0
 
     def __post_init__(self):
-        check_integers(self, ("n_pop", "iters"))
+        counts = ("n_pop", "iters")
+        check_integers(self, counts)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in counts and (isinstance(value, bool)
+                                         or not isinstance(value, numbers.Real)):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
         if self.n_pop < self.MIN_POP:
             raise ValueError(f"n_pop must be >= {self.MIN_POP}")
         if self.iters < 0:
@@ -255,7 +261,7 @@ def pso_iterate(rng: RngStream, state: SwarmState, params: PsoParams,
     state.velocities = vel
     pos += vel
     # 9 flops per dimension for the velocity update, 1 for the position.
-    charge(FlopCounter.add, 10 * vel.size)
+    charge(10 * vel.size)
     fit = fitness_columns(sys, pos)
     improved = fit < state.pb_fitness
     np.copyto(state.personal_best, pos, where=improved[..., None, :])
@@ -334,7 +340,7 @@ def de_trials(rng: RngStream, individuals: np.ndarray, params: DeParams) -> np.n
     take |= np.arange(n_dim)[:, None] == forced[..., None, :]
     # 3 flops per dimension for mutation, 3 for crossover bookkeeping;
     # matches the complexity model's per-generation convention.
-    charge(FlopCounter.add, 6 * iota.size)
+    charge(6 * iota.size)
     return np.where(take, mutants, iota)
 
 

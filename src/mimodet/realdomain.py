@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import FlopCounter, charge
+from .complexity import charge, fitness_eval_flops
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,8 @@ def fitness(sys: RealSystem, zeta) -> np.ndarray | float:
     if zeta.shape[-1] != sys.dim:
         raise ValueError(f"candidate length {zeta.shape[-1]} != system dimension {sys.dim}")
     res = sys.y - (sys.h @ zeta[..., None])[..., 0]
-    charge(FlopCounter.add_fitness_evals, res.size // res.shape[-1], sys.n_tx, sys.n_rx)
+    evals = res.size // res.shape[-1]
+    charge(evals * fitness_eval_flops(sys.n_tx, sys.n_rx), evals)
     out = np.einsum("...i,...i->...", res, res)
     return float(out) if out.ndim == 0 else out
 
@@ -86,5 +87,6 @@ def fitness_columns(sys: RealSystem, candidates) -> np.ndarray:
     candidates = np.asarray(candidates)
     res = sys.h @ candidates
     np.subtract(sys.y[..., None], res, out=res)
-    charge(FlopCounter.add_fitness_evals, res.size // res.shape[-2], sys.n_tx, sys.n_rx)
+    evals = res.size // res.shape[-2]
+    charge(evals * fitness_eval_flops(sys.n_tx, sys.n_rx), evals)
     return np.einsum("...ik,...ik->...k", res, res)

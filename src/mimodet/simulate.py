@@ -60,7 +60,7 @@ import numpy as np
 from . import complexity
 from .channel import CorrelationSpec, add_awgn, correlation_sqrt, generate_channel
 from .complexity import DETECTORS
-from .detectors import apply_equalizer, linear_weights, ml_detect
+from .detectors import ML_CANDIDATE_LIMIT, apply_equalizer, linear_weights, ml_detect
 from .heuristics import DeParams, PsoParams, check_integers, run_heuristic
 from .ofdm import Constellation, NoiseSpec, demap_symbols, is_square_qam, map_bits, square_qam
 from .realdomain import realify, realify_vec
@@ -155,8 +155,10 @@ class DetectorConfig:
     def __post_init__(self):
         if self.kind not in DETECTORS:
             raise ConfigError(f"unknown detector kind {self.kind!r}")
-        heuristic = DETECTORS[self.kind].heuristic
+        heuristic, linear = DETECTORS[self.kind]
         used = {f.name for f in fields(HEURISTICS[heuristic][0])} if heuristic else set()
+        if linear:  # a seeded start never reads the search box
+            used -= {"search_lo", "search_hi"}
         unused = [f.name for f in fields(self)[1:]  # after kind
                   if f.name not in used and getattr(self, f.name) != f.default]
         if unused:
@@ -246,6 +248,10 @@ class SimulationConfig:
         check_square_qam(self.m_order)
         if not self.detectors:
             raise ConfigError("detector list must not be empty")
+        if (any(det.kind == "ml" for det in self.detectors)
+                and self.m_order ** self.n_t > ML_CANDIDATE_LIMIT):
+            raise ConfigError(f"detector ML: search space m_order**n_t = "
+                              f"{self.m_order}**{self.n_t} exceeds {ML_CANDIDATE_LIMIT} candidates")
         if not self.rho_list or not self.ebn0_db_list:
             raise ConfigError("rho_list and ebn0_db_list must not be empty")
         for rho in self.rho_list:
@@ -326,7 +332,7 @@ def binomial_ci95_halfwidth(errors: int, n: int) -> float:
 def detector_flops(config: SimulationConfig, res: ResolvedDetector) -> float:
     inp = complexity.FlopFormulaInput(
         n_t=config.n_t, n_r=config.n_r,
-        n_pop=getattr(res.params, "n_pop", 1), iters=max(res.iterations, 1),
+        n_pop=getattr(res.params, "n_pop", 1), iters=res.iterations,
         m_order=config.m_order,
     )
     return float(complexity.flops_detector(res.label, inp))

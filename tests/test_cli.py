@@ -70,12 +70,34 @@ class TestSimulateCommand:
         # mistyped fields fail at load, not as a seed-1 run or a traceback
         {"master_seed": 1.5}, {"master_seed": True}, {"max_trials": 100.5},
         {"target_bit_errors": 1.5}, {"n_subcarriers": 64.0}, {"n_t": 4.0, "n_r": 4.0},
-        {"rho_list": "09"}, {"ebn0_db_list": [8, "x"]}, {"detectors": ["mmse"]}])
+        {"rho_list": "09"}, {"ebn0_db_list": [8, "x"]}, {"detectors": ["mmse"]},
+        # an ML search past ML_CANDIDATE_LIMIT fails at load, not mid-sweep
+        {"n_t": 12, "n_r": 12, "detectors": [{"kind": "ml"}]}])
     def test_unsimulable_config_fails(self, tmp_path, capsys, fields):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(dict(BASE_CONFIG, **fields)))
         assert cli_main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
         assert next(iter(fields)) in capsys.readouterr().err
+
+    def test_output_into_missing_directory_rejected_before_any_frame(
+            self, config_path, tmp_path, monkeypatch, capsys):
+        import mimodet.simulate as sim
+
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a frame ran before the output path was rejected")
+
+        monkeypatch.setattr(sim, "_simulate_frames", no_frames)
+        out = tmp_path / "no" / "such" / "x.csv"
+        rc = cli_main(["simulate", "--config", config_path, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert f"error: cannot write {out}" in capsys.readouterr().err
+
+    def test_unwritable_output_is_a_config_error(self, config_path, tmp_path, capsys):
+        # the path is a directory: the run completes, then the write fails
+        rc = cli_main(["simulate", "--config", config_path, "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert f"error: cannot write {tmp_path}: " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_seed_override_changes_output(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -127,6 +149,21 @@ class TestConvergenceCommand:
         assert len(lines) == 1 + 4  # header + iterations 0..3
         trace_header = traces.read_text().splitlines()[0]
         assert trace_header == "detector,trial,iteration,fitness"
+
+    @pytest.mark.parametrize("flag", ["--out", "--traces-out"])
+    def test_output_into_missing_directory_rejected_before_any_frame(
+            self, config_path, tmp_path, monkeypatch, capsys, flag):
+        import mimodet.simulate as sim
+
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a frame ran before the output path was rejected")
+
+        monkeypatch.setattr(sim, "_simulate_frames", no_frames)
+        missing = tmp_path / "missing" / "x.csv"
+        rc = cli_main(["convergence", "--config", config_path, "--detector", "pso-mmse",
+                       "--max-iters", "3", "--vectors", "64", flag, str(missing)])
+        assert rc == EXIT_CONFIG
+        assert f"error: cannot write {missing}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
         ["--detector", "mmse"],
@@ -248,7 +285,9 @@ class TestArgumentErrors:
                     {"kind": "de", "search_lo": 1, "search_hi": -1},
                     {"kind": "pso", "n_pop": 40.5}, {"kind": "de-mmse", "iters": 2.5},
                     {"kind": "pso", "c1": float("nan")},
-                    {"kind": "de", "search_lo": float("-inf")}]:
+                    {"kind": "de", "search_lo": float("-inf")},
+                    {"kind": "pso-mmse", "search_lo": -5}, {"kind": "pso", "c1": True},
+                    {"kind": "de", "f_mut": True}, {"kind": "pso", "v_max": True}]:
             bad.write_text(json.dumps(dict(BASE_CONFIG, detectors=[{"kind": "zf"}, det])))
             assert cli_main(["simulate", "--config", str(bad)]) == EXIT_CONFIG, det
             assert det["kind"].upper() in capsys.readouterr().err

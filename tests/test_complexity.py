@@ -2,7 +2,6 @@ import pytest
 
 from mimodet.complexity import (
     DETECTORS,
-    FlopCounter,
     FlopFormulaInput,
     complexity_sweep,
     counting,
@@ -10,9 +9,10 @@ from mimodet.complexity import (
     flops_detector,
     flops_primitive,
 )
-from mimodet.detectors import apply_equalizer, linear_weights
+from mimodet.detectors import apply_equalizer, linear_weights, ml_detect
 from mimodet.heuristics import DeParams, PsoParams, run_heuristic
 from mimodet.linalg import draw_standard_complex_gaussian
+from mimodet.ofdm import square_qam
 from mimodet.realdomain import realify
 from mimodet.rng import RngStream
 
@@ -23,7 +23,6 @@ class TestPrimitives:
         assert flops_primitive("norm2", n=4) == 15
         assert flops_primitive("matvec", m=4, q=4) == 28
         assert flops_primitive("matmat", m=4, p=4, q=4) == 112
-        assert flops_primitive("multiply_add", m=4, p=4, q=4) == 128
         assert flops_primitive("lu_inversion", q=4) == pytest.approx(2 / 3 * 64 + 32)
 
     def test_unknown_rejected(self):
@@ -73,6 +72,8 @@ class TestDetectorFormulas:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             FlopFormulaInput(0, 4)
+        with pytest.raises(ValueError):
+            FlopFormulaInput(4, 4, iters=-1)
 
 
 class TestSweep:
@@ -161,10 +162,11 @@ class TestInstrumentedCounts:
         apply_equalizer(linear_weights("zf", h, 0.0)[0], y)
         assert counter.flops == 0 and counter.fitness_evals == 0
 
-    def test_merge(self):
-        a, b = FlopCounter(), FlopCounter()
-        a.add(10.0)
-        b.add_fitness_evals(2, 4, 4)
-        a.merge(b)
-        assert a.flops == 10.0 + 2 * 151
-        assert a.fitness_evals == 2
+    def test_ml_counts_its_candidates(self):
+        # the search scores M^n_t candidates; the closed form counts
+        # M^(2 n_t) of them, 9 895 936 flops at 4x4 4-QAM
+        h, y = self._system(9)
+        with counting() as counter:
+            ml_detect(h, y, square_qam(4))
+        assert counter.fitness_evals == 4 ** 4
+        assert counter.flops == 4 ** 4 * fitness_eval_flops(4, 4) == 38_656

@@ -82,11 +82,19 @@ class TestConfig:
                                      {"kind": "pso", "c1": math.nan},
                                      {"kind": "pso-mmse", "w0": math.inf},
                                      {"kind": "de", "search_lo": -math.inf},
-                                     {"kind": "pso", "v_max": math.nan}])
+                                     {"kind": "pso", "v_max": math.nan},
+                                     {"kind": "pso-mmse", "search_lo": -5.0},
+                                     {"kind": "de-mf", "search_hi": 5.0},
+                                     {"kind": "pso", "c1": True},
+                                     {"kind": "de", "f_mut": True},
+                                     {"kind": "pso-mf", "v_max": True},
+                                     {"kind": "pso", "search_hi": True},
+                                     {"kind": "de-mmse", "f_cr": "0.5"}])
     def test_bad_detector_parameters_rejected_at_load(self, det):
         # every detector is resolved at every rho of the config, so a bad
         # entry fails here, not when its first point runs; a field the
         # kind does not read is rejected even where its value would be valid
+        # (a hybrid starts from its seed, so it never reads the search box)
         with pytest.raises(ConfigError):
             SimulationConfig.from_dict({"detectors": [{"kind": "mmse"}, det],
                                         "rho_list": [0.0, 0.9]})
@@ -144,6 +152,13 @@ class TestConfig:
     @pytest.mark.parametrize("m_order", [4, 16, 64])
     def test_square_qam_accepted(self, m_order):
         assert _config("mmse", m_order=m_order).m_order == m_order
+
+    def test_ml_search_beyond_the_candidate_limit_rejected(self):
+        # 4**10 candidates is exactly the limit, 4**11 is past it
+        assert _config("ml", n_t=10, n_r=10).n_t == 10
+        with pytest.raises(ConfigError, match="ML"):
+            _config("mmse", "ml", n_t=11, n_r=11)
+        assert _config("mmse", n_t=11, n_r=11).n_t == 11
 
 
 class TestResolve:
@@ -209,6 +224,20 @@ class TestRunBerPoint:
         assert rec.ber == rec.bit_errors / (rec.trials * cfg.bits_per_vector)
         assert rec.ci95_halfwidth > 0
         assert rec.flops_per_subcarrier > 0
+
+    def test_zero_budget_hybrid_costs_its_seed(self):
+        # a seeded zero-budget run is its linear decision, and it runs
+        # nothing else, so it costs exactly its seed's flops
+        cfg = SimulationConfig(
+            detectors=(DetectorConfig("mmse"), DetectorConfig("pso-mmse", iters=0),
+                       DetectorConfig("de-mmse", iters=0), DetectorConfig("mf"),
+                       DetectorConfig("pso-mf", iters=0), DetectorConfig("de-mf", iters=0)),
+            rho_list=(0.5,), ebn0_db_list=(8.0,), **dict(QUICK, max_trials=64))
+        recs = {r.detector: r for r in run_sweep(cfg)}
+        for hybrid in ("PSO-MMSE", "DE-MMSE", "PSO-MF", "DE-MF"):
+            seed = recs[hybrid.split("-")[1]]
+            assert recs[hybrid].flops_per_subcarrier == seed.flops_per_subcarrier
+            assert recs[hybrid].bit_errors == seed.bit_errors
 
     def test_full_correlation_zf_counts_erasures(self):
         # rho = 1 gives a rank-one channel; ZF fails on every subcarrier and

@@ -93,8 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complexity", help="flop formulas over antenna counts")
     p.add_argument("--nt-max", type=_int_at_least(2), default=256)
     p.add_argument("--pop-factor", type=_positive_int, default=5)
-    p.add_argument("--iters", type=_positive_int, default=50)
-    p.add_argument("--iters-hybrid", type=_positive_int, default=15)
+    p.add_argument("--iters", type=_nonnegative_int, default=50)
+    p.add_argument("--iters-hybrid", type=_nonnegative_int, default=15)
     p.add_argument("--m-order", type=int, default=4)
     p.add_argument("--out", default=None)
 

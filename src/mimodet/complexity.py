@@ -33,8 +33,9 @@ fitness_evals) with costs from the table above, and c (a FlopCounter) sums
 them; outside a block a charge adds nothing. I = 0 is a valid budget, and
 a zero-budget hybrid costs exactly its seed. Measured counts also hold a
 heuristic's n_pop initial evaluations, which the closed form leaves out.
-ML is measured at the M^n_t candidates it scores, 38 656 flops at 4x4
-4-QAM; the closed form counts M^(2 n_t), 9 895 936.
+ML is measured at the M^n_t candidates it scores, one fitness evaluation
+each and not the arithmetic of the matrix product that scores them,
+38 656 flops at 4x4 4-QAM; the closed form counts M^(2 n_t), 9 895 936.
 """
 
 from __future__ import annotations

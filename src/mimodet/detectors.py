@@ -11,20 +11,39 @@ detectors return the soft estimate; ofdm.demap_symbols, the only slicer,
 turns it into bits, sending an estimate equidistant from several points
 to the first of them in `Constellation.points`. The MF output is
 deliberately not column-normalized: quadrant slicing of square QAM is
-scale-invariant per real axis. ML detection enumerates every candidate
-symbol vector and minimizes ||y - H x||^2.
+scale-invariant per real axis.
+
+ML detection (ml_detect) enumerates every candidate symbol vector and
+minimizes ||y - H c||^2, for a whole stack of systems at once. It scores
+in the real domain (realdomain.realify) with G = H_r^T H_r and
+b = H_r^T y_r per system: c^T G c - 2 b^T c equals ||y - H c||^2 - ||y||^2,
+and it is the dot product of the system's coefficient row
+[G_kk, 2 G_kl (k < l), -2 b_k] with the candidate's monomial column
+[c_k^2, c_k c_l, c_k] (44 entries at 4x4). So one (n_sys x K) @ (K x block)
+matrix product scores every system against a block of ML_BLOCK candidates,
+and a running argmin over the blocks lets a later block win only on a
+strictly smaller score: ties go to the lowest candidate index of
+candidate_matrix. A system with a non-finite coefficient gets candidate 0.
+The flop ledger charges each system M^n_t fitness evaluations, the model
+count of the search, not the arithmetic of the matrix product.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .complexity import charge, fitness_eval_flops, flops_primitive
 from .linalg import invert_hermitian
 from .ofdm import Constellation
+from .realdomain import realify
 
 # Refuse ML searches beyond this many candidates.
 ML_CANDIDATE_LIMIT = 1 << 20
+# Candidates ml_detect scores per matrix product; bounds its temporaries
+# at n_sys x ML_BLOCK scores up to ML_CANDIDATE_LIMIT.
+ML_BLOCK = 4096
 
 
 def linear_weights(kind: str, hs: np.ndarray, n0_over_es: float) -> tuple[np.ndarray, np.ndarray]:
@@ -80,8 +99,8 @@ def candidate_matrix(constellation: Constellation, n_tx: int) -> np.ndarray:
     """All M**n_tx candidate vectors as columns, lexicographic by point index.
 
     Column c holds the candidate whose antenna-i point index is digit i of
-    c in base M, most significant digit first, so np.argmin over columns
-    breaks ties toward the lexicographically smallest candidate.
+    c in base M, most significant digit first, so ml_detect, which breaks
+    ties toward the lowest column, picks the lexicographically smallest.
     """
     m = constellation.order
     total = m ** n_tx
@@ -100,13 +119,53 @@ def candidate_matrix(constellation: Constellation, n_tx: int) -> np.ndarray:
     return cached
 
 
+@functools.cache  # np.triu_indices costs more than a 256-candidate block's scoring
+def _pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (k, l), k < l, of a dim-dimensional real vector, read-only."""
+    iu, ju = np.triu_indices(dim, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
+def _monomials(c: np.ndarray) -> np.ndarray:
+    """Monomial columns [c_k^2; c_k c_l (k < l); c_k] of real candidates c (dim, k)."""
+    iu, ju = _pairs(c.shape[0])
+    return np.concatenate([c * c, c[iu] * c[ju], c])
+
+
 def ml_detect(h: np.ndarray, y: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Exhaustive minimum-distance detection over all symbol vectors."""
+    """Exhaustive minimum-distance detection over all symbol vectors.
+
+    h is (..., n_r, n_t) and y (..., n_r), with the same leading axes; the
+    result is the (..., n_t) stack of decisions, scored as the module
+    docstring describes.
+    """
     h = np.asarray(h)
     y = np.asarray(y)
-    n_rx, n_tx = h.shape
+    n_rx, n_tx = h.shape[-2:]
     cands = candidate_matrix(constellation, n_tx)
-    dist = np.abs(y[:, None] - h @ cands) ** 2
-    charge(cands.shape[1] * fitness_eval_flops(n_tx, n_rx), cands.shape[1])
-    best = int(np.argmin(dist.sum(axis=0)))
-    return cands[:, best].copy()
+    total = cands.shape[1]
+    real = realify(h, y)
+    ht = np.swapaxes(real.h, -1, -2)
+    g = ht @ real.h
+    b = (ht @ real.y[..., None])[..., 0]
+    iu, ju = _pairs(real.dim)
+    coef = np.concatenate([np.diagonal(g, axis1=-2, axis2=-1), 2 * g[..., iu, ju], -2 * b],
+                          axis=-1)
+    batch = coef.shape[:-1]
+    coef = coef.reshape(-1, coef.shape[-1])
+    n_sys = coef.shape[0]
+    charge(n_sys * total * fitness_eval_flops(n_tx, n_rx), n_sys * total)
+    rows = np.arange(n_sys)
+    best = np.zeros(n_sys, dtype=np.intp)
+    best_score = np.full(n_sys, np.inf)
+    for start in range(0, total, ML_BLOCK):
+        block = cands[:, start:start + ML_BLOCK]
+        scores = coef @ _monomials(np.concatenate([block.real, block.imag]))
+        idx = np.argmin(scores, axis=1)
+        score = scores[rows, idx]
+        win = score < best_score  # strictly: an equal later score keeps the earlier index
+        best[win] = idx[win] + start
+        best_score[win] = score[win]
+    best[~np.isfinite(coef).all(axis=1)] = 0
+    return cands[:, best].T.reshape(batch + (n_tx,))

@@ -384,8 +384,7 @@ def _detect_frame(res: ResolvedDetector, config: SimulationConfig,
     heuristic, linear = DETECTORS[res.kind]
     n_sc = hs.shape[0]
     if heuristic is None and linear is None:  # ML
-        out = np.stack([ml_detect(hs[n], ys[n], const) for n in range(n_sc)])
-        return {None: out}, np.zeros(n_sc, dtype=bool), None
+        return {None: ml_detect(hs, ys, const)}, np.zeros(n_sc, dtype=bool), None
     if linear is not None:
         if linear not in shared:
             w, failed = linear_weights(linear, hs, noise.sigma2)

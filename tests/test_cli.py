@@ -3,6 +3,7 @@ import json
 import pytest
 
 from mimodet.cli import EXIT_CONFIG, EXIT_OK, cli_main
+from mimodet.complexity import DETECTORS, FlopFormulaInput, flops_detector
 
 BASE_CONFIG = {
     "n_t": 4, "n_r": 4, "n_subcarriers": 64, "m_order": 4,
@@ -119,6 +120,24 @@ class TestComplexityCommand:
         assert cli_main(["complexity", "--nt-max", "4", "--out", str(out)]) == EXIT_OK
         assert out.read_text().startswith("n_t,detector,flops")
 
+    @pytest.mark.parametrize("flag, hybrids_zeroed", [("--iters", False),
+                                                      ("--iters-hybrid", True)])
+    def test_zero_budget_rows(self, capsys, flag, hybrids_zeroed):
+        assert cli_main(["complexity", "--nt-max", "4", flag, "0"]) == EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        flops = {(int(n_t), kind): float(value) for n_t, kind, value in rows}
+        for (n_t, kind), value in flops.items():
+            heuristic, linear = DETECTORS[kind.lower()]
+            hybrid = bool(heuristic and linear)
+            iters = 0 if hybrid == hybrids_zeroed else (15 if hybrid else 50)
+            inp = FlopFormulaInput(n_t, n_t, n_pop=10 * n_t, iters=iters)
+            assert value == float(flops_detector(kind, inp))
+        for n_t in (2, 4):
+            if hybrids_zeroed:  # a zero-budget hybrid costs its seed
+                assert flops[n_t, "PSO-MMSE"] == flops[n_t, "DE-MMSE"] == flops[n_t, "MMSE"]
+            else:
+                assert flops[n_t, "PSO"] == flops[n_t, "DE"] == 0.0
+
 
 class TestCalibrateCommand:
     def test_smoke(self, config_path, tmp_path):
@@ -218,8 +237,8 @@ class TestArgumentErrors:
     @pytest.mark.parametrize("argv", [
         ["complexity", "--nt-max", "0"],
         ["complexity", "--pop-factor", "0"],
-        ["complexity", "--iters", "0"],
-        ["complexity", "--iters-hybrid", "0"],
+        ["complexity", "--iters", "-1"],
+        ["complexity", "--iters-hybrid", "-1"],
         ["complexity", "--m-order", "6"],
         ["validate-channel", "--samples", "0"],
         ["complexity", "--nt-max", "1"],

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mimodet.complexity import FlopFormulaInput, counting, flops_detector
+from mimodet.complexity import FlopFormulaInput, counting, fitness_eval_flops, flops_detector
 from mimodet.detectors import apply_equalizer, candidate_matrix, linear_weights, ml_detect
 from mimodet.linalg import draw_standard_complex_gaussian
 from mimodet.ofdm import demap_symbols, square_qam
@@ -178,3 +180,82 @@ class TestMlDetect:
         assert np.array_equal(c[:, 0], [CONST.points[0], CONST.points[0]])
         assert np.array_equal(c[:, 1], [CONST.points[0], CONST.points[1]])
         assert np.array_equal(c[:, 4], [CONST.points[1], CONST.points[0]])
+
+
+def _residual_oracle(h, y, const):
+    """argmin ||y - H c||^2 over candidate_matrix, one system at a time."""
+    cands = candidate_matrix(const, h.shape[-1])
+    flat_h = h.reshape((-1,) + h.shape[-2:])
+    flat_y = y.reshape((-1, y.shape[-1]))
+    best = [np.argmin(np.sum(np.abs(yy[:, None] - hh @ cands) ** 2, axis=0))
+            for hh, yy in zip(flat_h, flat_y)]
+    return cands[:, best].T.reshape(y.shape[:-1] + (h.shape[-1],))
+
+
+def _stack(seed, batch, n, const, sigma):
+    rng = RngStream(seed)
+    count = int(np.prod(batch, dtype=int))
+    h = draw_standard_complex_gaussian(rng.substream(0), n, n, count=count)
+    x = const.points[rng.substream(1).integers(0, const.order, (count, n))]
+    z = sigma * draw_standard_complex_gaussian(rng.substream(2), count, n)
+    y = np.einsum("brt,bt->br", h, x) + z
+    return h.reshape(batch + (n, n)), y.reshape(batch + (n,))
+
+
+class TestMlStack:
+    """ml_detect on stacks of systems, against per-system calls and the
+    direct residual."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.just(()), st.tuples(st.integers(1, 6)),
+                     st.tuples(st.integers(1, 3), st.integers(1, 3))),
+           st.integers(1, 3), st.sampled_from([4, 16]), st.sampled_from([0.0, 0.2, 0.6, 1.2]),
+           st.integers(0, 2**32 - 1))
+    def test_stack_matches_single_calls_and_oracle(self, batch, n, m, sigma, seed):
+        const = square_qam(m)
+        h, y = _stack(seed, batch, n, const, sigma)
+        got = ml_detect(h, y, const)
+        assert got.shape == batch + (n,)
+        assert np.array_equal(got, _residual_oracle(h, y, const))
+        for idx in np.ndindex(*batch):
+            assert np.array_equal(got[idx], ml_detect(h[idx], y[idx], const))
+
+    def test_16qam_4x4_spans_blocks(self):
+        # 65 536 candidates; the noiseless system sends the last of them
+        const = square_qam(16)
+        h, y = _stack(5, (6,), 4, const, 0.6)
+        last = candidate_matrix(const, 4)[:, -1]
+        y[0] = h[0] @ last
+        got = ml_detect(h, y, const)
+        assert np.array_equal(got[0], last)
+        assert np.array_equal(got, _residual_oracle(h, y, const))
+
+    def test_tie_across_blocks_keeps_the_first(self):
+        # y = 0 with H = I ties the 256 candidates of least energy; at
+        # 16-QAM 4x4 they lie in four of the 4096-candidate blocks
+        const = square_qam(16)
+        got = ml_detect(np.eye(4, dtype=complex), np.zeros(4, dtype=complex), const)
+        cands = candidate_matrix(const, 4)
+        assert np.array_equal(got, cands[:, np.argmin(np.sum(np.abs(cands) ** 2, axis=0))])
+
+    @pytest.mark.parametrize("entry", ["h", "y"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_system_gets_candidate_zero(self, entry, value):
+        h, y = _stack(6, (5,), 4, CONST, 0.3)
+        clean = ml_detect(h, y, CONST)
+        if entry == "h":
+            h[2, 1, 3] = value
+        else:
+            y[2, 1] = value
+        with np.errstate(invalid="ignore"):
+            got = ml_detect(h, y, CONST)
+        assert np.array_equal(got[2], candidate_matrix(CONST, 4)[:, 0])
+        keep = [0, 1, 3, 4]
+        assert np.array_equal(got[keep], clean[keep])
+
+    def test_stack_charges_every_system(self):
+        h, y = _stack(7, (7,), 4, CONST, 0.3)
+        with counting() as counter:
+            ml_detect(h, y, CONST)
+        assert counter.fitness_evals == 7 * 256
+        assert counter.flops == 7 * 256 * fitness_eval_flops(4, 4) == 7 * 38_656

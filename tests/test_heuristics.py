@@ -185,7 +185,7 @@ class TestPsoDetect:
         sys = realify(h, y)
         params = PsoParams(c1=2, c2=2, w0=1.0, n_pop=40, iters=300)
         run = run_heuristic(rng.substream("pso"), sys, params, None)
-        ml = np.stack([ml_detect(h[b], y[b], CONST) for b in range(1000)])
+        ml = ml_detect(h, y, CONST)
         hit = _decided(run.estimate, ml).mean()
         assert hit >= 0.99
 
@@ -304,7 +304,7 @@ class TestDeOperators:
         sys = realify(h, y)
         params = DeParams(0.6, 0.6, n_pop=40, iters=300)
         run = run_heuristic(rng.substream("de"), sys, params, None)
-        ml = np.stack([ml_detect(h[b], y[b], CONST) for b in range(1000)])
+        ml = ml_detect(h, y, CONST)
         hit = _decided(run.estimate, ml).mean()
         assert hit >= 0.99
 

@@ -52,8 +52,12 @@ def linear_weights(kind: str, hs: np.ndarray, n0_over_es: float) -> tuple[np.nda
 
     Returns (w, failed). ZF and MMSE flag every system whose Gram matrix
     linalg.invert_hermitian rejects, and return zero W for it; callers
-    count such a vector as a detection erasure. MF never fails, and the
-    Hermitian itself costs no flops.
+    count such a vector as a detection erasure. The rule is the exact
+    eigenvalue test lambda_min / lambda_max <= RCOND_FLOOR, but a Gram
+    whose inverse bounds its condition number below CERTIFIED_COND skips
+    it; a frame with an exactly singular Gram sends every finite Gram to
+    the exact test. MF never fails, and the Hermitian itself costs no
+    flops.
     """
     if kind not in ("mf", "zf", "mmse"):
         raise ValueError(f"unknown linear detector {kind!r}")

@@ -3,6 +3,11 @@
 Matrices are plain numpy arrays (complex128 / float64). The functions here
 add the contracts the simulator relies on: batched inversion that flags
 singular matrices, a PSD-safe square root, and seeded Gaussian matrix draws.
+
+The singularity test of invert_hermitian is the exact eigenvalue rule
+lambda_min / lambda_max <= RCOND_FLOOR, but it runs eigvalsh only where it
+has to: a system whose inverse already proves it far from that floor, by
+the infinity-norm bound on its condition number, skips it.
 """
 
 from __future__ import annotations
@@ -15,6 +20,12 @@ from .rng import RngStream
 # singular in double precision.
 RCOND_FLOOR = 1e-12
 
+# A system whose bound ||A||_inf ||A^-1||_inf on its 2-norm condition number
+# (valid for Hermitian A) is below this is certified non-singular without
+# eigvalsh. The 1e3 margin covers the computed inverse's rounding error,
+# about kappa * n * eps, and eigvalsh reading only the lower triangle.
+CERTIFIED_COND = 1e-3 / RCOND_FLOOR
+
 # Eigenvalues of a nominally PSD matrix may round slightly negative; anything
 # below this is treated as genuinely indefinite.
 PSD_EIG_FLOOR = -1e-10
@@ -25,29 +36,53 @@ class SingularMatrixError(ValueError):
     mimodet raises it; invert_hermitian flags singular matrices instead."""
 
 
+def _inf_norm(x: np.ndarray) -> np.ndarray:
+    return np.abs(x).sum(axis=-1).max(axis=-1)
+
+
 def invert_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Invert a stack of Hermitian matrices (..., q, q) with one solve.
+    """Invert a stack of Hermitian matrices (..., q, q) with one batched
+    inverse.
 
     Returns (inv, failed). A matrix is flagged in `failed` when it holds a
     non-finite entry or its exact 2-norm reciprocal condition number,
     min |eigenvalue| / max |eigenvalue|, is not above RCOND_FLOOR; its
     inverse is returned as zeros. Callers must treat a flag as "this
-    subcarrier is erased", never as a zero result. Flagged matrices are
-    replaced by I before the solve, because a stacked solve raises for the
-    whole stack if a single matrix in it is singular.
+    subcarrier is erased", never as a zero result.
+
+    The stack is inverted first, with every non-finite matrix replaced by
+    I. A system whose bound ||A||_inf ||A^-1||_inf is below CERTIFIED_COND
+    is certified and skips the eigenvalue rule; only the rest, including
+    any whose bound is NaN or inf, go through eigvalsh. The bound never
+    flags a system, so the rule itself is unchanged. If some matrix has an
+    exactly singular pivot, the stacked inverse raises for the whole
+    stack: then every finite system gets the eigenvalue rule and the stack
+    is inverted again with the flagged ones replaced by I. Each system's
+    inverse depends on that system alone, so either path returns the same
+    bytes.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
-    eye = np.eye(a.shape[-1], dtype=complex)
-    failed = ~np.isfinite(a).all(axis=(-2, -1))
-    safe = np.where(failed[..., None, None], eye, a)
-    lam = np.abs(np.linalg.eigvalsh(safe))
-    failed |= lam.min(axis=-1) <= RCOND_FLOOR * lam.max(axis=-1)
-    inv = np.linalg.solve(np.where(failed[..., None, None], eye, a),
-                          np.broadcast_to(eye, a.shape))
+    q = a.shape[-1]
+    stack = a.reshape(-1, q, q)
+    eye = np.eye(q, dtype=complex)
+    failed = ~np.isfinite(stack).all(axis=(1, 2))
+    safe = np.where(failed[:, None, None], eye, stack)
+    try:
+        inv = np.linalg.inv(safe)
+    except np.linalg.LinAlgError:
+        inv = None
+        unproven = ~failed
+    else:
+        unproven = ~failed & ~(_inf_norm(safe) * _inf_norm(inv) < CERTIFIED_COND)
+    if unproven.any():
+        lam = np.abs(np.linalg.eigvalsh(safe[unproven]))
+        failed[unproven] = lam.min(axis=-1) <= RCOND_FLOOR * lam.max(axis=-1)
+    if inv is None:
+        inv = np.linalg.inv(np.where(failed[:, None, None], eye, safe))
     inv[failed] = 0.0
-    return inv, failed
+    return inv.reshape(a.shape), failed.reshape(a.shape[:-2])
 
 
 def psd_sqrt(r: np.ndarray) -> np.ndarray:

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mimodet.linalg import draw_standard_complex_gaussian, invert_hermitian, psd_sqrt
+from mimodet.channel import CorrelationSpec, generate_channel
+from mimodet.detectors import linear_weights
+from mimodet.linalg import (RCOND_FLOOR, draw_standard_complex_gaussian, invert_hermitian,
+                            psd_sqrt)
 from mimodet.rng import RngStream
 
 
@@ -9,7 +14,59 @@ def _random_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-class TestInvertLu:
+def _oracle_invert(a):
+    """The erasure rule without certification: eigvalsh on every finite
+    system, then one stacked solve with every flagged system replaced by I."""
+    a = np.asarray(a, dtype=complex)
+    eye = np.eye(a.shape[-1], dtype=complex)
+    failed = ~np.isfinite(a).all(axis=(-2, -1))
+    safe = np.where(failed[..., None, None], eye, a)
+    lam = np.abs(np.linalg.eigvalsh(safe))
+    failed |= lam.min(axis=-1) <= RCOND_FLOOR * lam.max(axis=-1)
+    inv = np.linalg.solve(np.where(failed[..., None, None], eye, a),
+                          np.broadcast_to(eye, a.shape))
+    inv[failed] = 0.0
+    return inv, failed
+
+
+def _hermitian(kind, q, rng):
+    x = _random_complex(rng, q, q)
+    if kind == "gram":
+        return x @ x.conj().T + 0.01 * np.eye(q)
+    if kind == "indefinite":
+        return x + x.conj().T
+    if kind == "diagonal_edge":
+        # rcond 1e-12 exactly, or 0.1% either side of it
+        d = rng.uniform(1.0, 2.0, q) * rng.choice([-1.0, 1.0], q)
+        d[rng.integers(q)] = (rng.choice([-1.0, 1.0]) * np.abs(d).max() * RCOND_FLOOR
+                              * rng.choice([1.0 - 1e-3, 1.0, 1.0 + 1e-3]))
+        return np.diag(d).astype(complex)
+    if kind == "zero":
+        return np.zeros((q, q), dtype=complex)
+    if kind == "rank_one":
+        # unit-modulus entries keep v v^H and its elimination exact, so
+        # a stacked inverse meets an exactly zero pivot
+        v = rng.choice([1.0, -1.0, 1j, -1j], q)
+        return np.outer(v, v.conj())
+    h = x + x.conj().T  # "non_finite"
+    h[rng.integers(q), rng.integers(q)] = rng.choice([np.nan, np.inf, -np.inf])
+    return h
+
+
+@st.composite
+def _hermitian_stacks(draw):
+    batch = draw(st.one_of(st.just(()), st.tuples(st.integers(1, 6)),
+                           st.tuples(st.integers(1, 3), st.integers(1, 3))))
+    q = draw(st.integers(1, 6))
+    count = int(np.prod(batch, dtype=int))
+    kinds = draw(st.lists(st.sampled_from(["gram", "indefinite", "diagonal_edge", "zero",
+                                           "rank_one", "non_finite"]),
+                          min_size=count, max_size=count))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.stack([_hermitian(kind, q, rng) for kind in kinds]).reshape(batch + (q, q))
+
+
+class TestInvertHermitian:
     def test_scaled_identity(self):
         assert np.allclose(invert_hermitian(2.0 * np.eye(4))[0], 0.5 * np.eye(4))
 
@@ -24,12 +81,12 @@ class TestInvertLu:
         assert not failed
         assert np.max(np.abs(a @ inv - np.eye(4))) < 1e-9
 
-    def test_singular_raises(self):
+    def test_singular_flagged(self):
         a = np.ones((3, 3), dtype=complex)
         inv, failed = invert_hermitian(a)
         assert failed and not inv.any()
 
-    def test_ill_conditioned_raises(self):
+    def test_ill_conditioned_flagged(self):
         a = np.diag([1.0, 1e-14]).astype(complex)
         inv, failed = invert_hermitian(a)
         assert failed and not inv.any()
@@ -54,6 +111,38 @@ class TestInvertLu:
         assert not inv[failed].any()
         for k in np.flatnonzero(~failed):
             assert np.max(np.abs(stack[k] @ inv[k] - np.eye(4))) < 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(_hermitian_stacks())
+    def test_matches_oracle_bit_for_bit(self, a):
+        inv, failed = invert_hermitian(a)
+        want_inv, want_failed = _oracle_invert(a)
+        assert inv.shape == want_inv.shape and np.shape(failed) == np.shape(want_failed)
+        assert inv.tobytes() == want_inv.tobytes()
+        assert np.array_equal(failed, want_failed)
+
+    def test_noiseless_rank_one_zf_matches_oracle(self):
+        # rho = 1: every channel is rank one, and the stacked inverse of the
+        # Grams hits an exactly singular pivot, so every system gets eigvalsh
+        hs = generate_channel(RngStream(3), CorrelationSpec(rho=1.0, n_antennas=4), 64)
+        hh = np.conj(np.swapaxes(hs, -1, -2))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(hh @ hs)
+        w, failed = linear_weights("zf", hs, 0)
+        want_inv, want_failed = _oracle_invert(hh @ hs)
+        want_w = want_inv @ hh
+        want_w[want_failed] = 0.0
+        assert failed.all() and np.array_equal(failed, want_failed)
+        assert w.tobytes() == want_w.tobytes()
+
+    def test_well_conditioned_stack_skips_eigvalsh(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("eigvalsh called on a certified stack")
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        stack = np.stack([_hermitian("gram", 4, np.random.default_rng(k)) for k in range(8)])
+        inv, failed = invert_hermitian(stack)
+        assert not failed.any()
+        assert np.max(np.abs(stack @ inv - np.eye(4))) < 1e-9
 
 
 class TestPsdSqrt:

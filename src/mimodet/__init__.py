@@ -23,7 +23,7 @@ from .complexity import (
     flops_detector,
     flops_primitive,
 )
-from .detectors import apply_equalizer, linear_weights, ml_detect
+from .detectors import apply_equalizer, linear_stage, linear_weights, ml_detect
 from .heuristics import (
     DeParams,
     PopulationState,

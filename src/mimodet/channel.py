@@ -81,8 +81,10 @@ def generate_channel(rng: RngStream, spec: CorrelationSpec, n_subcarriers: int,
     """Draw independent correlated channel matrices, one per subcarrier.
 
     Returns the (n_subcarriers, n_r, n_t) stack. With rho = 0 it is exactly
-    the raw Gaussian draw G[n]. A precomputed correlation square root may
-    be passed to skip the eigendecomposition in tight Monte Carlo loops.
+    the raw Gaussian draw G[n]; otherwise it is the matrix product
+    sqrt(R) (G[n] sqrt(R)), whose rounding is part of the seeded outputs.
+    A precomputed correlation square root may be passed to skip the
+    eigendecomposition in tight Monte Carlo loops.
     """
     if n_subcarriers < 1:
         raise ValueError("n_subcarriers must be >= 1")
@@ -93,7 +95,7 @@ def generate_channel(rng: RngStream, spec: CorrelationSpec, n_subcarriers: int,
     if sqrt_r is None:
         sqrt_r = correlation_sqrt(spec)
     # sqrt_r is real symmetric, so sqrt(R_t)^H == sqrt_r.
-    return np.einsum("ij,njk,kl->nil", sqrt_r, g, sqrt_r)
+    return sqrt_r @ (g @ sqrt_r)
 
 
 def generate_pdp_channel(rng: RngStream, spec: CorrelationSpec, pdp: PdpSpec,

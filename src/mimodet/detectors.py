@@ -6,7 +6,10 @@ Linear detection is x_soft = W y with
     ZF:   W = (H^H H)^-1 H^H
     MMSE: W = (H^H H + (N0/Es) I)^-1 H^H
 
-computed for a whole stack of channels at once (linear_weights). The
+computed for a whole stack of channels at once. linear_stage computes
+every linear kind a frame needs in one pass: one H^H, one Gram, and one
+stacked inverse for ZF and MMSE together; linear_weights is its one-kind
+form. The flop ledger still charges each kind its own model count. The
 detectors return the soft estimate; ofdm.demap_symbols, the only slicer,
 turns it into bits, sending an estimate equidistant from several points
 to the first of them in `Constellation.points`. The MF output is
@@ -46,41 +49,68 @@ ML_CANDIDATE_LIMIT = 1 << 20
 ML_BLOCK = 4096
 
 
-def linear_weights(kind: str, hs: np.ndarray, n0_over_es: float) -> tuple[np.ndarray, np.ndarray]:
-    """Equalizer stack W (..., n_t, n_r) of "mf", "zf" or "mmse" for the
-    channel stack hs (..., n_r, n_t); n0_over_es is read by MMSE only.
+# The kinds linear_stage computes.
+LINEAR_KINDS = ("mf", "zf", "mmse")
 
-    Returns (w, failed). ZF and MMSE flag every system whose Gram matrix
+
+def linear_stage(kinds, hs: np.ndarray, n0_over_es: float) -> dict:
+    """Equalizer stacks W (..., n_t, n_r) of the linear kinds `kinds`
+    ("mf", "zf", "mmse") for the channel stack hs (..., n_r, n_t), as
+    {kind: (w, failed)}; n0_over_es is read by MMSE only.
+
+    H^H and the Gram H^H H are formed once, and the ZF and MMSE Grams are
+    inverted in one invert_hermitian call and multiplied by H^H in one
+    product. Each system's result depends on that system and kind alone,
+    so the stage returns the bytes a single-kind call does. MF's W is H^H
+    itself, never copied into a stack: apply_equalizer's rounding depends
+    on its layout.
+
+    ZF and MMSE flag every system whose Gram matrix
     linalg.invert_hermitian rejects, and return zero W for it; callers
     count such a vector as a detection erasure. The rule is the exact
     eigenvalue test lambda_min / lambda_max <= RCOND_FLOOR, but a Gram
     whose inverse bounds its condition number below CERTIFIED_COND skips
-    it; a frame with an exactly singular Gram sends every finite Gram to
-    the exact test. MF never fails, and the Hermitian itself costs no
-    flops.
+    it; a stack with an exactly singular Gram, ZF or MMSE, sends every
+    finite Gram of both kinds to the exact test. MF never fails, and the
+    Hermitian itself costs no flops. The flop ledger charges each kind
+    its model count per system, as if it ran alone: the shared Gram earns
+    no credit.
     """
-    if kind not in ("mf", "zf", "mmse"):
-        raise ValueError(f"unknown linear detector {kind!r}")
+    unknown = [kind for kind in kinds if kind not in LINEAR_KINDS]
+    if unknown:
+        raise ValueError(f"unknown linear detector {unknown[0]!r}")
     hs = np.asarray(hs)
     hh = np.conj(np.swapaxes(hs, -1, -2))
-    if kind == "mf":
-        return hh, np.zeros(hs.shape[:-2], dtype=bool)
-    if kind == "mmse" and n0_over_es < 0:
+    out = {}
+    if "mf" in kinds:
+        out["mf"] = hh, np.zeros(hs.shape[:-2], dtype=bool)
+    inverted = [kind for kind in ("zf", "mmse") if kind in kinds]
+    if not inverted:
+        return out
+    if "mmse" in inverted and n0_over_es < 0:
         raise ValueError("n0_over_es must be >= 0")
     n_rx, n_tx = hs.shape[-2:]
-    gram = hh @ hs
-    if kind == "mmse":
-        gram = gram + n0_over_es * np.eye(n_tx)
-    inv, failed = invert_hermitian(gram)
+    with np.errstate(invalid="ignore"):  # a non-finite H is flagged below
+        gram = hh @ hs
+    grams = [gram + n0_over_es * np.eye(n_tx) if kind == "mmse" else gram
+             for kind in inverted]
+    inv, failed = invert_hermitian(np.stack(grams))
+    with np.errstate(invalid="ignore"):  # 0 * inf on the flagged systems
+        w = inv @ hh
+    w[failed] = 0.0  # also where a non-finite H would leave 0 * inf
     per_system = (flops_primitive("matmat", m=2 * n_tx, p=2 * n_tx, q=2 * n_rx)
                   + flops_primitive("lu_inversion", q=2 * n_tx)
                   + flops_primitive("matmat", m=2 * n_tx, p=2 * n_rx, q=2 * n_tx))
-    if kind == "mmse":
-        per_system += 4 * n_tx * n_tx + 2 * n_tx  # regularizer scale + add
-    charge(failed.size * per_system)
-    w = inv @ hh
-    w[failed] = 0.0  # also where a non-finite H would leave 0 * inf
-    return w, failed
+    for k, kind in enumerate(inverted):
+        cost = per_system + (4 * n_tx * n_tx + 2 * n_tx if kind == "mmse" else 0)  # regularizer
+        charge(failed[k].size * cost)
+        out[kind] = w[k], failed[k, ...]
+    return out
+
+
+def linear_weights(kind: str, hs: np.ndarray, n0_over_es: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (w, failed) pair of one linear kind: linear_stage((kind,), ...)."""
+    return linear_stage((kind,), hs, n0_over_es)[kind]
 
 
 def apply_equalizer(w: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -97,6 +127,9 @@ def apply_equalizer(w: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 _candidate_cache: dict[tuple, np.ndarray] = {}
+# Monomial matrices of searches that fit one ML_BLOCK, by candidate key;
+# a larger search rebuilds its blocks, so it never holds more than one.
+_monomial_cache: dict[tuple, np.ndarray] = {}
 
 
 def candidate_matrix(constellation: Constellation, n_tx: int) -> np.ndarray:
@@ -137,6 +170,23 @@ def _monomials(c: np.ndarray) -> np.ndarray:
     return np.concatenate([c * c, c[iu] * c[ju], c])
 
 
+def _block_monomials(constellation: Constellation, n_tx: int, start: int) -> np.ndarray:
+    """Monomial columns of candidate_matrix's block [start, start + ML_BLOCK)
+    in the real domain; cached, read-only, when that block is the whole
+    search."""
+    key = (n_tx, constellation.points.tobytes())
+    cached = _monomial_cache.get(key)
+    if cached is not None:
+        return cached
+    cands = candidate_matrix(constellation, n_tx)
+    block = cands[:, start:start + ML_BLOCK]
+    mono = _monomials(np.concatenate([block.real, block.imag]))
+    if cands.shape[1] <= ML_BLOCK:
+        mono.flags.writeable = False
+        _monomial_cache[key] = mono
+    return mono
+
+
 def ml_detect(h: np.ndarray, y: np.ndarray, constellation: Constellation) -> np.ndarray:
     """Exhaustive minimum-distance detection over all symbol vectors.
 
@@ -164,8 +214,7 @@ def ml_detect(h: np.ndarray, y: np.ndarray, constellation: Constellation) -> np.
     best = np.zeros(n_sys, dtype=np.intp)
     best_score = np.full(n_sys, np.inf)
     for start in range(0, total, ML_BLOCK):
-        block = cands[:, start:start + ML_BLOCK]
-        scores = coef @ _monomials(np.concatenate([block.real, block.imag]))
+        scores = coef @ _block_monomials(constellation, n_tx, start)
         idx = np.argmin(scores, axis=1)
         score = scores[rows, idx]
         win = score < best_score  # strictly: an equal later score keeps the earlier index

@@ -16,7 +16,10 @@ a given operating point sees identical channels, bits and noise. That
 makes cross-detector BER comparisons paired, which is how the ordering
 and refinement experiments get their statistical power. It also lets all
 detectors of a point share one frame loop: each frame is drawn once, and
-each linear stage runs once for the bare detector and its hybrids.
+one linear stage (detectors.linear_stage) computes every linear kind the
+point's active detectors need, MF, ZF and MMSE together, for the bare
+detectors and their hybrids. The flop ledger still charges each linear
+kind its own model count.
 Results are reduced by summation over frames, so totals do not depend on
 worker count or scheduling.
 
@@ -60,7 +63,7 @@ import numpy as np
 from . import complexity
 from .channel import CorrelationSpec, add_awgn, correlation_sqrt, generate_channel
 from .complexity import DETECTORS
-from .detectors import ML_CANDIDATE_LIMIT, apply_equalizer, linear_weights, ml_detect
+from .detectors import ML_CANDIDATE_LIMIT, apply_equalizer, linear_stage, ml_detect
 from .heuristics import DeParams, PsoParams, check_integers, run_heuristic
 from .ofdm import Constellation, NoiseSpec, demap_symbols, is_square_qam, map_bits, square_qam
 from .realdomain import realify, realify_vec
@@ -194,8 +197,15 @@ class ResolvedDetector:
 
 
 def resolve_detector(det: DetectorConfig, rho: float) -> ResolvedDetector:
-    """Bind calibrated defaults for this correlation index."""
+    """Bind calibrated defaults for this correlation index.
+
+    ML is rejected at rho = 1: every channel is then rank one, so many
+    candidates tie exactly and the pick among them is decided by rounding.
+    """
     heuristic, linear = DETECTORS[det.kind]
+    if det.kind == "ml" and rho == 1.0:
+        raise ConfigError("detector ML at rho = 1: every channel is rank one, so candidates "
+                          "tie exactly and rounding picks among them")
     if heuristic is None:
         return ResolvedDetector(det.label, det.kind)
     cls, table = HEURISTICS[heuristic]
@@ -370,33 +380,26 @@ def _frame_channel_and_rx(config: SimulationConfig, const: Constellation,
 
 
 def _detect_frame(res: ResolvedDetector, config: SimulationConfig,
-                  const: Constellation, hs, ys, noise: NoiseSpec,
-                  det_rng: RngStream | None, checkpoints, shared: dict):
+                  const: Constellation, hs, ys, det_rng: RngStream | None,
+                  checkpoints, linear):
     """Estimates for one frame.
 
     Returns (grids dict, failed mask, trace or None). The grids dict maps
     checkpoint -> (n_sc, n_t) grid, which demap_symbols slices; key None
     is the final output. Only the heuristics have a fitness trace.
-    `shared` maps a linear kind to its stage for this frame (soft
-    estimates and failed mask); the first detector that needs a stage
-    computes it, and the bare detector and its hybrids share it.
+    `linear` is the frame's (soft estimates, failed mask) of the
+    detector's linear kind, from the frame's one linear stage, or None
+    for a detector without one.
     """
-    heuristic, linear = DETECTORS[res.kind]
+    heuristic = DETECTORS[res.kind].heuristic
     n_sc = hs.shape[0]
-    if heuristic is None and linear is None:  # ML
-        return {None: ml_detect(hs, ys, const)}, np.zeros(n_sc, dtype=bool), None
-    if linear is not None:
-        if linear not in shared:
-            w, failed = linear_weights(linear, hs, noise.sigma2)
-            shared[linear] = apply_equalizer(w, ys), failed
-        soft, failed = shared[linear]
-        if heuristic is None:
-            return {None: soft}, failed, None
-        if failed.any():
-            log.warning("%s: %d subcarriers lost their linear seed",
-                        res.label, int(failed.sum()))
+    if heuristic is None:
+        if linear is None:  # ML
+            return {None: ml_detect(hs, ys, const)}, np.zeros(n_sc, dtype=bool), None
+        soft, failed = linear
+        return {None: soft}, failed, None
     # a lost seed is the zero vector, since its W rows are zero
-    seed = realify_vec(soft) if linear is not None else None
+    seed = realify_vec(linear[0]) if linear is not None else None
     run = run_heuristic(det_rng, realify(hs, ys), res.params, seed, checkpoints)
     out = dict(run.checkpoint_estimates)
     out[None] = run.estimate
@@ -457,16 +460,24 @@ def _simulate_frames(config: SimulationConfig, detectors, ebn0_db: float,
     out = FrameBatchResult()
     for pair in pairs:
         out.discordance[pair] = [0, 0]
+    kinds = {DETECTORS[res.kind].linear for _, res in detectors} - {None}
     for frame in range(frame_lo, frame_hi):
         bits, hs, ys, noise = _frame_channel_and_rx(config, const, sqrt_r,
                                                     ebn0_db, rho, frame)
+        linear = {kind: (apply_equalizer(w, ys), failed)
+                  for kind, (w, failed) in linear_stage(kinds, hs, noise.sigma2).items()}
         keys, grids, erased = [], [], []
-        shared = {}
         for i, res in detectors:
-            det_rng = (det_root.substream(res.label, *point_key, frame)
-                       if DETECTORS[res.kind].heuristic else None)
+            heuristic, kind = DETECTORS[res.kind]
+            det_rng = None
+            if heuristic:
+                det_rng = det_root.substream(res.label, *point_key, frame)
+                if kind is not None and linear[kind][1].any():
+                    log.warning("%s: %d subcarriers lost their linear seed "
+                                "(Eb/N0 %r dB, rho %r, frame %d)", res.label,
+                                int(linear[kind][1].sum()), ebn0_db, rho, frame)
             det_grids, failed, trace = _detect_frame(
-                res, config, const, hs, ys, noise, det_rng, checkpoints, shared)
+                res, config, const, hs, ys, det_rng, checkpoints, linear.get(kind))
             for cp, grid in det_grids.items():
                 keys.append((i, cp))
                 grids.append(grid)

@@ -53,6 +53,15 @@ class TestGenerateChannel:
         g = draw_standard_complex_gaussian(RngStream(3).substream("c"), 4, 4, count=16)
         assert np.array_equal(h, g)
 
+    @pytest.mark.parametrize("rho", [0.3, 0.9, 1.0])
+    def test_correlated_draw_matches_kronecker_oracle(self, rho):
+        spec = CorrelationSpec(rho=rho, n_antennas=4)
+        h = generate_channel(RngStream(3).substream("c"), spec, 64)
+        g = draw_standard_complex_gaussian(RngStream(3).substream("c"), 4, 4, count=64)
+        sqrt_r = correlation_sqrt(spec)
+        want = np.einsum("ij,njk,kl->nil", sqrt_r, g, sqrt_r)
+        assert np.max(np.abs(h - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_deterministic(self):
         spec = CorrelationSpec(rho=0.5, n_antennas=4)
         a = generate_channel(RngStream(4), spec, 8)

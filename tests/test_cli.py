@@ -80,6 +80,13 @@ class TestSimulateCommand:
         assert cli_main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
         assert next(iter(fields)) in capsys.readouterr().err
 
+    def test_ml_at_full_correlation_fails(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(BASE_CONFIG, rho_list=[0.0, 1.0],
+                                       detectors=[{"kind": "mmse"}, {"kind": "ml"}])))
+        assert cli_main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
+        assert "ML at rho = 1" in capsys.readouterr().err
+
     def test_output_into_missing_directory_rejected_before_any_frame(
             self, config_path, tmp_path, monkeypatch, capsys):
         import mimodet.simulate as sim

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimodet.complexity import FlopFormulaInput, counting, fitness_eval_flops, flops_detector
-from mimodet.detectors import apply_equalizer, candidate_matrix, linear_weights, ml_detect
-from mimodet.linalg import draw_standard_complex_gaussian
+from mimodet.detectors import (LINEAR_KINDS, ML_BLOCK, _monomial_cache, apply_equalizer,
+                               candidate_matrix, linear_stage, linear_weights, ml_detect)
+from mimodet.linalg import draw_standard_complex_gaussian, invert_hermitian
 from mimodet.ofdm import demap_symbols, square_qam
 from mimodet.rng import RngStream
 
@@ -110,6 +112,91 @@ class TestStack:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             linear_weights("ml", np.eye(2, dtype=complex), 0.0)
+
+
+def _single_kind_oracle(kind, hs, n0_over_es):
+    """One linear kind on its own: H^H, its Gram and its own inverse."""
+    hh = np.conj(np.swapaxes(hs, -1, -2))
+    if kind == "mf":
+        return hh, np.zeros(hs.shape[:-2], dtype=bool)
+    with np.errstate(invalid="ignore"):
+        gram = hh @ hs
+        if kind == "mmse":
+            gram = gram + n0_over_es * np.eye(hs.shape[-1])
+        inv, failed = invert_hermitian(gram)
+        w = inv @ hh
+    w[failed] = 0.0
+    return w, failed
+
+
+def _channel(kind, n_rx, n_tx, rng):
+    if kind == "gaussian":
+        return rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))
+    if kind == "zero":
+        return np.zeros((n_rx, n_tx), dtype=complex)
+    if kind == "rank_one":
+        # unit-modulus entries keep the Gram n_rx v v^H exact, so its
+        # stacked inverse meets an exactly zero pivot when n_tx > 1
+        u, v = (rng.choice([1.0, -1.0, 1j, -1j], n) for n in (n_rx, n_tx))
+        return np.outer(u, v.conj())
+    h = rng.standard_normal((n_rx, n_tx)) + 0j  # "non_finite"
+    h[rng.integers(n_rx), rng.integers(n_tx)] = rng.choice([np.nan, np.inf, -np.inf])
+    return h
+
+
+@st.composite
+def _channel_stacks(draw):
+    batch = draw(st.one_of(st.just(()), st.tuples(st.integers(1, 6)),
+                           st.tuples(st.integers(1, 3), st.integers(1, 3))))
+    n_rx, n_tx = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    count = int(np.prod(batch, dtype=int))
+    kinds = draw(st.lists(st.sampled_from(["gaussian", "zero", "rank_one", "non_finite"]),
+                          min_size=count, max_size=count))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hs = np.stack([_channel(kind, n_rx, n_tx, rng) for kind in kinds])
+    return hs.reshape(batch + (n_rx, n_tx))
+
+
+class TestLinearStage:
+    """linear_stage against each kind computed on its own."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_channel_stacks(), st.sampled_from([0.0, 1e-13, 0.1, 2.0]))
+    def test_every_subset_matches_single_kinds(self, hs, n0_over_es):
+        for size in (1, 2, 3):
+            for kinds in itertools.combinations(LINEAR_KINDS, size):
+                with counting() as counter, warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    stage = linear_stage(kinds, hs, n0_over_es)
+                assert sorted(stage) == sorted(kinds)
+                single_flops = 0.0
+                for kind in kinds:
+                    w, failed = stage[kind]
+                    want_w, want_failed = _single_kind_oracle(kind, hs, n0_over_es)
+                    assert w.shape == want_w.shape and w.tobytes() == want_w.tobytes()
+                    assert np.shape(failed) == np.shape(want_failed)
+                    assert np.array_equal(failed, want_failed)
+                    with counting() as single:
+                        linear_weights(kind, hs, n0_over_es)
+                    single_flops += single.flops
+                assert counter.flops == single_flops
+
+    def test_mf_keeps_the_conjugated_view_layout(self):
+        hs = draw_standard_complex_gaussian(RngStream(93), 4, 4, count=8)
+        w = linear_stage(LINEAR_KINDS, hs, 0.1)["mf"][0]
+        assert w.strides == np.conj(np.swapaxes(hs, -1, -2)).strides
+
+    def test_non_finite_systems_raise_no_warning(self):
+        hs = draw_standard_complex_gaussian(RngStream(94), 4, 4, count=8)
+        hs[1, 0, 2] = np.inf
+        hs[3, 3, 1] = -np.inf
+        hs[5, 2, 2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stage = linear_stage(LINEAR_KINDS, hs, 0.1)
+        for kind in ("zf", "mmse"):
+            assert np.flatnonzero(stage[kind][1]).tolist() == [1, 3, 5]
+
 
 
 class TestApplyEqualizer:
@@ -219,6 +306,16 @@ class TestMlStack:
         assert np.array_equal(got, _residual_oracle(h, y, const))
         for idx in np.ndindex(*batch):
             assert np.array_equal(got[idx], ml_detect(h[idx], y[idx], const))
+
+    def test_monomials_cached_only_for_one_block_searches(self):
+        h, y = _stack(8, (3,), 4, CONST, 0.3)
+        ml_detect(h, y, CONST)
+        assert (4, CONST.points.tobytes()) in _monomial_cache
+        const = square_qam(16)
+        assert const.order ** 4 > ML_BLOCK
+        h, y = _stack(9, (2,), 4, const, 0.3)
+        assert np.array_equal(ml_detect(h, y, const), _residual_oracle(h, y, const))
+        assert (4, const.points.tobytes()) not in _monomial_cache
 
     def test_16qam_4x4_spans_blocks(self):
         # 65 536 candidates; the noiseless system sends the last of them

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import math
 from dataclasses import fields
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimodet.heuristics import DeParams, PsoParams
+from mimodet.linalg import invert_hermitian
 from mimodet.ofdm import map_bits, square_qam
 from mimodet.simulate import (
     CALIBRATED_DE,
@@ -190,6 +192,15 @@ class TestResolve:
         with pytest.raises(ConfigError):
             resolve_detector(DetectorConfig("pso", n_pop=1), 0.0)
 
+    def test_ml_rejected_at_full_correlation(self):
+        # rho = 1 makes every channel rank one: ML candidates tie exactly
+        with pytest.raises(ConfigError, match="ML"):
+            resolve_detector(DetectorConfig("ml"), 1.0)
+        with pytest.raises(ConfigError, match="ML"):
+            _config("ml", rho_list=(0.0, 1.0))
+        assert resolve_detector(DetectorConfig("ml"), 0.99).kind == "ml"
+        assert resolve_detector(DetectorConfig("zf"), 1.0).kind == "zf"
+
 
 class TestRunBerPoint:
     def test_zf_noiseless_is_error_free(self):
@@ -321,6 +332,38 @@ class TestPaired:
             convergence_study(cfg, DetectorConfig("pso-mmse"), [8.0], max_iters=1,
                               n_vectors=0)
 
+    def test_ml_at_full_correlation_rejected(self):
+        cfg = _config("mmse")
+        with pytest.raises(ConfigError, match="ML"):
+            run_paired(cfg, [DetectorConfig("zf"), DetectorConfig("ml")], 8.0, 1.0,
+                       n_vectors=64)
+
+    def test_one_stacked_inverse_per_frame(self, monkeypatch):
+        import mimodet.detectors as det
+        calls = []
+
+        def counting_invert(a):
+            calls.append(a.shape)
+            return invert_hermitian(a)
+
+        monkeypatch.setattr(det, "invert_hermitian", counting_invert)
+        cfg = _config("mmse")
+        dets = [DetectorConfig(k) for k in ("zf", "mmse", "pso-mmse")]
+        run_paired(cfg, dets, 8.0, 0.5, n_vectors=cfg.n_subcarriers)  # one frame
+        assert calls == [(2, cfg.n_subcarriers, cfg.n_t, cfg.n_t)]
+
+    def test_lost_seed_warning_names_its_frame(self, caplog):
+        # rho = 1 without noise loses the MMSE seed on every subcarrier
+        cfg = _config("pso-mmse", n_subcarriers=16)
+        with caplog.at_level(logging.WARNING, logger="mimodet.simulate"):
+            run_paired(cfg, [DetectorConfig("pso-mmse", iters=1, n_pop=4)], math.inf, 1.0,
+                       n_vectors=32)
+        lost = [r for r in caplog.records if "lost their linear seed" in r.msg]
+        assert [r.args[:2] for r in lost] == [("PSO-MMSE", 16)] * 2
+        assert [r.getMessage() for r in lost] == [
+            f"PSO-MMSE: 16 subcarriers lost their linear seed (Eb/N0 inf dB, rho 1.0, frame {f})"
+            for f in (0, 1)]
+
     # Frames are keyed by index and merged by sum, so how a batch is split
     # over worker processes cannot change any count.
     @settings(max_examples=5, deadline=None)
@@ -387,9 +430,9 @@ class TestGolden:
     CONFIG = SimulationConfig(detectors=(DetectorConfig("mmse"),), master_seed=2024)
     CONVERGENCE = {
         "pso-mmse": ([43, 43, 43, 43, 43, 43],
-                     "83c87639be0c9a8cbe09592f3735e375c7f5e69941d5a6e74cefaa9266d4e99b"),
+                     "7d519451970f467a7fceb6d0c1617b253e8545aeff648e4701e3e19cca71ea2f"),
         "de-mf": ([214, 265, 351, 386, 393, 407],
-                  "afa7fbc79f3db6114fb57c9c054d22eb6099972ced413474c891851efe42e784"),
+                  "24e79cc638fa246153157d5cf8a118b0835965cd2e8ecee7c81e6843e496fc53"),
     }
     PAIRED = {"PSO": 155, "DE": 118, "PSO-MF": 379, "DE-MMSE": 43}
 

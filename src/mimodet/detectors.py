@@ -7,7 +7,7 @@ Linear detection is x_soft = W y with
     MMSE: W = (H^H H + (N0/Es) I)^-1 H^H
 
 computed for a whole stack of channels at once. linear_stage computes
-every linear kind a frame needs in one pass: one H^H, one Gram, and one
+every linear kind a stack needs in one pass: one H^H, one Gram, and one
 stacked inverse for ZF and MMSE together; linear_weights is its one-kind
 form. The flop ledger still charges each kind its own model count. The
 detectors return the soft estimate; ofdm.demap_symbols, the only slicer,
@@ -22,13 +22,17 @@ in the real domain (realdomain.realify) with G = H_r^T H_r and
 b = H_r^T y_r per system: c^T G c - 2 b^T c equals ||y - H c||^2 - ||y||^2,
 and it is the dot product of the system's coefficient row
 [G_kk, 2 G_kl (k < l), -2 b_k] with the candidate's monomial column
-[c_k^2, c_k c_l, c_k] (44 entries at 4x4). So one (n_sys x K) @ (K x block)
-matrix product scores every system against a block of ML_BLOCK candidates,
-and a running argmin over the blocks lets a later block win only on a
-strictly smaller score: ties go to the lowest candidate index of
-candidate_matrix. A system with a non-finite coefficient gets candidate 0.
-The flop ledger charges each system M^n_t fitness evaluations, the model
-count of the search, not the arithmetic of the matrix product.
+[c_k^2, c_k c_l, c_k] (44 entries at 4x4). So one (rows x K) @ (K x block)
+matrix product scores a chunk of systems against a block of up to
+ML_BLOCK candidates, with rows x block at most ML_SCORES, and a running
+argmin over the blocks lets a later block win only on a strictly smaller
+score: ties go to the lowest candidate index of candidate_matrix. Each
+system's row of scores depends on that system alone (a one-system chunk
+is scored as two rows, since a one-row product rounds differently), so a
+stack's decisions do not depend on how many systems it holds. A system
+with a non-finite coefficient gets candidate 0. The flop ledger charges
+each system M^n_t fitness evaluations, the model count of the search, not
+the arithmetic of the matrix product.
 """
 
 from __future__ import annotations
@@ -44,9 +48,15 @@ from .realdomain import realify
 
 # Refuse ML searches beyond this many candidates.
 ML_CANDIDATE_LIMIT = 1 << 20
-# Candidates ml_detect scores per matrix product; bounds its temporaries
-# at n_sys x ML_BLOCK scores up to ML_CANDIDATE_LIMIT.
+# Candidates ml_detect scores per matrix product, up to ML_CANDIDATE_LIMIT.
 ML_BLOCK = 4096
+# Score entries one product may hold (1 MB): 512 systems of a 256-candidate
+# search, 32 against a full block. ml_detect scores a larger stack in
+# chunks of systems, so its temporaries stay bounded whatever the number
+# of systems. On perfbench's linear_ml_sweep (2-core x86-64, glibc 2.36), a
+# 1024-system chunk (2 MB) raised peak RSS by about 10%, and 256 systems
+# (512 KB) made glibc trim and re-fault about 5 MB of heap per task.
+ML_SCORES = 32 * ML_BLOCK
 
 
 # The kinds linear_stage computes.
@@ -59,22 +69,24 @@ def linear_stage(kinds, hs: np.ndarray, n0_over_es: float) -> dict:
     {kind: (w, failed)}; n0_over_es is read by MMSE only.
 
     H^H and the Gram H^H H are formed once, and the ZF and MMSE Grams are
-    inverted in one invert_hermitian call and multiplied by H^H in one
-    product. Each system's result depends on that system and kind alone,
-    so the stage returns the bytes a single-kind call does. MF's W is H^H
-    itself, never copied into a stack: apply_equalizer's rounding depends
-    on its layout.
+    written into one preallocated (kind, ..., n_t, n_t) stack, inverted in
+    one invert_hermitian call and multiplied by H^H in one product. Each
+    system's result depends on that system and kind alone, so the stage
+    returns the bytes a single-kind call does, for a stack of any size.
+    MF's W is H^H itself, never copied into a stack: apply_equalizer's
+    rounding depends on its layout.
 
     ZF and MMSE flag every system whose Gram matrix
     linalg.invert_hermitian rejects, and return zero W for it; callers
     count such a vector as a detection erasure. The rule is the exact
     eigenvalue test lambda_min / lambda_max <= RCOND_FLOOR, but a Gram
     whose inverse bounds its condition number below CERTIFIED_COND skips
-    it; a stack with an exactly singular Gram, ZF or MMSE, sends every
-    finite Gram of both kinds to the exact test. MF never fails, and the
-    Hermitian itself costs no flops. The flop ledger charges each kind
-    its model count per system, as if it ran alone: the shared Gram earns
-    no credit.
+    it. An exactly singular Gram sends every finite Gram of its own kind
+    to the exact test, since invert_hermitian then retries the kinds'
+    slices one by one; the other kind keeps its certificates. MF never
+    fails, and the Hermitian itself costs no flops. The flop ledger
+    charges each kind its model count per system, as if it ran alone: the
+    shared Gram earns no credit.
     """
     unknown = [kind for kind in kinds if kind not in LINEAR_KINDS]
     if unknown:
@@ -90,11 +102,14 @@ def linear_stage(kinds, hs: np.ndarray, n0_over_es: float) -> dict:
     if "mmse" in inverted and n0_over_es < 0:
         raise ValueError("n0_over_es must be >= 0")
     n_rx, n_tx = hs.shape[-2:]
+    grams = np.empty((len(inverted),) + hs.shape[:-2] + (n_tx, n_tx),
+                     dtype=np.result_type(hs, np.float64))
     with np.errstate(invalid="ignore"):  # a non-finite H is flagged below
-        gram = hh @ hs
-    grams = [gram + n0_over_es * np.eye(n_tx) if kind == "mmse" else gram
-             for kind in inverted]
-    inv, failed = invert_hermitian(np.stack(grams))
+        np.matmul(hh, hs, out=grams[0])
+    if "mmse" in inverted:
+        np.add(grams[0], n0_over_es * np.eye(n_tx), out=grams[-1])
+    inv, failed = invert_hermitian(grams)
+    del grams  # freed before W is formed, which bounds the stage's peak memory
     with np.errstate(invalid="ignore"):  # 0 * inf on the flagged systems
         w = inv @ hh
     w[failed] = 0.0  # also where a non-finite H would leave 0 * inf
@@ -187,38 +202,65 @@ def _block_monomials(constellation: Constellation, n_tx: int, start: int) -> np.
     return mono
 
 
-def ml_detect(h: np.ndarray, y: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Exhaustive minimum-distance detection over all symbol vectors.
-
-    h is (..., n_r, n_t) and y (..., n_r), with the same leading axes; the
-    result is the (..., n_t) stack of decisions, scored as the module
-    docstring describes.
-    """
-    h = np.asarray(h)
-    y = np.asarray(y)
-    n_rx, n_tx = h.shape[-2:]
-    cands = candidate_matrix(constellation, n_tx)
-    total = cands.shape[1]
+def _ml_coefficients(h: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficient rows [G_kk, 2 G_kl (k < l), -2 b_k] of the systems
+    h (n, n_r, n_t), y (n, n_r), with G = H_r^T H_r and b = H_r^T y_r."""
     real = realify(h, y)
     ht = np.swapaxes(real.h, -1, -2)
     g = ht @ real.h
     b = (ht @ real.y[..., None])[..., 0]
     iu, ju = _pairs(real.dim)
-    coef = np.concatenate([np.diagonal(g, axis1=-2, axis2=-1), 2 * g[..., iu, ju], -2 * b],
+    return np.concatenate([np.diagonal(g, axis1=-2, axis2=-1), 2 * g[..., iu, ju], -2 * b],
                           axis=-1)
-    batch = coef.shape[:-1]
-    coef = coef.reshape(-1, coef.shape[-1])
-    n_sys = coef.shape[0]
+
+
+def _ml_block_best(coef: np.ndarray, mono: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and value of each coefficient row's smallest score against
+    one block's monomials; the scores die with the call."""
+    if len(coef) == 1:  # a one-row product rounds differently from a chunk's
+        idx, score = _ml_block_best(np.repeat(coef, 2, axis=0), mono)
+        return idx[:1], score[:1]
+    scores = coef @ mono
+    idx = np.argmin(scores, axis=1)
+    return idx, np.take_along_axis(scores, idx[:, None], axis=1)[:, 0]
+
+
+def ml_detect(h: np.ndarray, y: np.ndarray, constellation: Constellation) -> np.ndarray:
+    """Exhaustive minimum-distance detection over all symbol vectors.
+
+    h is (..., n_r, n_t) and y (..., n_r), with the same leading axes; the
+    result is the (..., n_t) stack of decisions, scored as the module
+    docstring describes. Systems go through in chunks of
+    ML_SCORES // block, from the real-domain system to each block's
+    scores, so only the coefficient rows grow with the stack; each
+    block's monomials are built once per call.
+    """
+    h = np.asarray(h)
+    y = np.asarray(y)
+    n_rx, n_tx = h.shape[-2:]
+    if y.shape != h.shape[:-1]:
+        raise ValueError(f"channel {h.shape} does not match observation {y.shape}")
+    cands = candidate_matrix(constellation, n_tx)
+    total = cands.shape[1]
+    batch = y.shape[:-1]
+    h = h.reshape(-1, n_rx, n_tx)
+    y = y.reshape(-1, n_rx)
+    n_sys = len(h)
     charge(n_sys * total * fitness_eval_flops(n_tx, n_rx), n_sys * total)
-    rows = np.arange(n_sys)
+    rows = ML_SCORES // min(total, ML_BLOCK)
+    chunks = [slice(lo, lo + rows) for lo in range(0, n_sys, rows)]
+    dim = 2 * n_tx
+    coef = np.empty((n_sys, 2 * dim + dim * (dim - 1) // 2))  # _ml_coefficients' rows
+    for chunk in chunks:
+        coef[chunk] = _ml_coefficients(h[chunk], y[chunk])
     best = np.zeros(n_sys, dtype=np.intp)
     best_score = np.full(n_sys, np.inf)
     for start in range(0, total, ML_BLOCK):
-        scores = coef @ _block_monomials(constellation, n_tx, start)
-        idx = np.argmin(scores, axis=1)
-        score = scores[rows, idx]
-        win = score < best_score  # strictly: an equal later score keeps the earlier index
-        best[win] = idx[win] + start
-        best_score[win] = score[win]
+        mono = _block_monomials(constellation, n_tx, start)
+        for chunk in chunks:
+            idx, score = _ml_block_best(coef[chunk], mono)
+            win = score < best_score[chunk]  # strictly: an equal later score keeps the earlier index
+            best[chunk][win] = idx[win] + start
+            best_score[chunk][win] = score[win]
     best[~np.isfinite(coef).all(axis=1)] = 0
     return cands[:, best].T.reshape(batch + (n_tx,))

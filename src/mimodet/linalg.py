@@ -7,7 +7,9 @@ singular matrices, a PSD-safe square root, and seeded Gaussian matrix draws.
 The singularity test of invert_hermitian is the exact eigenvalue rule
 lambda_min / lambda_max <= RCOND_FLOOR, but it runs eigvalsh only where it
 has to: a system whose inverse already proves it far from that floor, by
-the infinity-norm bound on its condition number, skips it.
+the infinity-norm bound on its condition number, skips it. An exactly
+singular pivot costs that proof only to the leading-axis slice that holds
+it.
 """
 
 from __future__ import annotations
@@ -56,10 +58,12 @@ def invert_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     any whose bound is NaN or inf, go through eigvalsh. The bound never
     flags a system, so the rule itself is unchanged. If some matrix has an
     exactly singular pivot, the stacked inverse raises for the whole
-    stack: then every finite system gets the eigenvalue rule and the stack
-    is inverted again with the flagged ones replaced by I. Each system's
-    inverse depends on that system alone, so either path returns the same
-    bytes.
+    stack. A stack with more than one batch axis then inverts each slice
+    of its leading axis on its own, so the slices without that pivot keep
+    their certificates; in a stack with one batch axis, every finite
+    system gets the eigenvalue rule and the stack is inverted again with
+    the flagged ones replaced by I. Each system's inverse depends on that
+    system alone, so every path returns the same bytes.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -68,10 +72,13 @@ def invert_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stack = a.reshape(-1, q, q)
     eye = np.eye(q, dtype=complex)
     failed = ~np.isfinite(stack).all(axis=(1, 2))
-    safe = np.where(failed[:, None, None], eye, stack)
+    safe = np.where(failed[:, None, None], eye, stack) if failed.any() else stack
     try:
         inv = np.linalg.inv(safe)
     except np.linalg.LinAlgError:
+        if a.ndim > 3:
+            inv, failed = zip(*(invert_hermitian(part) for part in a))
+            return np.stack(inv), np.stack(failed)
         inv = None
         unproven = ~failed
     else:

@@ -121,10 +121,22 @@ def demap_symbols(symbols, constellation: Constellation) -> np.ndarray:
     This is the simulator's only slicer: linear, heuristic and hybrid
     estimates all reach bits through it. An estimate equidistant from
     several points goes to the first of them in `constellation.points`.
+
+    A running argmin over the points keeps memory at O(number of
+    estimates): a later point wins only on a strictly smaller distance.
+    The points are finite, so an estimate's distance is NaN to every
+    point or to none: either it keeps point 0, the first NaN np.argmin
+    would pick, or the first smallest distance wins, as with np.argmin.
     """
     flat = np.asarray(symbols).ravel()
-    dist = np.abs(flat[:, None] - constellation.points[None, :])
-    return constellation.bit_labels[np.argmin(dist, axis=1)].ravel()
+    points = constellation.points
+    best = np.zeros(flat.shape, dtype=np.intp)
+    best_dist = np.abs(flat - points[0])
+    for i in range(1, len(points)):
+        dist = np.abs(flat - points[i])
+        best[dist < best_dist] = i
+        np.minimum(best_dist, dist, out=best_dist)
+    return np.take(constellation.bit_labels, best, axis=0).ravel()
 
 
 def time_domain_roundtrip(taps: np.ndarray, symbols: np.ndarray, cp_len: int,

@@ -15,13 +15,19 @@ The trial stream deliberately excludes the detector, so every detector at
 a given operating point sees identical channels, bits and noise. That
 makes cross-detector BER comparisons paired, which is how the ordering
 and refinement experiments get their statistical power. It also lets all
-detectors of a point share one frame loop: each frame is drawn once, and
-one linear stage (detectors.linear_stage) computes every linear kind the
-point's active detectors need, MF, ZF and MMSE together, for the bare
-detectors and their hybrids. The flop ledger still charges each linear
-kind its own model count.
-Results are reduced by summation over frames, so totals do not depend on
-worker count or scheduling.
+detectors of a point share one frame loop. A batch of BATCH_FRAMES frames
+is cut into one task per worker; a task draws each of its frames from that
+frame's own substream and stacks them on the system axis. One linear
+stage (detectors.linear_stage) then computes every linear kind the
+point's active detectors need, MF, ZF and MMSE together, for all of the
+task's subcarriers, and the bare linear detectors, ML and one demap of
+their outputs run once over that stack. PSO, DE and the hybrids run frame
+by frame, each frame on its own detector substream and its slice of the
+linear seed. The flop ledger still charges each linear kind its own model
+count.
+Every system's result depends on that system alone, and results are
+reduced by summation over frames, so totals do not depend on worker count
+or scheduling.
 
 Config files are JSON:
 
@@ -382,20 +388,22 @@ def _frame_channel_and_rx(config: SimulationConfig, const: Constellation,
 def _detect_frame(res: ResolvedDetector, config: SimulationConfig,
                   const: Constellation, hs, ys, det_rng: RngStream | None,
                   checkpoints, linear):
-    """Estimates for one frame.
+    """Estimates of one detector for a stack of systems: a task's stacked
+    frames for the bare linear detectors and ML, one frame for PSO, DE
+    and the hybrids.
 
     Returns (grids dict, failed mask, trace or None). The grids dict maps
-    checkpoint -> (n_sc, n_t) grid, which demap_symbols slices; key None
+    checkpoint -> (n_sys, n_t) grid, which demap_symbols slices; key None
     is the final output. Only the heuristics have a fitness trace.
-    `linear` is the frame's (soft estimates, failed mask) of the
-    detector's linear kind, from the frame's one linear stage, or None
+    `linear` is the stack's (soft estimates, failed mask) of the
+    detector's linear kind, from the task's one linear stage, or None
     for a detector without one.
     """
     heuristic = DETECTORS[res.kind].heuristic
-    n_sc = hs.shape[0]
+    n_sys = hs.shape[0]
     if heuristic is None:
         if linear is None:  # ML
-            return {None: ml_detect(hs, ys, const)}, np.zeros(n_sc, dtype=bool), None
+            return {None: ml_detect(hs, ys, const)}, np.zeros(n_sys, dtype=bool), None
         soft, failed = linear
         return {None: soft}, failed, None
     # a lost seed is the zero vector, since its W rows are zero
@@ -404,7 +412,7 @@ def _detect_frame(res: ResolvedDetector, config: SimulationConfig,
     out = dict(run.checkpoint_estimates)
     out[None] = run.estimate
     # the heuristic decides every vector, lost seeds included
-    return out, np.zeros(n_sc, dtype=bool), run.trace
+    return out, np.zeros(n_sys, dtype=bool), run.trace
 
 
 def _error_masks(grids, const: Constellation, tx_bits, bits_per_vector: int,
@@ -451,49 +459,79 @@ def _simulate_frames(config: SimulationConfig, detectors, ebn0_db: float,
     `detectors` lists (position, ResolvedDetector) pairs. `pairs` lists
     ((position, checkpoint), (position, checkpoint)) column pairs whose
     bitwise error discordance should be accumulated.
+
+    Each frame is drawn from its own trial substream, and the frames are
+    then stacked on the system axis: the linear stage, each kind's
+    equalizer, the bare linear detectors and ML, and one demap of their
+    outputs run once over the whole stack. PSO, DE and the hybrids run
+    frame by frame, each frame on its own detector substream and its
+    slice of the linear seed, with one demap of that frame's grids.
+    Every system's result depends on that system alone, so no count
+    depends on how frames are grouped into calls.
     """
     const = square_qam(config.m_order)
     spec = CorrelationSpec(rho=rho, n_antennas=config.n_t)
     sqrt_r = None if rho == 0.0 else correlation_sqrt(spec)
     det_root = RngStream(config.master_seed).substream("det")
     point_key = (_ebkey(ebn0_db), _rhokey(rho))
-    out = FrameBatchResult()
-    for pair in pairs:
-        out.discordance[pair] = [0, 0]
+    n_sc = config.n_subcarriers
+    nbits = n_sc * config.bits_per_vector
+    frames = range(frame_lo, frame_hi)
+    bits, hs, ys, noise = zip(*(_frame_channel_and_rx(config, const, sqrt_r, ebn0_db, rho, frame)
+                                for frame in frames))
+    bits, hs, ys = np.concatenate(bits), np.concatenate(hs), np.concatenate(ys)
     kinds = {DETECTORS[res.kind].linear for _, res in detectors} - {None}
-    for frame in range(frame_lo, frame_hi):
-        bits, hs, ys, noise = _frame_channel_and_rx(config, const, sqrt_r,
-                                                    ebn0_db, rho, frame)
-        linear = {kind: (apply_equalizer(w, ys), failed)
-                  for kind, (w, failed) in linear_stage(kinds, hs, noise.sigma2).items()}
-        keys, grids, erased = [], [], []
-        for i, res in detectors:
-            heuristic, kind = DETECTORS[res.kind]
-            det_rng = None
-            if heuristic:
-                det_rng = det_root.substream(res.label, *point_key, frame)
-                if kind is not None and linear[kind][1].any():
+    linear = {kind: (apply_equalizer(w, ys), failed)
+              for kind, (w, failed) in linear_stage(kinds, hs, noise[0].sigma2).items()}
+    out = FrameBatchResult()
+    masks = {key: [] for pair in pairs for key in pair}  # column -> error masks, frame order
+
+    def count(columns, tx_bits):
+        """Demap (column, grid, erased) triples in one call and add up their errors."""
+        if not columns:
+            return
+        keys, grids, erased = zip(*columns)
+        errors = _error_masks(grids, const, tx_bits, config.bits_per_vector, erased)
+        for key, row in zip(keys, errors):
+            out.errors[key] += int(row.sum())
+            if key in masks:
+                masks[key].append(row)
+
+    def columns(i, det_grids, failed):
+        return [((i, cp), grid, failed if cp is None else None) for cp, grid in det_grids.items()]
+
+    stacked = []
+    for i, res in detectors:
+        if DETECTORS[res.kind].heuristic is None:
+            det_grids, failed, _ = _detect_frame(res, config, const, hs, ys, None, checkpoints,
+                                                 linear.get(DETECTORS[res.kind].linear))
+            stacked += columns(i, det_grids, failed)
+    count(stacked, bits)
+    searched = [(i, res) for i, res in detectors if DETECTORS[res.kind].heuristic]
+    for f, frame in enumerate(frames):
+        rows = slice(f * n_sc, (f + 1) * n_sc)
+        frame_columns = []
+        for i, res in searched:
+            kind = DETECTORS[res.kind].linear
+            seed = None
+            if kind is not None:
+                seed = linear[kind][0][rows], linear[kind][1][rows]
+                if seed[1].any():
                     log.warning("%s: %d subcarriers lost their linear seed "
                                 "(Eb/N0 %r dB, rho %r, frame %d)", res.label,
-                                int(linear[kind][1].sum()), ebn0_db, rho, frame)
+                                int(seed[1].sum()), ebn0_db, rho, frame)
+            det_rng = det_root.substream(res.label, *point_key, frame)
             det_grids, failed, trace = _detect_frame(
-                res, config, const, hs, ys, det_rng, checkpoints, linear.get(kind))
-            for cp, grid in det_grids.items():
-                keys.append((i, cp))
-                grids.append(grid)
-                erased.append(failed if cp is None else None)
+                res, config, const, hs[rows], ys[rows], det_rng, checkpoints, seed)
+            frame_columns += columns(i, det_grids, failed)
             if frame == 0 and out.trace is None:
                 out.trace = trace
-        errors = _error_masks(grids, const, bits, config.bits_per_vector, erased)
-        masks = dict(zip(keys, errors))
-        for key, count in zip(keys, errors.sum(axis=1)):
-            out.errors[key] += int(count)
-        for pair in pairs:
-            a, b = masks[pair[0]], masks[pair[1]]
-            out.discordance[pair][0] += int(np.sum(a & ~b))
-            out.discordance[pair][1] += int(np.sum(b & ~a))
+        count(frame_columns, bits[f * nbits:(f + 1) * nbits])
+    for pair in pairs:
+        a, b = (np.concatenate(masks[key]) for key in pair)
+        out.discordance[pair] = [int(np.sum(a & ~b)), int(np.sum(b & ~a))]
     for i, _ in detectors:
-        out.vectors[i] = (frame_hi - frame_lo) * config.n_subcarriers
+        out.vectors[i] = len(frames) * n_sc
     return out
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimodet.complexity import FlopFormulaInput, counting, fitness_eval_flops, flops_detector
-from mimodet.detectors import (LINEAR_KINDS, ML_BLOCK, _monomial_cache, apply_equalizer,
+from mimodet.detectors import (LINEAR_KINDS, ML_BLOCK, ML_SCORES, _block_monomials,
+                               _ml_block_best, _ml_coefficients, _monomial_cache, apply_equalizer,
                                candidate_matrix, linear_stage, linear_weights, ml_detect)
 from mimodet.linalg import draw_standard_complex_gaussian, invert_hermitian
 from mimodet.ofdm import demap_symbols, square_qam
@@ -349,6 +351,36 @@ class TestMlStack:
         assert np.array_equal(got[2], candidate_matrix(CONST, 4)[:, 0])
         keep = [0, 1, 3, 4]
         assert np.array_equal(got[keep], clean[keep])
+
+    def test_large_stack_scores_in_bounded_chunks(self):
+        # 1024 systems against 65 536 candidates, 16 blocks: unchunked, one
+        # block's scores alone would take 1024 x ML_BLOCK x 8 B = 33.5 MB
+        const = square_qam(16)
+        n_sys = 1024
+        h, y = _stack(12, (n_sys,), 4, const, 0.3)
+        frames = np.concatenate([ml_detect(h[lo:lo + 64], y[lo:lo + 64], const)
+                                 for lo in range(0, n_sys, 64)])
+        tracemalloc.start()
+        try:
+            got = ml_detect(h, y, const)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, frames)
+        scores = 8 * ML_SCORES
+        monomials = 8 * 44 * ML_BLOCK  # one block's; building it takes about twice that
+        assert peak < scores + 3 * monomials + 1024 * n_sys
+
+    def test_one_system_chunk_scores_like_a_larger_one(self):
+        # a one-row matrix product rounds differently from a larger one, so
+        # a stack's last chunk, when it holds one system, is padded
+        h, y = _stack(13, (50,), 4, CONST, 0.6)
+        coef = _ml_coefficients(h, y)
+        mono = _block_monomials(CONST, 4, 0)
+        idx, score = _ml_block_best(coef, mono)
+        for k in range(len(coef)):
+            one_idx, one_score = _ml_block_best(coef[k:k + 1], mono)
+            assert one_idx[0] == idx[k] and one_score.tobytes() == score[k:k + 1].tobytes()
 
     def test_stack_charges_every_system(self):
         h, y = _stack(7, (7,), 4, CONST, 0.3)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimodet.channel import CorrelationSpec, generate_channel
-from mimodet.detectors import linear_weights
+from mimodet.detectors import linear_stage, linear_weights
 from mimodet.linalg import (RCOND_FLOOR, draw_standard_complex_gaussian, invert_hermitian,
                             psd_sqrt)
 from mimodet.rng import RngStream
@@ -134,6 +134,38 @@ class TestInvertHermitian:
         want_w[want_failed] = 0.0
         assert failed.all() and np.array_equal(failed, want_failed)
         assert w.tobytes() == want_w.tobytes()
+
+    def test_singular_kind_leaves_the_other_kind_certified(self, monkeypatch):
+        # rho = 1 at N0/Es = 0.005: every ZF Gram is rank one and the
+        # stacked inverse meets an exactly singular pivot, while the MMSE
+        # Grams are regular; only the ZF slice takes the exact rule
+        n0 = 0.005
+        hs = generate_channel(RngStream(3), CorrelationSpec(rho=1.0, n_antennas=4), 64)
+        hh = np.conj(np.swapaxes(hs, -1, -2))
+        grams = np.stack([hh @ hs, hh @ hs + n0 * np.eye(4)])
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            seen.append(np.array(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        inv, failed = invert_hermitian(grams)
+        assert [a.tobytes() for a in seen] == [grams[0].tobytes()]
+        seen.clear()
+        stage = linear_stage(("zf", "mmse"), hs, n0)
+        assert [a.tobytes() for a in seen] == [grams[0].tobytes()]
+        monkeypatch.undo()
+        want_inv, want_failed = _oracle_invert(grams)
+        assert inv.tobytes() == want_inv.tobytes()
+        assert np.array_equal(failed, want_failed)
+        assert failed[0].all() and not failed[1].any()
+        for k, kind in enumerate(("zf", "mmse")):
+            want_w = want_inv[k] @ hh
+            want_w[want_failed[k]] = 0.0
+            assert stage[kind][0].tobytes() == want_w.tobytes()
+            assert np.array_equal(stage[kind][1], want_failed[k])
 
     def test_well_conditioned_stack_skips_eigvalsh(self, monkeypatch):
         def refuse(a):

@@ -102,6 +102,25 @@ class TestDemap:
             noisy = const.points[i] + (1e-6 + 1e-6j)
             assert np.array_equal(demap_symbols(noisy, const), const.bit_labels[i])
 
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_matches_broadcast_argmin(self, order):
+        # Every pairing of a point's level, an exact midpoint between two
+        # levels, a zero coordinate and a non-finite value, per axis, plus
+        # random estimates; the oracle is the all-points argmin.
+        const = square_qam(order)
+        levels = np.unique(const.points.real)
+        mids = (levels[1:] + levels[:-1]) / 2
+        axis = np.concatenate([levels, mids, [0.0, -0.0, 2.5, -1e300, np.nan, np.inf, -np.inf]])
+        re, im = np.meshgrid(axis, axis)
+        pairs = np.empty(re.size, dtype=complex)  # re + 1j * im would turn inf into nan
+        pairs.real, pairs.imag = re.ravel(), im.ravel()
+        rng = np.random.default_rng(order)
+        est = np.concatenate([pairs, rng.standard_normal(2000) + 1j * rng.standard_normal(2000)])
+        with np.errstate(invalid="ignore"):  # nan/inf coordinates
+            dist = np.abs(est[:, None] - const.points[None, :])
+            got = demap_symbols(est, const)
+        assert np.array_equal(got, const.bit_labels[np.argmin(dist, axis=1)].ravel())
+
 
 class TestNoiseSpec:
     def test_sigma2_convention(self):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mimodet.complexity import DETECTORS
 from mimodet.heuristics import DeParams, PsoParams
 from mimodet.linalg import invert_hermitian
 from mimodet.ofdm import map_bits, square_qam
@@ -19,8 +20,10 @@ from mimodet.simulate import (
     CalibrationPlan,
     ConfigError,
     DetectorConfig,
+    FrameBatchResult,
     SimulationConfig,
     _frame_channel_and_rx,
+    _simulate_frames,
     calibrate,
     convergence_study,
     default_calibration_plan,
@@ -338,7 +341,8 @@ class TestPaired:
             run_paired(cfg, [DetectorConfig("zf"), DetectorConfig("ml")], 8.0, 1.0,
                        n_vectors=64)
 
-    def test_one_stacked_inverse_per_frame(self, monkeypatch):
+    def test_one_stacked_inverse_per_task(self, monkeypatch):
+        # a task's frames share one linear stage: ZF and MMSE, every frame
         import mimodet.detectors as det
         calls = []
 
@@ -349,8 +353,8 @@ class TestPaired:
         monkeypatch.setattr(det, "invert_hermitian", counting_invert)
         cfg = _config("mmse")
         dets = [DetectorConfig(k) for k in ("zf", "mmse", "pso-mmse")]
-        run_paired(cfg, dets, 8.0, 0.5, n_vectors=cfg.n_subcarriers)  # one frame
-        assert calls == [(2, cfg.n_subcarriers, cfg.n_t, cfg.n_t)]
+        run_paired(cfg, dets, 8.0, 0.5, n_vectors=2 * cfg.n_subcarriers)  # two frames
+        assert calls == [(2, 2 * cfg.n_subcarriers, cfg.n_t, cfg.n_t)]
 
     def test_lost_seed_warning_names_its_frame(self, caplog):
         # rho = 1 without noise loses the MMSE seed on every subcarrier
@@ -367,7 +371,7 @@ class TestPaired:
     # Frames are keyed by index and merged by sum, so how a batch is split
     # over worker processes cannot change any count.
     @settings(max_examples=5, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), frames=st.integers(1, 2),
+    @given(seed=st.integers(0, 2**32 - 1), frames=st.sampled_from([1, 2, 5]),
            rho=st.sampled_from([0.0, 0.9]))
     def test_worker_count_invariance(self, seed, frames, rho):
         cfg = _config("mmse", master_seed=seed)
@@ -378,6 +382,44 @@ class TestPaired:
         for res in runs[1:]:
             assert res.errors == runs[0].errors
             assert res.discordance == runs[0].discordance
+
+
+class TestTaskSplit:
+    """A task stacks its frames for the linear stage, ML and their demap;
+    every system's result depends on that system alone, so a task equals
+    the merge of its frames run one by one, which is what makes outputs
+    independent of how batches are split over workers."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lo=st.integers(0, 3), frames=st.integers(2, 4),
+           n_t=st.sampled_from([2, 4]), n_sc=st.sampled_from([1, 3, 8]),
+           rho=st.sampled_from([0.0, 0.9, 1.0]), ebn0=st.sampled_from([8.0, math.inf]))
+    def test_task_equals_merged_single_frames(self, seed, lo, frames, n_t, n_sc, rho, ebn0):
+        kinds = [k for k in DETECTORS if not (k == "ml" and rho == 1.0)]
+        cfg = SimulationConfig(n_t=n_t, n_r=n_t, n_subcarriers=n_sc, master_seed=seed,
+                               detectors=(DetectorConfig("mmse"),))
+        small = dict(iters=3, n_pop=5)  # heuristic budget
+        dets = list(enumerate(
+            resolve_detector(DetectorConfig(k, **(small if DETECTORS[k].heuristic else {})), rho)
+            for k in kinds))
+        col = {res.kind: i for i, res in dets}
+        pairs = (((col["mmse"], None), (col["pso-mmse"], 0)),
+                 ((col["mf"], None), (col["de-mf"], 3)),
+                 ((col["pso"], 1), (col["de"], None)),
+                 ((col["zf"], None), (col["ml" if "ml" in col else "mmse"], None)))
+        checkpoints = (0, 1, 3)
+        whole = _simulate_frames(cfg, dets, ebn0, rho, lo, lo + frames, checkpoints, pairs)
+        merged = FrameBatchResult()
+        for frame in range(lo, lo + frames):
+            merged.merge(_simulate_frames(cfg, dets, ebn0, rho, frame, frame + 1,
+                                          checkpoints, pairs))
+        assert whole.vectors == merged.vectors
+        assert dict(whole.errors) == dict(merged.errors)
+        assert whole.discordance == merged.discordance
+        if lo == 0:
+            assert whole.trace.tobytes() == merged.trace.tobytes()
+        else:
+            assert whole.trace is None and merged.trace is None
 
 
 class TestConvergence:

@@ -192,7 +192,7 @@ def _cmd_validate_channel(args) -> int:
     # Sample covariance of vec(H) against the Kronecker target R_t (x) R_r.
     h = generate_channel(rng.substream("cov"), spec, args.samples)
     vecs = h.transpose(0, 2, 1).reshape(args.samples, n * n)  # column-major vec
-    cov = (vecs[:, :, None] * vecs[:, None, :].conj()).mean(axis=0)
+    cov = vecs.T @ vecs.conj() / args.samples
     target = np.kron(build_correlation_matrix(spec), build_correlation_matrix(spec))
     cov_err = float(np.max(np.abs(cov - target)))
     cov_ok = cov_err < 0.02

@@ -55,7 +55,10 @@ ML_BLOCK = 4096
 # chunks of systems, so its temporaries stay bounded whatever the number
 # of systems. On perfbench's linear_ml_sweep (2-core x86-64, glibc 2.36), a
 # 1024-system chunk (2 MB) raised peak RSS by about 10%, and 256 systems
-# (512 KB) made glibc trim and re-fault about 5 MB of heap per task.
+# (512 KB) made glibc trim and re-fault about 5 MB of heap per task. Both
+# were measured under glibc's dynamic heap thresholds, which engine runs
+# now fix (simulate._runtime_policy), so the re-faulting no longer bears on
+# the size.
 ML_SCORES = 32 * ML_BLOCK
 
 

@@ -246,8 +246,10 @@ def pso_iterate(rng: RngStream, state: SwarmState, params: PsoParams,
     pos = state.positions
     # (w V + (c1 U1) o (M_pb - P)) + (c2 U2) o (M_gb - P), in exactly that
     # order, through two scratch arrays. V gets a fresh array: with every
-    # large array updated in place, glibc's malloc handed the temporaries
-    # back to the OS after each iteration and page faults tripled.
+    # large array updated in place, page faults tripled, because glibc's
+    # dynamic trim threshold handed the temporaries back to the OS after
+    # each iteration. Engine runs now fix that threshold
+    # (simulate._runtime_policy); the layout has not been re-measured since.
     pull = np.multiply(params.c1, u1)
     diff = np.subtract(state.personal_best, pos)
     pull *= diff
@@ -329,8 +331,10 @@ def de_trials(rng: RngStream, individuals: np.ndarray, params: DeParams) -> np.n
     rows = np.ascontiguousarray(np.swapaxes(iota, -1, -2)).reshape(-1, n_dim)
     offsets = (np.arange(rows.shape[0] // n_pop) * n_pop).reshape(batch_shape + (1,))
     g = np.take(rows, r + offsets, axis=0)                  # (3, ..., n_pop, n_dim)
-    # The mutants are built inside g: fresh temporaries here let glibc trim
-    # the heap between generations, which costs page faults on every one.
+    # The mutants are built inside g: fresh temporaries here let glibc's
+    # dynamic trim threshold trim the heap between generations, at a page
+    # fault cost on every one. Engine runs now fix that threshold
+    # (simulate._runtime_policy); the layout has not been re-measured since.
     np.subtract(g[1], g[2], out=g[1])
     g[1] *= params.f_mut
     g[0] += g[1]

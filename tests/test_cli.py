@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -219,6 +220,22 @@ class TestValidateChannelCommand:
         out = capsys.readouterr().out
         assert rc == EXIT_OK
         assert out.count("PASS") == 3
+
+    def test_covariance_memory_stays_near_the_draw(self, capsys):
+        # An outer product per sample took samples x n^4 complex numbers:
+        # 82 MB here, 6.5 GB at the default samples with 8 antennas.
+        samples, n = 20_000, 4
+        draw_bytes = samples * n * n * 16
+        tracemalloc.start()
+        try:
+            rc = cli_main(["validate-channel", "--samples", str(samples), "--rho", "0.5",
+                           "--n-antennas", str(n)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_OK
+        assert "FAIL" not in capsys.readouterr().out
+        assert peak < 4 * draw_bytes
 
 
 class TestArgumentErrors:

@@ -14,6 +14,7 @@ from mimodet.detectors import (LINEAR_KINDS, ML_BLOCK, ML_SCORES, _block_monomia
 from mimodet.linalg import draw_standard_complex_gaussian, invert_hermitian
 from mimodet.ofdm import demap_symbols, square_qam
 from mimodet.rng import RngStream
+from mimodet.simulate import _blas_thread_calls
 
 CONST = square_qam(4)
 
@@ -351,6 +352,21 @@ class TestMlStack:
         assert np.array_equal(got[2], candidate_matrix(CONST, 4)[:, 0])
         keep = [0, 1, 3, 4]
         assert np.array_equal(got[keep], clean[keep])
+
+    @pytest.mark.skipif(_blas_thread_calls() is None,
+                        reason="numpy bundles no OpenBLAS with a thread-count call")
+    def test_decisions_do_not_depend_on_blas_threads(self):
+        # 1024 systems score in two 512-row chunks, a product large enough
+        # to thread at the library's default count.
+        h, y = _stack(13, (1024,), 4, CONST, 0.5)
+        set_threads, get_threads = _blas_thread_calls()
+        default = get_threads()
+        set_threads(1)
+        try:
+            single = ml_detect(h, y, CONST)
+        finally:
+            set_threads(default)
+        assert np.array_equal(ml_detect(h, y, CONST), single)
 
     def test_large_stack_scores_in_bounded_chunks(self):
         # 1024 systems against 65 536 candidates, 16 blocks: unchunked, one

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import math
+import multiprocessing
 from dataclasses import fields
 
 import numpy as np
@@ -35,6 +36,7 @@ from mimodet.simulate import (
     run_sweep,
     write_text_atomic,
 )
+from mimodet import simulate as sim
 
 QUICK = dict(max_trials=2048, target_bit_errors=10_000, master_seed=99)
 
@@ -552,6 +554,105 @@ class TestGolden:
         assert len(started) == 1
         run_sweep(self.SWEEP)
         assert len(started) == 1  # one worker starts no pool
+
+
+BLAS = sim._blas_thread_calls()
+needs_blas = pytest.mark.skipif(BLAS is None,
+                                reason="numpy bundles no OpenBLAS with a thread-count call")
+
+
+def _blas_threads(_=None) -> int:
+    return BLAS[1]()
+
+
+@needs_blas
+class TestRuntimePolicy:
+    """Engine entry points run on one BLAS thread and give the caller's
+    count back; pool workers run on one thread for their life."""
+
+    @pytest.fixture(autouse=True)
+    def caller_threads(self):
+        # Two threads, so that the caller's count differs from the policy's
+        # on any host.
+        set_threads, get_threads = BLAS
+        before = get_threads()
+        set_threads(2)
+        yield 2
+        set_threads(before)
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Thread counts read inside ml_detect and linear_stage."""
+        seen = []
+
+        def recording(fn):
+            def wrapped(*args, **kwargs):
+                seen.append(_blas_threads())
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(sim, "ml_detect", recording(sim.ml_detect))
+        monkeypatch.setattr(sim, "linear_stage", recording(sim.linear_stage))
+        return seen
+
+    def test_entry_points_run_on_one_thread(self, seen, caller_threads):
+        run_paired(_config("ml"), [DetectorConfig("ml"), DetectorConfig("mmse")], 8.0, 0.5,
+                   n_vectors=128)
+        run_sweep(_config("ml", max_trials=128, ebn0_db_list=(8.0,), rho_list=(0.0,)))
+        convergence_study(_config("pso-mmse"), DetectorConfig("pso-mmse"), [8.0],
+                          max_iters=2, n_vectors=64)
+        assert len(seen) == 5 and set(seen) == {1}
+        assert _blas_threads() == caller_threads
+
+    def test_caller_count_back_after_a_raise(self, monkeypatch, caller_threads):
+        def fail(*args, **kwargs):
+            assert _blas_threads() == 1
+            raise RuntimeError("detector failed")
+
+        monkeypatch.setattr(sim, "ml_detect", fail)
+        with pytest.raises(RuntimeError, match="detector failed"):
+            run_paired(_config("ml"), [DetectorConfig("ml")], 8.0, 0.5, n_vectors=64)
+        assert _blas_threads() == caller_threads
+
+    def test_pool_workers_run_on_one_thread(self, monkeypatch):
+        # Spawned workers start from the library's default count, not from
+        # the parent's, so only the pool initializer can set theirs.
+        spawn = multiprocessing.get_context("spawn")
+
+        class SpawnPool(sim.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, mp_context=spawn, **kwargs)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", SpawnPool)
+        with sim._worker_map(2) as run:
+            assert list(run(_blas_threads, range(4))) == [1] * 4
+
+    def test_outputs_unchanged_without_the_library_calls(self, monkeypatch, caller_threads):
+        monkeypatch.setattr(sim, "_blas_thread_calls", lambda: None)
+        monkeypatch.setattr(sim, "_glibc_mallopt", lambda: None)
+        monkeypatch.setattr(sim, "_heap_fixed", False)
+        for workers in (1, 2):
+            records = run_sweep(TestGolden.SWEEP, workers=workers)
+            assert [(r.detector, r.rho, r.trials, r.bit_errors) for r in records] == \
+                TestGolden.SWEEP_RECORDS
+        assert _blas_threads() == caller_threads  # untouched
+
+    @pytest.mark.skipif(sim._glibc_mallopt() is None, reason="needs glibc's mallopt")
+    def test_steady_state_sweep_stays_off_the_page_fault_path(self):
+        # perfbench's sweep_cli op: under glibc's dynamic thresholds each
+        # such sweep re-faulted about 18,000 pages of heap; with the fixed
+        # thresholds, under 10 on a 2-core x86-64 host.
+        resource = pytest.importorskip("resource")
+        config = SimulationConfig.from_dict({
+            "rho_list": [0.0, 0.9], "ebn0_db_list": [8.0, 16.0],
+            "max_trials": 2 * 1024, "target_bit_errors": 400, "master_seed": 1,
+            "detectors": [{"kind": "mmse"}, {"kind": "pso-mmse"}]})
+        run_sweep(config)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(2):
+            run_sweep(config)
+        faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 2
+        assert faults < 2000
 
 
 class TestCalibrate:

@@ -45,7 +45,7 @@ from .ofdm import (
     square_qam,
     time_domain_roundtrip,
 )
-from .realdomain import RealSystem, complexify, fitness, realify, realify_vec
+from .realdomain import RealSystem, complexify, fitness_columns, realify, realify_vec
 from .rng import RngStream
 from .simulate import (
     BerRecord,

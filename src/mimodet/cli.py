@@ -83,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ebn0", type=float, nargs="+", default=[16.0])
     p.add_argument("--rho", type=float, default=0.0)
     p.add_argument("--vectors", type=_positive_int, default=None,
-                   help="symbol vectors per point (default: config max_trials)")
+                   help="symbol vectors per point, rounded up to whole frames "
+                        "of n_subcarriers (default: config max_trials)")
     p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--traces-out", default=None,

@@ -51,7 +51,7 @@ from typing import ClassVar
 import numpy as np
 
 from .complexity import charge
-from .realdomain import RealSystem, complexify, fitness, fitness_columns
+from .realdomain import RealSystem, complexify, fitness_columns
 from .rng import RngStream
 
 INERTIA_DECAY = 0.99
@@ -144,7 +144,6 @@ class SwarmState:
     p_gb: np.ndarray           # (..., dim)
     gb_fitness: np.ndarray | float
     w: float
-    w0: float
     iteration: int = 0
 
 
@@ -154,7 +153,6 @@ class PopulationState:
     fitness_cache: np.ndarray  # (..., n_pop)
     p_gb: np.ndarray           # (..., dim) best individual
     gb_fitness: np.ndarray | float
-    generation: int = 0
 
 
 @dataclass
@@ -226,24 +224,15 @@ def init_swarm(rng: RngStream, params: PsoParams, seed_vec: np.ndarray | None,
         p_gb=p_gb,
         gb_fitness=gb_fit,
         w=params.w0,
-        w0=params.w0,
     )
 
 
 def pso_iterate(rng: RngStream, state: SwarmState, params: PsoParams,
-                sys: RealSystem, uniforms=None) -> SwarmState:
-    """Advance the swarm one iteration in place.
-
-    `uniforms` is a test hook overriding the U1, U2 draws; leave it None in
-    real runs so both matrices come from the stream.
-    """
-    shape = state.positions.shape
-    if uniforms is None:
-        u1 = rng.uniform(size=shape)
-        u2 = rng.uniform(size=shape)
-    else:
-        u1, u2 = (np.broadcast_to(u, shape) for u in uniforms)
+                sys: RealSystem) -> SwarmState:
+    """Advance the swarm one iteration in place."""
     pos = state.positions
+    u1 = rng.uniform(size=pos.shape)
+    u2 = rng.uniform(size=pos.shape)
     # (w V + (c1 U1) o (M_pb - P)) + (c2 U2) o (M_gb - P), in exactly that
     # order, through two scratch arrays. V gets a fresh array: with every
     # large array updated in place, page faults tripled, because glibc's
@@ -270,7 +259,7 @@ def pso_iterate(rng: RngStream, state: SwarmState, params: PsoParams,
     np.copyto(state.pb_fitness, fit, where=improved)
     state.p_gb, state.gb_fitness = _best_member(state.personal_best, state.pb_fitness)
     state.iteration += 1
-    state.w = state.w0 * INERTIA_DECAY ** state.iteration
+    state.w = params.w0 * INERTIA_DECAY ** state.iteration
     return state
 
 
@@ -359,7 +348,6 @@ def de_selection(pop: PopulationState, trials: np.ndarray, sys: RealSystem) -> P
     np.copyto(pop.individuals, trials, where=take[..., None, :])
     pop.fitness_cache = np.where(take, f_tri, f_inc)
     pop.p_gb, pop.gb_fitness = _best_member(pop.individuals, pop.fitness_cache)
-    pop.generation += 1
     return pop
 
 
@@ -405,7 +393,7 @@ def run_heuristic(rng: RngStream, sys: RealSystem, params: PsoParams | DeParams,
     if seed_vec is not None:
         seed_vec = np.asarray(seed_vec)
         if params.iters == 0:
-            trace = [np.asarray(fitness(sys, seed_vec))]
+            trace = [np.asarray(fitness_columns(sys, seed_vec[..., None])[..., 0])]
             return _finish(seed_vec, trace, {0: seed_vec} if 0 in wanted else {})
     state = init(rng, params, seed_vec, sys)
     trace = [np.asarray(state.gb_fitness)]

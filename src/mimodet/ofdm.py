@@ -22,6 +22,7 @@ the label on the real axis, and unit average symbol energy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +91,7 @@ class NoiseSpec:
 
     and the MMSE regularizer N0/Es equals sigma2. The convention is
     echoed into simulation outputs so curves can be re-based if needed.
+    Eb/N0 = +inf is the noiseless point, sigma2 = 0.
     """
 
     eb_n0_db: float
@@ -97,9 +99,18 @@ class NoiseSpec:
 
     @classmethod
     def from_ebn0(cls, eb_n0_db: float, order: int) -> "NoiseSpec":
-        bits = np.log2(order)
-        sigma2 = float(1.0 / (bits * 10.0 ** (eb_n0_db / 10.0)))
-        return cls(eb_n0_db=float(eb_n0_db), sigma2=sigma2)
+        """Raise ValueError unless sigma2 is a finite double: Eb/N0 = NaN
+        or -inf, or a finite value so far from 0 dB that the power or its
+        inverse overflows."""
+        eb_n0_db = float(eb_n0_db)
+        try:
+            sigma2 = 1.0 / (math.log2(order) * 10.0 ** (eb_n0_db / 10.0))
+        except (OverflowError, ZeroDivisionError):
+            sigma2 = math.inf
+        if not math.isfinite(sigma2):
+            raise ValueError(f"Eb/N0 {eb_n0_db} dB outside the model: "
+                             "its noise variance is not a finite double")
+        return cls(eb_n0_db=eb_n0_db, sigma2=sigma2)
 
 
 def map_bits(bits, n_tx: int, constellation: Constellation) -> np.ndarray:

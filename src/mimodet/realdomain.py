@@ -70,18 +70,6 @@ def realify(h, y) -> RealSystem:
     return RealSystem(np.concatenate([top, bottom], axis=-2), realify_vec(y))
 
 
-def fitness(sys: RealSystem, zeta) -> np.ndarray | float:
-    """Squared residual norm ||y - H zeta||^2 of one candidate per system."""
-    zeta = np.asarray(zeta)
-    if zeta.shape[-1] != sys.dim:
-        raise ValueError(f"candidate length {zeta.shape[-1]} != system dimension {sys.dim}")
-    res = sys.y - (sys.h @ zeta[..., None])[..., 0]
-    evals = res.size // res.shape[-1]
-    charge(evals * fitness_eval_flops(sys.n_tx, sys.n_rx), evals)
-    out = np.einsum("...i,...i->...", res, res)
-    return float(out) if out.ndim == 0 else out
-
-
 def fitness_columns(sys: RealSystem, candidates) -> np.ndarray:
     """Fitness of a column-stacked candidate set, shape (..., dim, k) -> (..., k)."""
     candidates = np.asarray(candidates)

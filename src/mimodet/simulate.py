@@ -123,14 +123,14 @@ def check_rho(rho: float) -> None:
         raise ConfigError(f"rho {rho} outside [0, 1]")
 
 
-def check_operating_point(ebn0_db: float, rho: float) -> None:
-    """Reject an operating point the model cannot simulate.
-
-    Eb/N0 = +inf is the noiseless point; -inf and NaN make every
-    observation non-finite. rho must lie in [0, 1].
-    """
-    if math.isnan(ebn0_db) or ebn0_db == -math.inf:
-        raise ConfigError(f"Eb/N0 {ebn0_db} dB outside the model: it must be finite or +inf")
+def check_operating_point(ebn0_db: float, rho: float, m_order: int) -> None:
+    """Reject an operating point the model cannot simulate: an Eb/N0
+    whose noise variance is not a finite double (NoiseSpec.from_ebn0; the
+    noiseless +inf has variance 0), or rho outside [0, 1]."""
+    try:
+        NoiseSpec.from_ebn0(ebn0_db, m_order)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     check_rho(rho)
 
 
@@ -275,7 +275,7 @@ class SimulationConfig:
             raise ConfigError("rho_list and ebn0_db_list must not be empty")
         for rho in self.rho_list:
             for ebn0 in self.ebn0_db_list:
-                check_operating_point(ebn0, rho)
+                check_operating_point(ebn0, rho, self.m_order)
             for det in self.detectors:  # bad parameters fail here, not mid-sweep
                 resolve_detector(det, rho)
 
@@ -681,7 +681,8 @@ def _ber_records(config: SimulationConfig, detectors, ebn0_db: float, rho: float
 
     Each detector stops on its own after max_trials symbol vectors or
     target_bit_errors bit errors, whichever comes first (checked on batch
-    boundaries).
+    boundaries). Trials run in whole frames, so max_trials rounds up to
+    ceil(max_trials / n_subcarriers) frames.
     """
     resolved = [resolve_detector(d, rho) for d in detectors]
     total_frames = math.ceil(config.max_trials / config.n_subcarriers)
@@ -738,7 +739,11 @@ class PairedResult:
 
 def run_paired(config: SimulationConfig, detectors, ebn0_db: float, rho: float,
                n_vectors: int, pairs=(), workers: int = 1) -> PairedResult:
-    """Run several detectors over the same n_vectors trials (no early stop)."""
+    """Run several detectors over the same n_vectors trials (no early stop).
+
+    Trials run in whole frames: n_vectors rounds up to
+    ceil(n_vectors / n_subcarriers) frames.
+    """
     resolved = [resolve_detector(d, rho) for d in detectors]
     labels = [r.label for r in resolved]
     position = {label: i for i, label in enumerate(labels)}
@@ -788,14 +793,15 @@ def convergence_study(config: SimulationConfig, detector: DetectorConfig,
     never look at the remaining budget. For hybrids, iteration 0 is the
     bare linear detector, except on a lost seed, which the bare detector
     erases and the hybrid decides from the zero vector. Only heuristic
-    kinds have iterations.
+    kinds have iterations. n_vectors (default: config.max_trials) rounds
+    up to ceil(n_vectors / n_subcarriers) whole frames.
     """
     if DETECTORS[detector.kind].heuristic is None:
         raise ConfigError(f"convergence applies to heuristic detectors, not {detector.kind!r}")
     base = replace(detector, iters=max_iters)
     checkpoints = tuple(range(0, max_iters + 1))
     for ebn0 in ebn0_list:
-        check_operating_point(ebn0, rho)
+        check_operating_point(ebn0, rho, config.m_order)
     n_vectors = n_vectors if n_vectors is not None else config.max_trials
     total_frames = math.ceil(n_vectors / config.n_subcarriers)
     res = resolve_detector(base, rho)
@@ -842,7 +848,8 @@ class CalibrationPlan:
     """Coordinate descent schedule: vary one parameter at a time.
 
     Every candidate evaluation runs until min_error_events bit errors or
-    max_vectors trials. Ties pick the smaller candidate value.
+    max_vectors trials. Ties pick the smaller candidate value. calibrate
+    checks the operating point against its config's m_order.
     """
 
     parameter_order: tuple
@@ -854,7 +861,6 @@ class CalibrationPlan:
     max_vectors: int = 200_000
 
     def __post_init__(self):
-        check_operating_point(self.ebn0_db, self.rho)
         for name in self.parameter_order:
             if name not in self.grids or not len(self.grids[name]):
                 raise ConfigError(f"parameter {name!r} has no candidate grid")
@@ -901,6 +907,7 @@ def calibrate(plan: CalibrationPlan, config: SimulationConfig,
     because trial substreams are keyed by value, so the final BER can
     never exceed the start BER.
     """
+    check_operating_point(plan.ebn0_db, plan.rho, config.m_order)
     eval_config = replace(config, max_trials=plan.max_vectors,
                           target_bit_errors=plan.min_error_events)
     cache: dict = {}

@@ -301,10 +301,15 @@ class TestArgumentErrors:
         ["convergence", "--detector", "pso-mmse", "--rho", "nan"],
         ["calibrate", "--detector", "pso", "--ebn0=-inf"],
         ["calibrate", "--detector", "pso", "--rho", "1.5"],
+        ["convergence", "--detector", "pso-mmse", "--ebn0=-4000"],
+        ["convergence", "--detector", "pso-mmse", "--ebn0", "3500"],
+        ["calibrate", "--detector", "pso", "--ebn0=-4000"],
+        ["calibrate", "--detector", "pso", "--ebn0", "3500"],
     ])
-    def test_operating_point_outside_model_rejected(self, config_path, command):
+    def test_operating_point_outside_model_rejected(self, config_path, command, capsys):
         argv = command[:1] + ["--config", config_path] + command[1:]
         assert cli_main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("rho", ["1.5", "nan", "-0.1"])
     def test_validate_channel_rho_outside_model_rejected(self, rho, capsys):
@@ -337,7 +342,9 @@ class TestArgumentErrors:
 
     @pytest.mark.parametrize("fields", [{"ebn0_db_list": [float("-inf")]},
                                         {"ebn0_db_list": [float("nan")]},
-                                        {"rho_list": [float("nan")]}])
+                                        {"rho_list": [float("nan")]},
+                                        {"ebn0_db_list": [-4000]},
+                                        {"ebn0_db_list": [8, 3500]}])
     def test_config_point_outside_model_rejected(self, tmp_path, fields):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(dict(BASE_CONFIG, **fields)))

@@ -25,11 +25,16 @@ from mimodet.heuristics import (
 )
 from mimodet.linalg import draw_standard_complex_gaussian
 from mimodet.ofdm import NoiseSpec, demap_symbols, square_qam
-from mimodet.realdomain import complexify, fitness, realify, realify_vec
+from mimodet.realdomain import complexify, fitness_columns, realify, realify_vec
 from mimodet.rng import RngStream
 from mimodet.simulate import DetectorConfig, SimulationConfig, run_ber_point
 
 CONST = square_qam(4)
+
+
+def _fitness(sys, zeta):
+    """Fitness of one candidate per system: a one-column fitness_columns call."""
+    return fitness_columns(sys, np.asarray(zeta)[..., None])[..., 0]
 
 
 def _decided(estimate, x):
@@ -65,7 +70,7 @@ class TestInitStrategies:
         params = PsoParams(c1=2, c2=2, w0=1, n_pop=10, iters=1)
         state = init_swarm(RngStream(4), params, seed, sys)
         assert state.gb_fitness <= state.pb_fitness[0]  # seed is member 0
-        assert state.gb_fitness <= fitness(sys, seed) * (1 + 1e-12)
+        assert state.gb_fitness <= _fitness(sys, seed) * (1 + 1e-12)
 
     def test_gaussian_mean_matches_seed(self):
         seed = np.linspace(-0.7, 0.7, 8)
@@ -85,6 +90,12 @@ class TestInitStrategies:
 
 
 class TestPsoIterate:
+    class _Ones:
+        """Stream stub whose uniform draws are all 1."""
+
+        def uniform(self, size):
+            return np.ones(size)
+
     def test_pure_inertia(self):
         _, _, _, sys = _instance(7)
         params = PsoParams(c1=0, c2=0, w0=1.0, n_pop=6, iters=1, v_max=np.inf)
@@ -105,8 +116,7 @@ class TestPsoIterate:
         state.positions = state.positions + 0.1  # detach P from M_pb
         pb = state.personal_best.copy()
         pull = pb - state.positions
-        ones = np.ones_like(state.positions)
-        pso_iterate(RngStream(14), state, params, sys, uniforms=(ones, ones))
+        pso_iterate(self._Ones(), state, params, sys)
         assert np.allclose(state.positions, pb)
         assert np.allclose(state.velocities, pull)
 
@@ -146,7 +156,7 @@ class TestPsoIterate:
         rng = RngStream(26)
         for i in range(10):
             pso_iterate(rng.substream(i), state, params, sys)
-        recomputed = np.array([fitness(sys, state.personal_best[:, k])
+        recomputed = np.array([_fitness(sys, state.personal_best[:, k])
                                for k in range(8)])
         assert np.allclose(state.pb_fitness, recomputed)
         assert state.gb_fitness == pytest.approx(state.pb_fitness.min())
@@ -255,7 +265,7 @@ class TestDeOperators:
         before = pop.individuals.copy()
         de_selection(pop, before.copy(), sys)  # trials identical -> ties
         assert np.array_equal(pop.individuals, before)
-        assert pop.generation == 1
+        assert np.array_equal(pop.fitness_cache, fitness_columns(sys, before))
 
     def test_selection_takes_zero_fitness_trial(self):
         h, x, _, _ = _instance(45, sigma=0.0)
@@ -383,8 +393,9 @@ class TestKernelOracles:
         state.positions = state.positions + 0.3  # detach P from M_pb
         p, v, pb, gb = (state.positions.copy(), state.velocities.copy(),
                         state.personal_best.copy(), state.p_gb.copy())
-        u1, u2 = RngStream(79).uniform(size=(2,) + p.shape)
-        pso_iterate(RngStream(80), state, params, sys, uniforms=(u1, u2))
+        twin = RngStream(80)  # the same U1, U2 draws as the stream handed in
+        u1, u2 = twin.uniform(size=p.shape), twin.uniform(size=p.shape)
+        pso_iterate(RngStream(80), state, params, sys)
         vel = 2.0 * v + 3.5 * u1 * (pb - p) + 0.5 * u2 * (gb[:, None] - p)
         assert np.array_equal(state.velocities, vel)
         assert np.array_equal(state.positions, p + vel)
@@ -447,6 +458,22 @@ class TestHybrid:
         assert np.array_equal(run.estimate, complexify(seed_vec))
         assert run.trace.shape == (1,)
 
+    @pytest.mark.parametrize("params", [PsoParams(c1=2, c2=2, w0=1, n_pop=8, iters=0),
+                                        DeParams(0.6, 0.6, n_pop=8, iters=0)])
+    @pytest.mark.parametrize("batch", [None, 16])
+    def test_budget_zero_trace_is_seed_fitness(self, params, batch):
+        # the one trace entry of a zero-budget run scores the seed as a
+        # one-column candidate set, with no members drawn
+        if batch is None:
+            _, _, _, sys, seed_vec, _ = self._seeded_setup(62)
+        else:
+            sys, seed_vec = self._batch(62, batch)
+        with counting() as counter:
+            run = run_heuristic(RngStream(63), sys, params, seed_vec)
+        assert run.trace.shape == seed_vec.shape[:-1] + (1,)
+        assert np.array_equal(run.trace[..., 0], fitness_columns(sys, seed_vec[..., None])[..., 0])
+        assert counter.fitness_evals == (batch or 1)
+
     # A hybrid never ends worse than its seed: member 0 is the seed and
     # neither heuristic ever lets its best fitness rise. One batched run
     # covers 16 random systems per example.
@@ -458,7 +485,7 @@ class TestHybrid:
         params = PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=10, iters=15)
         run = run_heuristic(RngStream(seed), sys, params, seed_vec)
         assert np.all(np.diff(run.trace, axis=-1) <= 0)
-        assert np.all(run.trace[..., -1] <= fitness(sys, seed_vec) * (1 + 1e-12))
+        assert np.all(run.trace[..., -1] <= _fitness(sys, seed_vec) * (1 + 1e-12))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -467,7 +494,7 @@ class TestHybrid:
         params = DeParams(1.7, 0.6, n_pop=10, iters=15)
         run = run_heuristic(RngStream(seed), sys, params, seed_vec)
         assert np.all(np.diff(run.trace, axis=-1) <= 0)
-        assert np.all(run.trace[..., -1] <= fitness(sys, seed_vec) * (1 + 1e-12))
+        assert np.all(run.trace[..., -1] <= _fitness(sys, seed_vec) * (1 + 1e-12))
 
     def test_checkpoint_zero_is_linear_decision(self):
         h, x, y, sys, seed_vec, sigma2 = self._seeded_setup(57)

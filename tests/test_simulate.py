@@ -62,7 +62,8 @@ class TestConfig:
             _config("mmse", rho_list=(1.5,))
 
     @pytest.mark.parametrize("rho, ebn0", [(math.nan, 8.0), (-0.1, 8.0),
-                                           (0.0, -math.inf), (0.0, math.nan)])
+                                           (0.0, -math.inf), (0.0, math.nan),
+                                           (0.0, -4000.0), (0.0, 3500.0)])
     def test_operating_point_outside_model_rejected(self, rho, ebn0):
         with pytest.raises(ConfigError):
             _config("mmse", rho_list=(rho,), ebn0_db_list=(ebn0,))

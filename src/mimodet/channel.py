@@ -15,11 +15,12 @@ the time-domain chain in `ofdm.time_domain_roundtrip`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import draw_standard_complex_gaussian, psd_sqrt
+from .linalg import psd_sqrt
 from .rng import RngStream
 
 
@@ -76,26 +77,58 @@ def correlation_sqrt(spec: CorrelationSpec) -> np.ndarray:
     return psd_sqrt(build_correlation_matrix(spec)).real
 
 
-def generate_channel(rng: RngStream, spec: CorrelationSpec, n_subcarriers: int,
-                     sqrt_r: np.ndarray | None = None) -> np.ndarray:
-    """Draw independent correlated channel matrices, one per subcarrier.
+def _streams(rng: RngStream | Sequence[RngStream]) -> list[RngStream]:
+    return [rng] if isinstance(rng, RngStream) else list(rng)
 
-    Returns the (n_subcarriers, n_r, n_t) stack. With rho = 0 it is exactly
-    the raw Gaussian draw G[n]; otherwise it is the matrix product
-    sqrt(R) (G[n] sqrt(R)), whose rounding is part of the seeded outputs.
-    A precomputed correlation square root may be passed to skip the
-    eigendecomposition in tight Monte Carlo loops.
+
+def _stream_normals(rngs: list[RngStream], shape: tuple) -> np.ndarray:
+    """The (len(rngs),) + shape stack of standard normals, one draw of
+    `shape` per stream, filled in place in stream order."""
+    out = np.empty((len(rngs),) + shape)
+    for rng, block in zip(rngs, out):
+        rng.standard_normal(shape, out=block)
+    return out
+
+
+def generate_channel(rng: RngStream | Sequence[RngStream], spec: CorrelationSpec,
+                     n_subcarriers: int, sqrt_r: np.ndarray | None = None) -> np.ndarray:
+    """Draw independent correlated channel matrices, n_subcarriers per stream.
+
+    `rng` is one stream or a sequence of them, one per frame of a task.
+    Each stream draws its (2, n_subcarriers, n, n) real and imaginary
+    standard normals in one call, and the result stacks the streams'
+    matrices in order: (len(rng) * n_subcarriers, n_r, n_t), or
+    (n_subcarriers, n_r, n_t) for one stream, which is what the
+    concatenated one-stream draws give, bit for bit.
+
+    With rho = 0 it is exactly the raw Gaussian draw G[n]
+    (linalg.draw_standard_complex_gaussian); otherwise it is the matrix
+    product sqrt(R) (G[n] sqrt(R)), whose association is part of the
+    seeded outputs. sqrt(R) is real, so the product runs on the real and
+    imaginary parts as one real stack, and the parts are combined last.
+    That gives the complex formula's bits: numpy's complex division by
+    sqrt(2) multiplies both parts by fl(1 / sqrt(2)), which is the scale
+    applied here first, and a complex product with a real operand, whose
+    imaginary part is zero, rounds as the real product does (checked
+    bit for bit by the tests on OpenBLAS). A precomputed correlation
+    square root may be passed to skip the eigendecomposition in tight
+    Monte Carlo loops.
     """
     if n_subcarriers < 1:
         raise ValueError("n_subcarriers must be >= 1")
+    rngs = _streams(rng)
     n = spec.n_antennas
-    g = draw_standard_complex_gaussian(rng, n, n, count=n_subcarriers)
-    if spec.rho == 0.0:
-        return g
-    if sqrt_r is None:
-        sqrt_r = correlation_sqrt(spec)
-    # sqrt_r is real symmetric, so sqrt(R_t)^H == sqrt_r.
-    return sqrt_r @ (g @ sqrt_r)
+    parts = _stream_normals(rngs, (2, n_subcarriers, n, n))
+    parts *= 1.0 / np.sqrt(2.0)
+    if spec.rho != 0.0:
+        if sqrt_r is None:
+            sqrt_r = correlation_sqrt(spec)
+        # sqrt_r is real symmetric, so sqrt(R_t)^H == sqrt_r.
+        parts = sqrt_r @ (parts @ sqrt_r)
+    h = np.empty((len(rngs), n_subcarriers, n, n), dtype=complex)
+    h.real = parts[:, 0]
+    h.imag = parts[:, 1]
+    return h.reshape(-1, n, n)
 
 
 def generate_pdp_channel(rng: RngStream, spec: CorrelationSpec, pdp: PdpSpec,
@@ -113,12 +146,26 @@ def generate_pdp_channel(rng: RngStream, spec: CorrelationSpec, pdp: PdpSpec,
     return taps, np.fft.fft(taps, n=n_subcarriers, axis=0)
 
 
-def add_awgn(rng: RngStream, y_clean: np.ndarray, sigma2: float) -> np.ndarray:
-    """Add circularly-symmetric complex Gaussian noise of per-entry variance sigma2."""
+def add_awgn(rng: RngStream | Sequence[RngStream], y_clean: np.ndarray,
+             sigma2: float) -> np.ndarray:
+    """Add circularly-symmetric complex Gaussian noise of per-entry variance sigma2.
+
+    With a sequence of streams, y_clean's leading axis holds one equal
+    block per stream, and each stream draws its block's noise in one call,
+    as a one-stream call on that block would. Noiseless (sigma2 = 0) draws
+    nothing.
+    """
     if sigma2 < 0:
         raise ValueError("sigma2 must be >= 0")
     y_clean = np.asarray(y_clean)
     if sigma2 == 0.0:
         return y_clean.copy()
-    parts = rng.standard_normal((2,) + y_clean.shape)
-    return y_clean + np.sqrt(sigma2 / 2.0) * (parts[0] + 1j * parts[1])
+    rngs = _streams(rng)
+    block = y_clean.shape
+    if len(rngs) > 1:
+        if len(y_clean) % len(rngs):
+            raise ValueError(f"{len(y_clean)} rows do not split into {len(rngs)} equal blocks")
+        block = (len(y_clean) // len(rngs),) + block[1:]
+    parts = _stream_normals(rngs, (2,) + block)
+    noise = (parts[:, 0] + 1j * parts[:, 1]).reshape(y_clean.shape)
+    return y_clean + np.sqrt(sigma2 / 2.0) * noise

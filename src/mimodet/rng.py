@@ -70,8 +70,9 @@ class RngStream:
             return self._generator().random(size)
         return self._generator().uniform(low, high, size)
 
-    def standard_normal(self, size=None):
-        return self._generator().standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        """Standard normal draws; with `out`, filled in place (same values)."""
+        return self._generator().standard_normal(size, out=out)
 
     def integers(self, low, high, size=None):
         """Integers in [low, high), matching numpy's half-open convention."""

@@ -372,20 +372,25 @@ def _rhokey(rho: float) -> int:
 # Frame simulation
 # ---------------------------------------------------------------------------
 
-def _frame_channel_and_rx(config: SimulationConfig, const: Constellation,
-                          sqrt_r, ebn0_db: float, rho: float, frame: int):
-    """Draw one frame: bits, channel stack, received grid (detector-neutral)."""
+def _draw_task(config: SimulationConfig, const: Constellation, sqrt_r,
+               ebn0_db: float, rho: float, frames: range):
+    """Bits, channel stack, received grid and noise variance of a task's
+    frames, stacked on the system axis (detector-neutral).
+
+    Each frame draws on its own trial substream, in the order bits,
+    channel normals, noise normals (none at Eb/N0 = +inf); the stack is
+    then built once, so it equals the frames' separate draws concatenated.
+    """
     n_sc = config.n_subcarriers
-    trial_rng = RngStream(config.master_seed).substream(
-        "trial", _ebkey(ebn0_db), _rhokey(rho), frame)
-    nbits = n_sc * config.bits_per_vector
-    bits = trial_rng.integers(0, 2, nbits)
+    point_key = (_ebkey(ebn0_db), _rhokey(rho))
+    trial = [RngStream(config.master_seed).substream("trial", *point_key, frame)
+             for frame in frames]
+    bits = np.concatenate([rng.integers(0, 2, n_sc * config.bits_per_vector) for rng in trial])
     spec = CorrelationSpec(rho=rho, n_antennas=config.n_t)
-    hs = generate_channel(trial_rng, spec, n_sc, sqrt_r=sqrt_r)  # (n_sc, n_r, n_t)
+    hs = generate_channel(trial, spec, n_sc, sqrt_r=sqrt_r)  # (n_sys, n_r, n_t)
     clean = np.einsum("nrt,tn->nr", hs, map_bits(bits, config.n_t, const))
-    noise = NoiseSpec.from_ebn0(ebn0_db, config.m_order)
-    ys = add_awgn(trial_rng, clean, noise.sigma2)
-    return bits, hs, ys, noise
+    sigma2 = NoiseSpec.from_ebn0(ebn0_db, config.m_order).sigma2
+    return bits, hs, add_awgn(trial, clean, sigma2), sigma2
 
 
 def _detect_frame(res: ResolvedDetector, config: SimulationConfig,
@@ -480,12 +485,10 @@ def _simulate_frames(config: SimulationConfig, detectors, ebn0_db: float,
     n_sc = config.n_subcarriers
     nbits = n_sc * config.bits_per_vector
     frames = range(frame_lo, frame_hi)
-    bits, hs, ys, noise = zip(*(_frame_channel_and_rx(config, const, sqrt_r, ebn0_db, rho, frame)
-                                for frame in frames))
-    bits, hs, ys = np.concatenate(bits), np.concatenate(hs), np.concatenate(ys)
+    bits, hs, ys, sigma2 = _draw_task(config, const, sqrt_r, ebn0_db, rho, frames)
     kinds = {DETECTORS[res.kind].linear for _, res in detectors} - {None}
     linear = {kind: (apply_equalizer(w, ys), failed)
-              for kind, (w, failed) in linear_stage(kinds, hs, noise[0].sigma2).items()}
+              for kind, (w, failed) in linear_stage(kinds, hs, sigma2).items()}
     out = FrameBatchResult()
     masks = {key: [] for pair in pairs for key in pair}  # column -> error masks, frame order
 

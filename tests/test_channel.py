@@ -62,6 +62,25 @@ class TestGenerateChannel:
         want = np.einsum("ij,njk,kl->nil", sqrt_r, g, sqrt_r)
         assert np.max(np.abs(h - want)) <= 1e-14 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("rho", [0.3, 0.9, 1.0])
+    def test_correlated_draw_is_complex_product_bit_for_bit(self, rho):
+        # the real-part product rounds as the complex product with sqrt_r promoted
+        spec = CorrelationSpec(rho=rho, n_antennas=4)
+        h = generate_channel(RngStream(3).substream("c"), spec, 64)
+        g = draw_standard_complex_gaussian(RngStream(3).substream("c"), 4, 4, count=64)
+        sqrt_r = correlation_sqrt(spec)
+        assert h.tobytes() == (sqrt_r @ (g @ sqrt_r)).tobytes()
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_streams_stack_their_own_draws(self, rho):
+        spec = CorrelationSpec(rho=rho, n_antennas=3)
+        streams = [RngStream(12).substream(f) for f in range(4)]
+        h = generate_channel(streams, spec, 5)
+        want = np.concatenate([generate_channel(RngStream(12).substream(f), spec, 5)
+                               for f in range(4)])
+        assert h.shape == (20, 3, 3)
+        assert h.tobytes() == want.tobytes()
+
     def test_deterministic(self):
         spec = CorrelationSpec(rho=0.5, n_antennas=4)
         a = generate_channel(RngStream(4), spec, 8)
@@ -163,6 +182,15 @@ class TestAwgn:
         out = add_awgn(RngStream(2), y, 0.5)
         assert abs(np.mean(np.abs(out) ** 2) - 0.5) < 0.01
         assert abs(out.mean()) < 0.01
+
+    def test_streams_noise_their_own_blocks(self):
+        y = RngStream(4).standard_normal((6, 2)) + 0j
+        out = add_awgn([RngStream(5).substream(f) for f in range(3)], y, 0.3)
+        want = np.concatenate([add_awgn(RngStream(5).substream(f), y[2 * f:2 * f + 2], 0.3)
+                               for f in range(3)])
+        assert out.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            add_awgn([RngStream(5), RngStream(6)], np.zeros(3, dtype=complex), 0.3)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):

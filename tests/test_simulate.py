@@ -7,13 +7,15 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mimodet.channel import CorrelationSpec, correlation_sqrt
 from mimodet.complexity import DETECTORS
 from mimodet.heuristics import DeParams, PsoParams
-from mimodet.linalg import invert_hermitian
-from mimodet.ofdm import map_bits, square_qam
+from mimodet.linalg import draw_standard_complex_gaussian, invert_hermitian
+from mimodet.ofdm import NoiseSpec, map_bits, square_qam
+from mimodet.rng import RngStream
 from mimodet.simulate import (
     CALIBRATED_DE,
     CALIBRATED_PSO,
@@ -23,7 +25,6 @@ from mimodet.simulate import (
     DetectorConfig,
     FrameBatchResult,
     SimulationConfig,
-    _frame_channel_and_rx,
     _simulate_frames,
     calibrate,
     convergence_study,
@@ -264,29 +265,75 @@ class TestRunBerPoint:
         assert rec.ber == 1.0
 
 
+def _oracle_frame(cfg, const, ebn0_db, rho, frame):
+    """One frame drawn and built alone with the complex formulas: bits,
+    then channel normals, then noise normals on the frame's trial stream."""
+    rng = RngStream(cfg.master_seed).substream("trial", sim._ebkey(ebn0_db),
+                                               sim._rhokey(rho), frame)
+    bits = rng.integers(0, 2, cfg.n_subcarriers * cfg.bits_per_vector)
+    hs = draw_standard_complex_gaussian(rng, cfg.n_t, cfg.n_t, count=cfg.n_subcarriers)
+    if rho != 0.0:
+        sqrt_r = correlation_sqrt(CorrelationSpec(rho, cfg.n_t))
+        hs = sqrt_r @ (hs @ sqrt_r)  # complex product, sqrt_r promoted
+    clean = np.einsum("nrt,tn->nr", hs, map_bits(bits, cfg.n_t, const))
+    sigma2 = NoiseSpec.from_ebn0(ebn0_db, cfg.m_order).sigma2
+    if sigma2 == 0.0:
+        return bits, hs, clean.copy()
+    parts = rng.standard_normal((2,) + clean.shape)
+    return bits, hs, clean + np.sqrt(sigma2 / 2.0) * (parts[0] + 1j * parts[1])
+
+
+def _task(cfg, ebn0_db, rho, frames):
+    const = square_qam(cfg.m_order)
+    sqrt_r = None if rho == 0.0 else correlation_sqrt(CorrelationSpec(rho, cfg.n_t))
+    return sim._draw_task(cfg, const, sqrt_r, ebn0_db, rho, frames)
+
+
 class TestFrameChannel:
-    """One frame through the per-subcarrier model y[n] = H[n] x[n] + z[n]."""
+    """A task's frames through the per-subcarrier model y[n] = H[n] x[n] + z[n]."""
 
     def _frame(self, ebn0_db, frame=3):
         cfg = _config("mmse")
-        const = square_qam(cfg.m_order)
-        bits, hs, ys, noise = _frame_channel_and_rx(cfg, const, None, ebn0_db, 0.0, frame)
-        clean = np.einsum("nrt,tn->nr", hs, map_bits(bits, cfg.n_t, const))
-        return clean, ys, noise
+        bits, hs, ys, sigma2 = _task(cfg, ebn0_db, 0.0, range(frame, frame + 1))
+        clean = np.einsum("nrt,tn->nr", hs, map_bits(bits, cfg.n_t, square_qam(cfg.m_order)))
+        return clean, ys, sigma2
 
     def test_noiseless_is_channel_times_symbols(self):
-        clean, ys, noise = self._frame(float("inf"))
-        assert noise.sigma2 == 0.0
+        clean, ys, sigma2 = self._frame(float("inf"))
+        assert sigma2 == 0.0
         assert np.array_equal(ys, clean)
 
     def test_noise_statistics(self):
         # 10 log10(2) dB gives sigma2 = 1 / (2 * 2) = 0.25 per complex entry
         devs = []
         for frame in range(160):  # 160 x 64 x 4 = 40 960 noise entries
-            clean, ys, noise = self._frame(10 * math.log10(2.0), frame)
+            clean, ys, sigma2 = self._frame(10 * math.log10(2.0), frame)
             devs.append(ys - clean)
-        assert noise.sigma2 == pytest.approx(0.25)
+        assert sigma2 == pytest.approx(0.25)
         assert abs(np.mean(np.abs(np.concatenate(devs)) ** 2) - 0.25) < 0.01
+
+    # The stacked build must give the bits of frames drawn and built one at
+    # a time with the complex formulas. The explicit examples pin the cases
+    # where the 1/sqrt(2) scale, moved after the correlation product, or a
+    # reordered draw would change bits.
+    @settings(max_examples=60, deadline=None)
+    @given(rho=st.sampled_from([0.0, 0.3, 0.9, 1.0]), ebn0_db=st.sampled_from([8.0, math.inf]),
+           n_t=st.sampled_from([2, 4]), n_sc=st.sampled_from([1, 3, 64]),
+           lo=st.integers(0, 40), n_frames=st.integers(1, 5))
+    @example(rho=0.9, ebn0_db=8.0, n_t=4, n_sc=64, lo=0, n_frames=5)
+    @example(rho=0.3, ebn0_db=math.inf, n_t=2, n_sc=64, lo=7, n_frames=3)
+    @example(rho=0.0, ebn0_db=8.0, n_t=2, n_sc=1, lo=0, n_frames=2)
+    def test_stacked_draw_is_per_frame_oracle(self, rho, ebn0_db, n_t, n_sc, lo, n_frames):
+        cfg = _config("mmse", n_t=n_t, n_r=n_t, n_subcarriers=n_sc,
+                      rho_list=(rho,), ebn0_db_list=(ebn0_db,))
+        frames = range(lo, lo + n_frames)
+        bits, hs, ys, _ = _task(cfg, ebn0_db, rho, frames)
+        want = [_oracle_frame(cfg, square_qam(cfg.m_order), ebn0_db, rho, f) for f in frames]
+        for got, parts in zip((bits, hs, ys), zip(*want)):
+            expect = np.concatenate(parts)
+            assert got.dtype == expect.dtype
+            assert got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()
 
 
 class TestRunSweep:

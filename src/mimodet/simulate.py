@@ -16,8 +16,12 @@ a given operating point sees identical channels, bits and noise. That
 makes cross-detector BER comparisons paired, which is how the ordering
 and refinement experiments get their statistical power. It also lets all
 detectors of a point share one frame loop. A batch of BATCH_FRAMES frames
-is cut into one task per worker; a task draws each of its frames from that
-frame's own substream and stacks them on the system axis. One linear
+is cut into one task per worker. Each frame draws on its own trial
+substream, in the order bits, channel normals, noise normals (none at
+Eb/N0 = +inf); the task then builds its channel stack, symbol grid, clean
+signal and noise once, over all of its frames on the system axis
+(channel.generate_channel and add_awgn take the task's streams), and that
+stack equals the frames built one at a time, bit for bit. One linear
 stage (detectors.linear_stage) then computes every linear kind the
 point's active detectors need, MF, ZF and MMSE together, for all of the
 task's subcarriers, and the bare linear detectors, ML and one demap of
@@ -140,6 +144,12 @@ def check_square_qam(m: int) -> None:
         raise ConfigError(f"m_order {m} is not a power of 4: only square QAM is simulated")
 
 
+def _inf_from_text(value):
+    """A config value with "inf", which outputs write for +inf
+    (_inf_as_text), read back as +inf."""
+    return math.inf if value == "inf" else value
+
+
 def _nearest_rho_key(rho: float) -> float:
     return min((0.0, 0.5, 0.9), key=lambda r: abs(r - rho))
 
@@ -186,6 +196,8 @@ class DetectorConfig:
             raise ConfigError(f"detectors entries must be JSON objects, got {d!r}")
         d = dict(d)
         kind = str(d.pop("kind", "")).lower()
+        if "v_max" in d:
+            d["v_max"] = _inf_from_text(d["v_max"])
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown detector fields: {sorted(unknown)}")
@@ -291,6 +303,8 @@ class SimulationConfig:
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        if isinstance(d.get("ebn0_db_list"), list):
+            d["ebn0_db_list"] = [_inf_from_text(v) for v in d["ebn0_db_list"]]
         for name in ("rho_list", "ebn0_db_list"):
             if name in d:
                 d[name] = _number_tuple(name, d[name])
@@ -468,8 +482,9 @@ def _simulate_frames(config: SimulationConfig, detectors, ebn0_db: float,
     ((position, checkpoint), (position, checkpoint)) column pairs whose
     bitwise error discordance should be accumulated.
 
-    Each frame is drawn from its own trial substream, and the frames are
-    then stacked on the system axis: the linear stage, each kind's
+    Each frame is drawn from its own trial substream, and the task's
+    frames are built as one stack on the system axis (_draw_task): the
+    linear stage, each kind's
     equalizer, the bare linear detectors and ML, and one demap of their
     outputs run once over the whole stack. PSO, DE and the hybrids run
     frame by frame, each frame on its own detector substream and its
@@ -973,8 +988,27 @@ def _csv_text(header, rows, preamble: str = "") -> str:
     return buf.getvalue()
 
 
+def _inf_as_text(value):
+    """`value` with every +inf float, the noiseless Eb/N0, as the string
+    "inf", which is how the CSV rows write it and the config loader reads
+    it back."""
+    if isinstance(value, float) and value == math.inf:
+        return "inf"
+    if isinstance(value, dict):
+        return {key: _inf_as_text(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_inf_as_text(v) for v in value]
+    return value
+
+
+def _json_text(payload, **kwargs) -> str:
+    """Standard JSON: +inf goes in as "inf", and any other non-finite float
+    raises ValueError rather than writing a token strict parsers reject."""
+    return json.dumps(_inf_as_text(payload), allow_nan=False, sort_keys=True, **kwargs)
+
+
 def records_to_csv(records, config: SimulationConfig) -> str:
-    echo = json.dumps(config.to_dict(), sort_keys=True)
+    echo = _json_text(config.to_dict())
     return _csv_text(CSV_COLUMNS, (rec.to_row() for rec in records),
                      f"# config {echo}\n# note {SEQUENTIAL_STOP_NOTE}\n")
 
@@ -986,7 +1020,7 @@ def records_to_json(records, config: SimulationConfig) -> str:
         "note": SEQUENTIAL_STOP_NOTE,
         "records": [asdict(rec) for rec in records],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _json_text(payload, indent=2) + "\n"
 
 
 def convergence_rows_to_csv(rows) -> str:

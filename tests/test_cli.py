@@ -51,6 +51,23 @@ class TestSimulateCommand:
         payload = json.loads(out.read_text())
         assert len(payload["records"]) == 2
 
+    def test_json_noiseless_point_round_trip(self, tmp_path):
+        # strict JSON: +inf is written as "inf", and the echoed config loads back
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, ebn0_db_list=[float("inf"), 8])))
+        out = tmp_path / "out.json"
+        assert cli_main(["simulate", "--config", str(path), "--out", str(out),
+                         "--format", "json"]) == EXIT_OK
+        assert "Infinity" not in out.read_text()
+        payload = json.loads(out.read_text())
+        assert [r["ebn0_db"] for r in payload["records"]] == ["inf", 8.0] * 2
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(payload["config"]))
+        again = tmp_path / "again.json"
+        assert cli_main(["simulate", "--config", str(echo), "--out", str(again),
+                         "--format", "json"]) == EXIT_OK
+        assert again.read_bytes() == out.read_bytes()
+
     def test_missing_config_fails(self, tmp_path, capsys):
         rc = cli_main(["simulate", "--config", str(tmp_path / "nope.json")])
         assert rc == EXIT_CONFIG

@@ -3,7 +3,7 @@ import json
 import logging
 import math
 import multiprocessing
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -774,6 +774,29 @@ class TestWriters:
         payload = json.loads(records_to_json(self._records(), cfg))
         assert payload["config"]["master_seed"] == 99
         assert payload["records"][0]["detector"] == "MMSE"
+
+    @staticmethod
+    def _strict_loads(text):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+        return json.loads(text, parse_constant=reject)
+
+    def test_noiseless_point_is_standard_json_and_loads_back(self):
+        cfg = _config("mmse", "pso", ebn0_db_list=(math.inf, 8.0))
+        cfg = replace(cfg, detectors=(cfg.detectors[0], DetectorConfig("pso", v_max=math.inf)))
+        records = [replace(self._records()[0], ebn0_db=math.inf)]
+        payload = self._strict_loads(records_to_json(records, cfg))
+        assert payload["config"]["ebn0_db_list"] == ["inf", 8.0]
+        assert payload["records"][0]["ebn0_db"] == "inf"
+        assert SimulationConfig.from_dict(payload["config"]) == cfg
+        echo = records_to_csv(records, cfg).splitlines()[0].removeprefix("# config ")
+        assert SimulationConfig.from_dict(self._strict_loads(echo)) == cfg
+        assert records_to_csv(records, cfg).splitlines()[3].split(",")[1] == "inf"
+
+    def test_other_non_finite_output_raises(self):
+        records = [replace(self._records()[0], ber=math.nan)]
+        with pytest.raises(ValueError):
+            records_to_json(records, _config("mmse"))
 
     def test_atomic_write(self, tmp_path):
         target = tmp_path / "out.csv"

@@ -29,6 +29,7 @@ from .channel import (
     generate_channel,
     generate_pdp_channel,
 )
+from .linalg import draw_standard_complex_gaussian
 from .ofdm import map_bits, square_qam, time_domain_roundtrip
 from .rng import RngStream
 
@@ -213,10 +214,11 @@ def _cmd_validate_channel(args) -> int:
     print(f"cyclic-prefix equivalence max error {cp_err:.3e} "
           f"({'PASS' if cp_ok else 'FAIL'}, tolerance 1e-10)")
 
-    # Per-subcarrier generation sanity: rho = 0 returns the raw draws.
+    # rho = 0 returns the raw draws, bit for bit.
     flat = generate_channel(rng.substream("flat"), CorrelationSpec(0.0, n), 8)
-    flat_ok = flat.shape == (8, n, n)
-    print(f"iid generation shape check ({'PASS' if flat_ok else 'FAIL'})")
+    raw = draw_standard_complex_gaussian(rng.substream("flat"), n, n, count=8)
+    flat_ok = flat.tobytes() == raw.tobytes()
+    print(f"rho = 0 channel equals the raw draw bit for bit ({'PASS' if flat_ok else 'FAIL'})")
 
     return EXIT_OK if (cov_ok and cp_ok and flat_ok) else EXIT_RUNTIME
 

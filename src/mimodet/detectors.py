@@ -11,8 +11,7 @@ every linear kind a stack needs in one pass: one H^H, one Gram, and one
 stacked inverse for ZF and MMSE together; linear_weights is its one-kind
 form. The flop ledger still charges each kind its own model count. The
 detectors return the soft estimate; ofdm.demap_symbols, the only slicer,
-turns it into bits, sending an estimate equidistant from several points
-to the first of them in `Constellation.points`. The MF output is
+turns it into bits and states the tie rule. The MF output is
 deliberately not column-normalized: quadrant slicing of square QAM is
 scale-invariant per real axis.
 

@@ -34,8 +34,7 @@ engine passes the zero vector as that subcarrier's seed.
 A run returns complex soft estimates, the best member of each step, not
 constellation points: `ofdm.demap_symbols` is the only slicer, for these
 runs as for the linear detectors, so a hybrid's iteration 0 is exactly its
-linear detector's decision. An estimate equidistant from several points
-goes to the first of them in `Constellation.points`.
+linear detector's decision, ties included (demap_symbols states the rule).
 
 All state arrays accept an optional leading batch axis; the Monte Carlo
 engine batches every subcarrier of an OFDM frame through one state.

@@ -35,29 +35,11 @@ class Constellation:
     order: int
     points: np.ndarray        # (M,) complex
     bit_labels: np.ndarray    # (M, log2 M) ints, row i labels points[i]
+    levels: np.ndarray        # (L,) per-axis amplitudes, indexed by bit pattern
 
     @property
     def bits_per_symbol(self) -> int:
         return self.bit_labels.shape[1]
-
-
-def _gray_levels(n_bits: int) -> np.ndarray:
-    """Amplitudes for each bit pattern of one axis, Gray coded.
-
-    Pattern value g (after Gray decode) maps to level L - 1 - 2g with
-    L = 2**n_bits, so the all-zero pattern gets the most positive level.
-    """
-    size = 1 << n_bits
-    codes = np.arange(size)
-    gray = np.zeros(size, dtype=int)
-    for i, c in enumerate(codes):
-        g = c
-        shift = 1
-        while (c >> shift) > 0:
-            g ^= c >> shift
-            shift += 1
-        gray[i] = g
-    return (size - 1 - 2 * gray).astype(float)
 
 
 def is_square_qam(order: int) -> bool:
@@ -66,17 +48,20 @@ def is_square_qam(order: int) -> bool:
 
 
 def square_qam(order: int) -> Constellation:
-    """Build a square M-QAM constellation, M a power of 4."""
+    """Build a square M-QAM constellation, M a power of 4. Per axis, the
+    Gray pattern j ^ (j >> 1) gets amplitude L - 1 - 2j."""
     if not is_square_qam(order):
         raise ValueError(f"order must be a power of 4, got {order}")
-    k = order.bit_length() - 1
-    half = k // 2
-    levels = _gray_levels(half)
-    labels = np.array([[int(b) for b in format(m, f"0{k}b")] for m in range(order)])
-    weights = 1 << np.arange(half)[::-1]
-    raw = levels[labels[:, :half] @ weights] + 1j * levels[labels[:, half:] @ weights]
-    energy = np.mean(np.abs(raw) ** 2)
-    return Constellation(order, raw / np.sqrt(energy), labels)
+    half = (order.bit_length() - 1) // 2
+    size = 1 << half
+    j = np.arange(size)
+    amplitude = np.empty(size)
+    amplitude[j ^ (j >> 1)] = size - 1 - 2 * j
+    m = np.arange(order)
+    labels = (m[:, None] >> np.arange(2 * half)[::-1]) & 1
+    raw = amplitude[m >> half] + 1j * amplitude[m & (size - 1)]
+    points = raw / np.sqrt(np.mean(np.abs(raw) ** 2))
+    return Constellation(order, points, labels, points[::size].real)
 
 
 @dataclass(frozen=True)
@@ -126,27 +111,40 @@ def map_bits(bits, n_tx: int, constellation: Constellation) -> np.ndarray:
     return constellation.points[idx].reshape(-1, n_tx).T
 
 
+def level_indices(values, levels) -> np.ndarray:
+    """Index of the level nearest each real value, ties to the lower index.
+
+    A running argmin keeps memory at O(number of values): a later level
+    wins only on a strictly smaller fl(|x - l|), which is monotone in the
+    exact distance, so levels can tie but never misorder. NaN keeps 0.
+    """
+    values = np.asarray(values)
+    best = np.zeros(values.shape, dtype=np.intp)
+    best_dist = np.abs(values - levels[0])
+    for j in range(1, len(levels)):
+        dist = np.abs(values - levels[j])
+        best[dist < best_dist] = j
+        np.minimum(best_dist, dist, out=best_dist)
+    return best
+
+
 def demap_symbols(symbols, constellation: Constellation) -> np.ndarray:
     """Slice to the nearest constellation point and emit its bit label.
 
     This is the simulator's only slicer: linear, heuristic and hybrid
-    estimates all reach bits through it. An estimate equidistant from
-    several points goes to the first of them in `constellation.points`.
-
-    A running argmin over the points keeps memory at O(number of
-    estimates): a later point wins only on a strictly smaller distance.
-    The points are finite, so an estimate's distance is NaN to every
-    point or to none: either it keeps point 0, the first NaN np.argmin
-    would pick, or the first smallest distance wins, as with np.argmin.
+    estimates all reach bits through it. The rule is per axis: each part
+    goes to its nearest level, ties to the lower pattern index
+    (level_indices), and the point is i * L + q. An estimate with a
+    non-finite part goes to point 0. The nearest point of square QAM is
+    its pair of nearest levels, so this differs from a 2-D search over
+    the M points only where that search's complex |x - p| (hypot) rounds
+    two distances equal: near a decision boundary, or beside a part of
+    about 1e8 or more.
     """
-    flat = np.asarray(symbols).ravel()
-    points = constellation.points
-    best = np.zeros(flat.shape, dtype=np.intp)
-    best_dist = np.abs(flat - points[0])
-    for i in range(1, len(points)):
-        dist = np.abs(flat - points[i])
-        best[dist < best_dist] = i
-        np.minimum(best_dist, dist, out=best_dist)
+    flat = np.asarray(symbols, dtype=complex).ravel()
+    i, q = level_indices(flat.view(np.float64), constellation.levels).reshape(-1, 2).T
+    best = i * len(constellation.levels) + q
+    best[~np.isfinite(flat)] = 0
     return np.take(constellation.bit_labels, best, axis=0).ravel()
 
 

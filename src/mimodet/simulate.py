@@ -373,8 +373,8 @@ def detector_flops(config: SimulationConfig, res: ResolvedDetector) -> float:
 
 def _ebkey(ebn0_db: float) -> int:
     ebn0_db = float(ebn0_db)
-    if math.isinf(ebn0_db):  # noiseless operating point
-        return 1 << 62 if ebn0_db > 0 else -(1 << 62)
+    if ebn0_db == math.inf:  # noiseless operating point
+        return 1 << 62
     return int(round(ebn0_db * 1000.0))
 
 
@@ -727,6 +727,7 @@ def run_ber_point(config: SimulationConfig, detector: DetectorConfig,
     Stops after max_trials symbol vectors or target_bit_errors bit errors,
     whichever comes first (checked on batch boundaries).
     """
+    check_operating_point(ebn0_db, rho, config.m_order)
     with _worker_map(workers) as run:
         return _ber_records(config, [detector], ebn0_db, rho, workers, run)[0]
 
@@ -762,6 +763,7 @@ def run_paired(config: SimulationConfig, detectors, ebn0_db: float, rho: float,
     Trials run in whole frames: n_vectors rounds up to
     ceil(n_vectors / n_subcarriers) frames.
     """
+    check_operating_point(ebn0_db, rho, config.m_order)
     resolved = [resolve_detector(d, rho) for d in detectors]
     labels = [r.label for r in resolved]
     position = {label: i for i, label in enumerate(labels)}

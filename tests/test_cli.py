@@ -3,7 +3,8 @@ import tracemalloc
 
 import pytest
 
-from mimodet.cli import EXIT_CONFIG, EXIT_OK, cli_main
+from mimodet import cli
+from mimodet.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, cli_main
 from mimodet.complexity import DETECTORS, FlopFormulaInput, flops_detector
 
 BASE_CONFIG = {
@@ -237,6 +238,17 @@ class TestValidateChannelCommand:
         out = capsys.readouterr().out
         assert rc == EXIT_OK
         assert out.count("PASS") == 3
+
+    def test_rho_zero_check_compares_bits(self, monkeypatch, capsys):
+        # a reference draw one rounding step off must fail the third check
+        draw = cli.draw_standard_complex_gaussian
+        monkeypatch.setattr(cli, "draw_standard_complex_gaussian",
+                            lambda *a, **kw: draw(*a, **kw) * (1 + 2.0 ** -52))
+        rc = cli_main(["validate-channel", "--samples", "20000"])
+        out = capsys.readouterr().out
+        assert rc == EXIT_RUNTIME
+        assert out.count("PASS") == 2
+        assert "raw draw bit for bit (FAIL)" in out
 
     def test_covariance_memory_stays_near_the_draw(self, capsys):
         # An outer product per sample took samples x n^4 complex numbers:

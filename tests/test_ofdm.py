@@ -15,6 +15,14 @@ from mimodet.rng import RngStream
 
 ROOT2 = np.sqrt(2.0)
 
+# Parts a slicer must handle: near the levels, huge, subnormal, signed
+# zeros and non-finite.
+AXIS_VALUES = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e8, -1e300, np.inf, -np.inf, np.nan]),
+)
+
 # The wire-format labeling for 4-QAM: (b1, b0) -> symbol.
 QPSK_TABLE = {
     (0, 0): (1 + 1j) / ROOT2,
@@ -49,6 +57,16 @@ class TestConstellation:
                 if i != j and abs(dists[i, j] - dmin) < 1e-9:
                     hamming = int(np.sum(const.bit_labels[i] != const.bit_labels[j]))
                     assert hamming == 1
+
+    @pytest.mark.parametrize("order", [4, 16, 64, 256])
+    def test_levels_rebuild_the_points(self, order):
+        const = square_qam(order)
+        size = len(const.levels)
+        m = np.arange(order)
+        h = size.bit_length() - 1
+        rebuilt = const.levels[m >> h] + 1j * const.levels[m & (size - 1)]
+        assert size * size == order
+        assert rebuilt.tobytes() == const.points.tobytes()
 
     def test_bad_order(self):
         for order in (12, 2, 8, 32):  # only powers of 4 are square QAM
@@ -105,8 +123,10 @@ class TestDemap:
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_matches_broadcast_argmin(self, order):
         # Every pairing of a point's level, an exact midpoint between two
-        # levels, a zero coordinate and a non-finite value, per axis, plus
-        # random estimates; the oracle is the all-points argmin.
+        # levels, a zero coordinate and a huge or non-finite value, per
+        # axis, plus random estimates; the oracle is the per-axis argmin.
+        # Where both distances compare exactly (the points themselves and
+        # the random estimates), the all-points argmin agrees with it.
         const = square_qam(order)
         levels = np.unique(const.points.real)
         mids = (levels[1:] + levels[:-1]) / 2
@@ -115,11 +135,56 @@ class TestDemap:
         pairs = np.empty(re.size, dtype=complex)  # re + 1j * im would turn inf into nan
         pairs.real, pairs.imag = re.ravel(), im.ravel()
         rng = np.random.default_rng(order)
-        est = np.concatenate([pairs, rng.standard_normal(2000) + 1j * rng.standard_normal(2000)])
-        with np.errstate(invalid="ignore"):  # nan/inf coordinates
-            dist = np.abs(est[:, None] - const.points[None, :])
-            got = demap_symbols(est, const)
-        assert np.array_equal(got, const.bit_labels[np.argmin(dist, axis=1)].ravel())
+        gauss = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
+        est = np.concatenate([pairs, gauss])
+        assert np.array_equal(demap_symbols(est, const), _per_axis_oracle(est, const))
+        exact = np.concatenate([const.points, gauss])
+        dist = np.abs(exact[:, None] - const.points[None, :])
+        assert np.array_equal(demap_symbols(exact, const),
+                              const.bit_labels[np.argmin(dist, axis=1)].ravel())
+
+    @settings(max_examples=200, deadline=None)
+    @given(order=st.sampled_from([4, 16, 64]),
+           re=st.lists(AXIS_VALUES, min_size=1, max_size=32), data=st.data())
+    def test_matches_per_axis_oracle(self, order, re, data):
+        # huge, subnormal, signed-zero and non-finite parts, on one axis or both
+        im = data.draw(st.lists(AXIS_VALUES, min_size=len(re), max_size=len(re)))
+        est = np.empty(len(re), dtype=complex)
+        est.real, est.imag = re, im
+        const = square_qam(order)
+        assert np.array_equal(demap_symbols(est, const), _per_axis_oracle(est, const))
+
+    @settings(max_examples=200, deadline=None)
+    @given(order=st.sampled_from([4, 16, 64]), re=AXIS_VALUES,
+           im=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=8))
+    def test_real_bits_ignore_the_imaginary_part(self, order, re, im):
+        # a finite imaginary part, however large, never moves the real-axis bits
+        const = square_qam(order)
+        est = np.empty(len(im), dtype=complex)
+        est.real, est.imag = re, im
+        half = const.bits_per_symbol // 2
+        real_bits = demap_symbols(est, const).reshape(len(im), -1)[:, :half]
+        assert (real_bits == real_bits[0]).all()
+
+    @pytest.mark.parametrize("est, bits", [
+        (1e9 - 0.7071j, [0, 1]),
+        # MF's noiseless estimate on a rank-one channel (rho = 1): the real
+        # part is a rounding residue on the decision boundary
+        (-7.771561172376096e-16 - 3.905488263816383j, [1, 1]),
+    ])
+    def test_small_part_beside_a_large_one(self, est, bits):
+        # a 2-D search's hypot rounds both candidate distances equal here and
+        # keeps the first point; each axis has a strictly nearer level
+        assert np.array_equal(demap_symbols(est, square_qam(4)), bits)
+
+
+def _per_axis_oracle(est, const):
+    """Bits of the per-axis nearest levels (first index on ties); any
+    non-finite part goes to point 0."""
+    levels = const.levels
+    i, q = (np.argmin(np.abs(part[:, None] - levels), axis=1) for part in (est.real, est.imag))
+    idx = np.where(np.isfinite(est), i * len(levels) + q, 0)
+    return const.bit_labels[idx].ravel()
 
 
 class TestNoiseSpec:

@@ -210,6 +210,18 @@ class TestResolve:
 
 
 class TestRunBerPoint:
+    @pytest.mark.parametrize("ebn0, rho", [(math.nan, 0.0), (-math.inf, 0.0),
+                                           (8.0, 1.5), (8.0, math.nan)])
+    @pytest.mark.parametrize("entry", ["run_ber_point", "run_paired"])
+    def test_operating_point_outside_model_rejected(self, entry, ebn0, rho):
+        # the same check as convergence_study and calibrate, before any draw
+        cfg = _config("mmse")
+        with pytest.raises(ConfigError):
+            if entry == "run_ber_point":
+                run_ber_point(cfg, cfg.detectors[0], ebn0, rho)
+            else:
+                run_paired(cfg, cfg.detectors, ebn0, rho, n_vectors=64)
+
     def test_zf_noiseless_is_error_free(self):
         cfg = _config("zf", max_trials=1000)
         rec = run_ber_point(cfg, cfg.detectors[0], float("inf"), 0.0)

@@ -132,14 +132,14 @@ def demap_symbols(symbols, constellation: Constellation) -> np.ndarray:
     """Slice to the nearest constellation point and emit its bit label.
 
     This is the simulator's only slicer: linear, heuristic and hybrid
-    estimates all reach bits through it. The rule is per axis: each part
-    goes to its nearest level, ties to the lower pattern index
-    (level_indices), and the point is i * L + q. An estimate with a
-    non-finite part goes to point 0. The nearest point of square QAM is
-    its pair of nearest levels, so this differs from a 2-D search over
-    the M points only where that search's complex |x - p| (hypot) rounds
-    two distances equal: near a decision boundary, or beside a part of
-    about 1e8 or more.
+    estimates all reach bits through it. The rule is per axis: the real and
+    imaginary parts go to their nearest levels i and q, ties to the lower
+    pattern index (level_indices), and the point is i * L + q. An estimate
+    with a non-finite part goes to point 0. The nearest point of square
+    QAM is its pair of nearest levels, so this differs from a 2-D search
+    over the M points only where its complex |x - p| (hypot) rounds two
+    distances equal: near a decision boundary, or beside a part of about
+    1e8 or more.
     """
     flat = np.asarray(symbols, dtype=complex).ravel()
     i, q = level_indices(flat.view(np.float64), constellation.levels).reshape(-1, 2).T

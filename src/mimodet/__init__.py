@@ -39,9 +39,9 @@ from .heuristics import (
 from .linalg import draw_standard_complex_gaussian, invert_hermitian, psd_sqrt
 from .ofdm import (
     Constellation,
-    NoiseSpec,
     demap_symbols,
     map_bits,
+    noise_variance,
     square_qam,
     time_domain_roundtrip,
 )

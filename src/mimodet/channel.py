@@ -15,6 +15,7 @@ the time-domain chain in `ofdm.time_domain_roundtrip`.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -72,9 +73,13 @@ def build_correlation_matrix(spec: CorrelationSpec) -> np.ndarray:
     return r
 
 
+@functools.cache
 def correlation_sqrt(spec: CorrelationSpec) -> np.ndarray:
-    """Square root of the ULA correlation matrix (real symmetric)."""
-    return psd_sqrt(build_correlation_matrix(spec)).real
+    """Square root of the ULA correlation matrix (real symmetric),
+    computed once per spec; every caller shares the read-only result."""
+    root = psd_sqrt(build_correlation_matrix(spec)).real
+    root.flags.writeable = False
+    return root
 
 
 def _streams(rng: RngStream | Sequence[RngStream]) -> list[RngStream]:
@@ -91,7 +96,7 @@ def _stream_normals(rngs: list[RngStream], shape: tuple) -> np.ndarray:
 
 
 def generate_channel(rng: RngStream | Sequence[RngStream], spec: CorrelationSpec,
-                     n_subcarriers: int, sqrt_r: np.ndarray | None = None) -> np.ndarray:
+                     n_subcarriers: int) -> np.ndarray:
     """Draw independent correlated channel matrices, n_subcarriers per stream.
 
     `rng` is one stream or a sequence of them, one per frame of a task.
@@ -104,15 +109,14 @@ def generate_channel(rng: RngStream | Sequence[RngStream], spec: CorrelationSpec
     With rho = 0 it is exactly the raw Gaussian draw G[n]
     (linalg.draw_standard_complex_gaussian); otherwise it is the matrix
     product sqrt(R) (G[n] sqrt(R)), whose association is part of the
-    seeded outputs. sqrt(R) is real, so the product runs on the real and
-    imaginary parts as one real stack, and the parts are combined last.
-    That gives the complex formula's bits: numpy's complex division by
-    sqrt(2) multiplies both parts by fl(1 / sqrt(2)), which is the scale
-    applied here first, and a complex product with a real operand, whose
-    imaginary part is zero, rounds as the real product does (checked
-    bit for bit by the tests on OpenBLAS). A precomputed correlation
-    square root may be passed to skip the eigendecomposition in tight
-    Monte Carlo loops.
+    seeded outputs. sqrt(R) is correlation_sqrt's cached root, so its
+    eigendecomposition runs once per spec. It is real, so the product
+    runs on the real and imaginary parts as one real stack, and the parts
+    are combined last. That gives the complex formula's bits: numpy's
+    complex division by sqrt(2) multiplies both parts by fl(1 / sqrt(2)),
+    which is the scale applied here first, and a complex product with a
+    real operand, whose imaginary part is zero, rounds as the real product
+    does (checked bit for bit by the tests on OpenBLAS).
     """
     if n_subcarriers < 1:
         raise ValueError("n_subcarriers must be >= 1")
@@ -121,9 +125,8 @@ def generate_channel(rng: RngStream | Sequence[RngStream], spec: CorrelationSpec
     parts = _stream_normals(rngs, (2, n_subcarriers, n, n))
     parts *= 1.0 / np.sqrt(2.0)
     if spec.rho != 0.0:
-        if sqrt_r is None:
-            sqrt_r = correlation_sqrt(spec)
         # sqrt_r is real symmetric, so sqrt(R_t)^H == sqrt_r.
+        sqrt_r = correlation_sqrt(spec)
         parts = sqrt_r @ (parts @ sqrt_r)
     h = np.empty((len(rngs), n_subcarriers, n, n), dtype=complex)
     h.real = parts[:, 0]

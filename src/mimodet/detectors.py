@@ -40,7 +40,7 @@ import functools
 
 import numpy as np
 
-from .complexity import charge, fitness_eval_flops, flops_primitive
+from .complexity import DETECTORS, charge, fitness_eval_flops, flops_primitive
 from .linalg import invert_hermitian
 from .ofdm import Constellation
 from .realdomain import realify
@@ -61,8 +61,9 @@ ML_BLOCK = 4096
 ML_SCORES = 32 * ML_BLOCK
 
 
-# The kinds linear_stage computes.
-LINEAR_KINDS = ("mf", "zf", "mmse")
+# The kinds linear_stage computes: the linear part of every registered detector.
+LINEAR_KINDS = tuple(dict.fromkeys(family.linear for family in DETECTORS.values()
+                                   if family.linear))
 
 
 def linear_stage(kinds, hs: np.ndarray, n0_over_es: float) -> dict:
@@ -83,12 +84,11 @@ def linear_stage(kinds, hs: np.ndarray, n0_over_es: float) -> dict:
     count such a vector as a detection erasure. The rule is the exact
     eigenvalue test lambda_min / lambda_max <= RCOND_FLOOR, but a Gram
     whose inverse bounds its condition number below CERTIFIED_COND skips
-    it. An exactly singular Gram sends every finite Gram of its own kind
-    to the exact test, since invert_hermitian then retries the kinds'
-    slices one by one; the other kind keeps its certificates. MF never
-    fails, and the Hermitian itself costs no flops. The flop ledger
-    charges each kind its model count per system, as if it ran alone: the
-    shared Gram earns no credit.
+    it. An exactly singular Gram leaves the stack without an inverse, so
+    every finite Gram of either kind then takes the exact test
+    (invert_hermitian's one fallback). MF never fails, and the Hermitian
+    itself costs no flops. The flop ledger charges each kind its model
+    count per system, as if it ran alone: the shared Gram earns no credit.
     """
     unknown = [kind for kind in kinds if kind not in LINEAR_KINDS]
     if unknown:

@@ -233,11 +233,13 @@ def pso_iterate(rng: RngStream, state: SwarmState, params: PsoParams,
     u1 = rng.uniform(size=pos.shape)
     u2 = rng.uniform(size=pos.shape)
     # (w V + (c1 U1) o (M_pb - P)) + (c2 U2) o (M_gb - P), in exactly that
-    # order, through two scratch arrays. V gets a fresh array: with every
-    # large array updated in place, page faults tripled, because glibc's
-    # dynamic trim threshold handed the temporaries back to the OS after
-    # each iteration. Engine runs now fix that threshold
-    # (simulate._runtime_policy); the layout has not been re-measured since.
+    # order, through two scratch arrays, with V in a fresh array. Measured
+    # under the engine's fixed heap thresholds (simulate._runtime_policy)
+    # as CPU time per 16 frames of 64 systems x 25 steps, in alternating
+    # rounds on a shared 2-core x86-64 host: the plain expression gives
+    # the same bytes but costs 8% more (10/10 rounds, two runs). Buffers
+    # kept across steps save 2.5% of this kernel (10/10), which earlier
+    # end-to-end runs did not resolve (ROADMAP, "Decided against").
     pull = np.multiply(params.c1, u1)
     diff = np.subtract(state.personal_best, pos)
     pull *= diff
@@ -319,10 +321,9 @@ def de_trials(rng: RngStream, individuals: np.ndarray, params: DeParams) -> np.n
     rows = np.ascontiguousarray(np.swapaxes(iota, -1, -2)).reshape(-1, n_dim)
     offsets = (np.arange(rows.shape[0] // n_pop) * n_pop).reshape(batch_shape + (1,))
     g = np.take(rows, r + offsets, axis=0)                  # (3, ..., n_pop, n_dim)
-    # The mutants are built inside g: fresh temporaries here let glibc's
-    # dynamic trim threshold trim the heap between generations, at a page
-    # fault cost on every one. Engine runs now fix that threshold
-    # (simulate._runtime_policy); the layout has not been re-measured since.
+    # The mutants are built inside g. Measured as for pso_iterate, per 25
+    # generations, the plain expression g[0] + F (g[1] - g[2]) gives the
+    # same bytes but costs 2-5% more (9/10 rounds, two runs).
     np.subtract(g[1], g[2], out=g[1])
     g[1] *= params.f_mut
     g[0] += g[1]

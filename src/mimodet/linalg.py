@@ -8,8 +8,8 @@ The singularity test of invert_hermitian is the exact eigenvalue rule
 lambda_min / lambda_max <= RCOND_FLOOR, but it runs eigvalsh only where it
 has to: a system whose inverse already proves it far from that floor, by
 the infinity-norm bound on its condition number, skips it. An exactly
-singular pivot costs that proof only to the leading-axis slice that holds
-it.
+singular pivot leaves no inverse to prove anything with, so it sends every
+finite system of its stack to eigvalsh.
 """
 
 from __future__ import annotations
@@ -58,12 +58,10 @@ def invert_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     any whose bound is NaN or inf, go through eigvalsh. The bound never
     flags a system, so the rule itself is unchanged. If some matrix has an
     exactly singular pivot, the stacked inverse raises for the whole
-    stack. A stack with more than one batch axis then inverts each slice
-    of its leading axis on its own, so the slices without that pivot keep
-    their certificates; in a stack with one batch axis, every finite
-    system gets the eigenvalue rule and the stack is inverted again with
-    the flagged ones replaced by I. Each system's inverse depends on that
-    system alone, so every path returns the same bytes.
+    stack; then every finite system gets the eigenvalue rule, and the
+    stack is inverted once more with the flagged ones replaced by I. Each
+    system's inverse depends on that system alone, so both paths return
+    the same bytes.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -76,9 +74,6 @@ def invert_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         inv = np.linalg.inv(safe)
     except np.linalg.LinAlgError:
-        if a.ndim > 3:
-            inv, failed = zip(*(invert_hermitian(part) for part in a))
-            return np.stack(inv), np.stack(failed)
         inv = None
         unproven = ~failed
     else:

@@ -64,38 +64,29 @@ def square_qam(order: int) -> Constellation:
     return Constellation(order, points, labels, points[::size].real)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Noise bookkeeping for a target Eb/N0.
+def noise_variance(eb_n0_db: float, order: int) -> float:
+    """Per-entry complex noise variance sigma2 for a target Eb/N0.
 
     Convention used throughout: unit-energy symbols per transmit stream
-    under equal power allocation, log2(M) bits per symbol, so the
-    per-entry complex noise variance is
+    under equal power allocation, log2(M) bits per symbol, so
 
         sigma2 = 1 / (log2(M) * 10**(eb_n0_db / 10)),
 
     and the MMSE regularizer N0/Es equals sigma2. The convention is
     echoed into simulation outputs so curves can be re-based if needed.
-    Eb/N0 = +inf is the noiseless point, sigma2 = 0.
+    Eb/N0 = +inf is the noiseless point, sigma2 = 0. Raise ValueError
+    unless sigma2 is a finite double: Eb/N0 = NaN or -inf, or a finite
+    value so far from 0 dB that the power or its inverse overflows.
     """
-
-    eb_n0_db: float
-    sigma2: float
-
-    @classmethod
-    def from_ebn0(cls, eb_n0_db: float, order: int) -> "NoiseSpec":
-        """Raise ValueError unless sigma2 is a finite double: Eb/N0 = NaN
-        or -inf, or a finite value so far from 0 dB that the power or its
-        inverse overflows."""
-        eb_n0_db = float(eb_n0_db)
-        try:
-            sigma2 = 1.0 / (math.log2(order) * 10.0 ** (eb_n0_db / 10.0))
-        except (OverflowError, ZeroDivisionError):
-            sigma2 = math.inf
-        if not math.isfinite(sigma2):
-            raise ValueError(f"Eb/N0 {eb_n0_db} dB outside the model: "
-                             "its noise variance is not a finite double")
-        return cls(eb_n0_db=eb_n0_db, sigma2=sigma2)
+    eb_n0_db = float(eb_n0_db)
+    try:
+        sigma2 = 1.0 / (math.log2(order) * 10.0 ** (eb_n0_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        sigma2 = math.inf
+    if not math.isfinite(sigma2):
+        raise ValueError(f"Eb/N0 {eb_n0_db} dB outside the model: "
+                         "its noise variance is not a finite double")
+    return sigma2
 
 
 def map_bits(bits, n_tx: int, constellation: Constellation) -> np.ndarray:

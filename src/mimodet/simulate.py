@@ -74,11 +74,11 @@ from pathlib import Path
 import numpy as np
 
 from . import complexity
-from .channel import CorrelationSpec, add_awgn, correlation_sqrt, generate_channel
+from .channel import CorrelationSpec, add_awgn, generate_channel
 from .complexity import DETECTORS
 from .detectors import ML_CANDIDATE_LIMIT, apply_equalizer, linear_stage, ml_detect
 from .heuristics import DeParams, PsoParams, check_integers, run_heuristic
-from .ofdm import Constellation, NoiseSpec, demap_symbols, is_square_qam, map_bits, square_qam
+from .ofdm import Constellation, demap_symbols, is_square_qam, map_bits, noise_variance, square_qam
 from .realdomain import realify, realify_vec
 from .rng import RngStream
 
@@ -129,10 +129,10 @@ def check_rho(rho: float) -> None:
 
 def check_operating_point(ebn0_db: float, rho: float, m_order: int) -> None:
     """Reject an operating point the model cannot simulate: an Eb/N0
-    whose noise variance is not a finite double (NoiseSpec.from_ebn0; the
+    whose noise variance is not a finite double (ofdm.noise_variance; the
     noiseless +inf has variance 0), or rho outside [0, 1]."""
     try:
-        NoiseSpec.from_ebn0(ebn0_db, m_order)
+        noise_variance(ebn0_db, m_order)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     check_rho(rho)
@@ -308,8 +308,11 @@ class SimulationConfig:
         for name in ("rho_list", "ebn0_db_list"):
             if name in d:
                 d[name] = _number_tuple(name, d[name])
+        dets = d.pop("detectors", [])
+        if not isinstance(dets, (list, tuple)):
+            raise ConfigError(f"detectors must be a list of objects, got {dets!r}")
         try:
-            dets = tuple(DetectorConfig.from_dict(x) for x in d.pop("detectors", []))
+            dets = tuple(DetectorConfig.from_dict(x) for x in dets)
             return cls(detectors=dets, **d)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
@@ -386,7 +389,7 @@ def _rhokey(rho: float) -> int:
 # Frame simulation
 # ---------------------------------------------------------------------------
 
-def _draw_task(config: SimulationConfig, const: Constellation, sqrt_r,
+def _draw_task(config: SimulationConfig, const: Constellation,
                ebn0_db: float, rho: float, frames: range):
     """Bits, channel stack, received grid and noise variance of a task's
     frames, stacked on the system axis (detector-neutral).
@@ -401,9 +404,9 @@ def _draw_task(config: SimulationConfig, const: Constellation, sqrt_r,
              for frame in frames]
     bits = np.concatenate([rng.integers(0, 2, n_sc * config.bits_per_vector) for rng in trial])
     spec = CorrelationSpec(rho=rho, n_antennas=config.n_t)
-    hs = generate_channel(trial, spec, n_sc, sqrt_r=sqrt_r)  # (n_sys, n_r, n_t)
+    hs = generate_channel(trial, spec, n_sc)  # (n_sys, n_r, n_t)
     clean = np.einsum("nrt,tn->nr", hs, map_bits(bits, config.n_t, const))
-    sigma2 = NoiseSpec.from_ebn0(ebn0_db, config.m_order).sigma2
+    sigma2 = noise_variance(ebn0_db, config.m_order)
     return bits, hs, add_awgn(trial, clean, sigma2), sigma2
 
 
@@ -493,14 +496,12 @@ def _simulate_frames(config: SimulationConfig, detectors, ebn0_db: float,
     depends on how frames are grouped into calls.
     """
     const = square_qam(config.m_order)
-    spec = CorrelationSpec(rho=rho, n_antennas=config.n_t)
-    sqrt_r = None if rho == 0.0 else correlation_sqrt(spec)
     det_root = RngStream(config.master_seed).substream("det")
     point_key = (_ebkey(ebn0_db), _rhokey(rho))
     n_sc = config.n_subcarriers
     nbits = n_sc * config.bits_per_vector
     frames = range(frame_lo, frame_hi)
-    bits, hs, ys, sigma2 = _draw_task(config, const, sqrt_r, ebn0_db, rho, frames)
+    bits, hs, ys, sigma2 = _draw_task(config, const, ebn0_db, rho, frames)
     kinds = {DETECTORS[res.kind].linear for _, res in detectors} - {None}
     linear = {kind: (apply_equalizer(w, ys), failed)
               for kind, (w, failed) in linear_stage(kinds, hs, sigma2).items()}

@@ -10,7 +10,7 @@ from mimodet.channel import (
     generate_channel,
     generate_pdp_channel,
 )
-from mimodet.linalg import draw_standard_complex_gaussian
+from mimodet.linalg import draw_standard_complex_gaussian, psd_sqrt
 from mimodet.rng import RngStream
 
 
@@ -44,6 +44,16 @@ class TestCorrelationMatrix:
             CorrelationSpec(rho=1.5, n_antennas=4)
         with pytest.raises(ValueError):
             CorrelationSpec(rho=0.5, n_antennas=0)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+    def test_sqrt_is_one_read_only_array_per_spec(self, rho):
+        root = correlation_sqrt(CorrelationSpec(rho=rho, n_antennas=4))
+        assert correlation_sqrt(CorrelationSpec(rho=rho, n_antennas=4)) is root
+        assert not root.flags.writeable
+        with pytest.raises(ValueError):
+            root[0, 0] = 2.0
+        fresh = psd_sqrt(build_correlation_matrix(CorrelationSpec(rho=rho, n_antennas=4))).real
+        assert root.tobytes() == fresh.tobytes()
 
 
 class TestGenerateChannel:

@@ -24,7 +24,7 @@ from mimodet.heuristics import (
     run_heuristic,
 )
 from mimodet.linalg import draw_standard_complex_gaussian
-from mimodet.ofdm import NoiseSpec, demap_symbols, square_qam
+from mimodet.ofdm import demap_symbols, noise_variance, square_qam
 from mimodet.realdomain import complexify, fitness_columns, realify, realify_vec
 from mimodet.rng import RngStream
 from mimodet.simulate import DetectorConfig, SimulationConfig, run_ber_point
@@ -527,7 +527,7 @@ class TestOracleParity:
     TRIALS = 10_000
 
     def _trials(self):
-        sigma2 = NoiseSpec.from_ebn0(self.EBN0_DB, 4).sigma2
+        sigma2 = noise_variance(self.EBN0_DB, 4)
         rng = RngStream(777)
         h = draw_standard_complex_gaussian(rng.substream("h"), 4, 4, count=self.TRIALS)
         xi = rng.substream("x").integers(0, 4, (self.TRIALS, 4))

@@ -135,28 +135,17 @@ class TestInvertHermitian:
         assert failed.all() and np.array_equal(failed, want_failed)
         assert w.tobytes() == want_w.tobytes()
 
-    def test_singular_kind_leaves_the_other_kind_certified(self, monkeypatch):
+    def test_stacked_kinds_with_a_singular_one_match_oracle(self):
         # rho = 1 at N0/Es = 0.005: every ZF Gram is rank one and the
         # stacked inverse meets an exactly singular pivot, while the MMSE
-        # Grams are regular; only the ZF slice takes the exact rule
+        # Grams are regular; the one fallback still gives each kind's
+        # oracle bytes and flags
         n0 = 0.005
         hs = generate_channel(RngStream(3), CorrelationSpec(rho=1.0, n_antennas=4), 64)
         hh = np.conj(np.swapaxes(hs, -1, -2))
         grams = np.stack([hh @ hs, hh @ hs + n0 * np.eye(4)])
-        seen = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def recording(a):
-            seen.append(np.array(a))
-            return eigvalsh(a)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         inv, failed = invert_hermitian(grams)
-        assert [a.tobytes() for a in seen] == [grams[0].tobytes()]
-        seen.clear()
         stage = linear_stage(("zf", "mmse"), hs, n0)
-        assert [a.tobytes() for a in seen] == [grams[0].tobytes()]
-        monkeypatch.undo()
         want_inv, want_failed = _oracle_invert(grams)
         assert inv.tobytes() == want_inv.tobytes()
         assert np.array_equal(failed, want_failed)

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from mimodet.linalg import draw_standard_complex_gaussian
 from mimodet.ofdm import (
-    NoiseSpec,
     demap_symbols,
     map_bits,
+    noise_variance,
     square_qam,
     time_domain_roundtrip,
 )
@@ -187,14 +187,13 @@ def _per_axis_oracle(est, const):
     return const.bit_labels[idx].ravel()
 
 
-class TestNoiseSpec:
+class TestNoiseVariance:
     def test_sigma2_convention(self):
         # unit symbol energy, log2(M) bits: sigma2 = 1 / (2 * 10^(EbN0/10))
-        spec = NoiseSpec.from_ebn0(10.0, 4)
-        assert spec.sigma2 == pytest.approx(1.0 / 20.0)
+        assert noise_variance(10.0, 4) == pytest.approx(1.0 / 20.0)
 
     def test_infinite_ebn0_is_noiseless(self):
-        assert NoiseSpec.from_ebn0(float("inf"), 4).sigma2 == 0.0
+        assert noise_variance(float("inf"), 4) == 0.0
 
 
 class TestTimeDomainRoundtrip:

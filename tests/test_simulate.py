@@ -14,7 +14,7 @@ from mimodet.channel import CorrelationSpec, correlation_sqrt
 from mimodet.complexity import DETECTORS
 from mimodet.heuristics import DeParams, PsoParams
 from mimodet.linalg import draw_standard_complex_gaussian, invert_hermitian
-from mimodet.ofdm import NoiseSpec, map_bits, square_qam
+from mimodet.ofdm import map_bits, noise_variance, square_qam
 from mimodet.rng import RngStream
 from mimodet.simulate import (
     CALIBRATED_DE,
@@ -121,6 +121,13 @@ class TestConfig:
         # operating-point lists are lists of numbers, detectors are objects
         with pytest.raises(ConfigError):
             SimulationConfig.from_dict({"detectors": [{"kind": "mmse"}], **field})
+
+    @pytest.mark.parametrize("detectors", ["mmse", {"kind": "mmse"}])
+    def test_detectors_not_a_list_rejected(self, detectors):
+        # a string or an object is not iterated entry by entry: the error
+        # names the field
+        with pytest.raises(ConfigError, match="detectors must be a list of objects, got"):
+            SimulationConfig.from_dict({"detectors": detectors})
 
     def test_non_object_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -288,7 +295,7 @@ def _oracle_frame(cfg, const, ebn0_db, rho, frame):
         sqrt_r = correlation_sqrt(CorrelationSpec(rho, cfg.n_t))
         hs = sqrt_r @ (hs @ sqrt_r)  # complex product, sqrt_r promoted
     clean = np.einsum("nrt,tn->nr", hs, map_bits(bits, cfg.n_t, const))
-    sigma2 = NoiseSpec.from_ebn0(ebn0_db, cfg.m_order).sigma2
+    sigma2 = noise_variance(ebn0_db, cfg.m_order)
     if sigma2 == 0.0:
         return bits, hs, clean.copy()
     parts = rng.standard_normal((2,) + clean.shape)
@@ -296,9 +303,7 @@ def _oracle_frame(cfg, const, ebn0_db, rho, frame):
 
 
 def _task(cfg, ebn0_db, rho, frames):
-    const = square_qam(cfg.m_order)
-    sqrt_r = None if rho == 0.0 else correlation_sqrt(CorrelationSpec(rho, cfg.n_t))
-    return sim._draw_task(cfg, const, sqrt_r, ebn0_db, rho, frames)
+    return sim._draw_task(cfg, square_qam(cfg.m_order), ebn0_db, rho, frames)
 
 
 class TestFrameChannel:

@@ -108,14 +108,22 @@ def level_indices(values, levels) -> np.ndarray:
     A running argmin keeps memory at O(number of values): a later level
     wins only on a strictly smaller fl(|x - l|), which is monotone in the
     exact distance, so levels can tie but never misorder. NaN keeps 0.
+    Each level reuses one distance and one mask array, and the last level
+    needs no running minimum after it.
     """
     values = np.asarray(values)
     best = np.zeros(values.shape, dtype=np.intp)
     best_dist = np.abs(values - levels[0])
+    dist = np.empty_like(best_dist)
+    closer = np.empty(values.shape, dtype=bool)
+    last = len(levels) - 1
     for j in range(1, len(levels)):
-        dist = np.abs(values - levels[j])
-        best[dist < best_dist] = j
-        np.minimum(best_dist, dist, out=best_dist)
+        np.subtract(values, levels[j], out=dist)
+        np.abs(dist, out=dist)
+        np.less(dist, best_dist, out=closer)
+        np.putmask(best, closer, j)
+        if j < last:
+            np.minimum(best_dist, dist, out=best_dist)
     return best
 
 

@@ -65,9 +65,8 @@ import logging
 import math
 import numbers
 import os
-import tempfile
+import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -557,10 +556,6 @@ def _simulate_frames(config: SimulationConfig, detectors, ebn0_db: float,
     return out
 
 
-def _simulate_frames_task(args) -> FrameBatchResult:
-    return _simulate_frames(*args)
-
-
 # glibc mallopt parameters, and the values an engine process fixes them at.
 # Fixing them turns off glibc's dynamic thresholds, under which a task's few
 # MB of temporaries were trimmed and re-faulted on every op. 32 MB is the
@@ -647,6 +642,18 @@ def _runtime_policy():
             blas[0](before)
 
 
+def __getattr__(name: str):
+    """Import ProcessPoolExecutor on first access (PEP 562), so a process
+    that never starts a pool never loads concurrent.futures.process and
+    multiprocessing. _worker_map reads it through the module, so a class
+    set on the module in its place is the one a pool is made from."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 @contextlib.contextmanager
 def _worker_map(workers: int):
     """Yield a map over one pool of `workers` processes, kept for the whole
@@ -656,7 +663,8 @@ def _worker_map(workers: int):
         if workers == 1:
             yield map
         else:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_pin_worker) as executor:
+            pool = getattr(sys.modules[__name__], "ProcessPoolExecutor")
+            with pool(max_workers=workers, initializer=_pin_worker) as executor:
                 yield executor.map
 
 
@@ -681,7 +689,7 @@ def _run_batches(config: SimulationConfig, detectors, ebn0_db, rho,
         step = math.ceil((hi - frame) / workers)
         tasks = [(config, active, ebn0_db, rho, lo, min(lo + step, hi),
                   checkpoints, pairs) for lo in range(frame, hi, step)]
-        for chunk in run(_simulate_frames_task, tasks):
+        for chunk in run(_simulate_frames, *zip(*tasks)):
             merged.merge(chunk)
         frame = hi
         if stop_errors is not None:
@@ -968,9 +976,12 @@ def calibrate(plan: CalibrationPlan, config: SimulationConfig,
 # ---------------------------------------------------------------------------
 
 def write_text_atomic(path, text: str) -> None:
-    """Write via a temp file and rename, so outputs are never partial."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write via a temp file and rename, so outputs are never partial. The
+    temp file is created with mode 0o666 less the umask, as open() creates
+    a file; the rename keeps that mode."""
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f"{name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -144,14 +144,17 @@ class TestDemap:
                               const.bit_labels[np.argmin(dist, axis=1)].ravel())
 
     @settings(max_examples=200, deadline=None)
-    @given(order=st.sampled_from([4, 16, 64]),
-           re=st.lists(AXIS_VALUES, min_size=1, max_size=32), data=st.data())
-    def test_matches_per_axis_oracle(self, order, re, data):
-        # huge, subnormal, signed-zero and non-finite parts, on one axis or both
-        im = data.draw(st.lists(AXIS_VALUES, min_size=len(re), max_size=len(re)))
+    @given(order=st.sampled_from([4, 16, 64, 256]), data=st.data())
+    def test_matches_per_axis_oracle(self, order, data):
+        # huge, subnormal, signed-zero and non-finite parts and exact
+        # midpoints between levels, on one axis or both
+        const = square_qam(order)
+        levels = np.sort(const.levels)
+        axis = st.one_of(AXIS_VALUES, st.sampled_from(((levels[1:] + levels[:-1]) / 2).tolist()))
+        re = data.draw(st.lists(axis, min_size=1, max_size=32))
+        im = data.draw(st.lists(axis, min_size=len(re), max_size=len(re)))
         est = np.empty(len(re), dtype=complex)
         est.real, est.imag = re, im
-        const = square_qam(order)
         assert np.array_equal(demap_symbols(est, const), _per_axis_oracle(est, const))
 
     @settings(max_examples=200, deadline=None)

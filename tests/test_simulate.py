@@ -3,7 +3,12 @@ import json
 import logging
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -621,6 +626,46 @@ class TestGolden:
         assert len(started) == 1  # one worker starts no pool
 
 
+class TestPoolImport:
+    """The process-pool stack loads on the first pool, not with the engine."""
+
+    SCRIPT = """
+        import json, sys
+        from mimodet import simulate as sim
+        from mimodet.cli import cli_main
+        from mimodet.simulate import (DetectorConfig, SimulationConfig, convergence_study,
+                                      run_paired)
+
+        POOL = ("concurrent.futures.process", "multiprocessing")
+        cfg = SimulationConfig(detectors=(DetectorConfig("mmse"), DetectorConfig("pso-mmse")),
+                               n_subcarriers=16, ebn0_db_list=(8.0,), rho_list=(0.0, 0.5),
+                               max_trials=512, master_seed=5)
+        with open("c.json", "w") as fh:
+            json.dump(cfg.to_dict(), fh)
+        run_paired(cfg, [DetectorConfig("mmse"), DetectorConfig("zf")], 8.0, 0.5, n_vectors=64)
+        convergence_study(cfg, DetectorConfig("pso-mmse"), [8.0], max_iters=2, n_vectors=64)
+        rcs = [cli_main(["simulate", "--config", "c.json", "--workers", "1", "--out", "1.csv"])]
+        serial = [m for m in POOL if m in sys.modules]
+        rcs.append(cli_main(["simulate", "--config", "c.json", "--workers", "2", "--out", "2.csv"]))
+        pooled = [m for m in POOL if m in sys.modules]
+        from concurrent.futures import ProcessPoolExecutor
+        print(json.dumps({"rcs": rcs, "serial": serial, "pooled": pooled,
+                          "stored": vars(sim).get("ProcessPoolExecutor") is ProcessPoolExecutor}))
+    """
+
+    def test_loaded_by_the_first_pool(self, tmp_path):
+        src = Path(sim.__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-c", textwrap.dedent(self.SCRIPT)],
+                              cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen == {"rcs": [0, 0], "serial": [],
+                        "pooled": ["concurrent.futures.process", "multiprocessing"],
+                        "stored": True}
+        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+
 BLAS = sim._blas_thread_calls()
 needs_blas = pytest.mark.skipif(BLAS is None,
                                 reason="numpy bundles no OpenBLAS with a thread-count call")
@@ -821,3 +866,7 @@ class TestWriters:
         assert target.read_text() == "hello\n"
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert not leftovers
+        # the umask sets the mode, as for a file that open() creates
+        with open(tmp_path / "plain.csv", "w") as fh:
+            fh.write("hello\n")
+        assert target.stat().st_mode == (tmp_path / "plain.csv").stat().st_mode

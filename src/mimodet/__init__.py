@@ -23,6 +23,7 @@ from .complexity import (
     flops_detector,
     flops_primitive,
 )
+from .config import CalibrationPlan, DetectorConfig, SimulationConfig, default_calibration_plan
 from .detectors import apply_equalizer, linear_stage, linear_weights, ml_detect
 from .heuristics import (
     DeParams,
@@ -49,13 +50,9 @@ from .realdomain import RealSystem, complexify, fitness_columns, realify, realif
 from .rng import RngStream
 from .simulate import (
     BerRecord,
-    CalibrationPlan,
-    DetectorConfig,
     PairedResult,
-    SimulationConfig,
     calibrate,
     convergence_study,
-    default_calibration_plan,
     run_ber_point,
     run_paired,
     run_sweep,

@@ -29,6 +29,8 @@ from .channel import (
     generate_channel,
     generate_pdp_channel,
 )
+from .config import (CalibrationPlan, ConfigError, DetectorConfig, SimulationConfig,
+                     check_rho, check_square_qam, default_calibration_plan)
 from .linalg import draw_standard_complex_gaussian
 from .ofdm import map_bits, square_qam, time_domain_roundtrip
 from .rng import RngStream
@@ -69,10 +71,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--detector", required=True,
                    help="heuristic detector kind, e.g. pso or de-mmse")
-    p.add_argument("--ebn0", type=float, default=24.0)
-    p.add_argument("--rho", type=float, default=0.0)
-    p.add_argument("--min-errors", type=_positive_int, default=50)
-    p.add_argument("--max-vectors", type=_positive_int, default=200_000)
+    p.add_argument("--ebn0", type=float, default=CalibrationPlan.ebn0_db)
+    p.add_argument("--rho", type=float, default=CalibrationPlan.rho)
+    p.add_argument("--min-errors", type=_positive_int, default=CalibrationPlan.min_error_events)
+    p.add_argument("--max-vectors", type=_positive_int, default=CalibrationPlan.max_vectors)
     p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--workers", type=_positive_int, default=1)
@@ -116,19 +118,24 @@ def _emit(text: str, out_path) -> None:
     try:
         sim.write_text_atomic(out_path, text)
     except OSError as exc:
-        raise sim.ConfigError(f"cannot write {out_path}: {exc}") from exc
+        raise ConfigError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _check_out_dirs(args) -> None:
-    """Reject an output path into a missing directory before any work starts."""
+    """Reject an output path that is a directory, or lies in a missing one,
+    before any work starts."""
     for path in (getattr(args, "out", None), getattr(args, "traces_out", None)):
-        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            raise sim.ConfigError(f"cannot write {path}: no such directory")
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError(f"cannot write {path}: no such directory")
 
 
-def _load_config(args) -> sim.SimulationConfig:
+def _load_config(args) -> SimulationConfig:
     """The --config file, with --seed (when given) as its master seed."""
-    config = sim.SimulationConfig.from_json_file(args.config)
+    config = SimulationConfig.from_json_file(args.config)
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
     return config
@@ -147,10 +154,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_calibrate(args) -> int:
     config = _load_config(args)
     kind = args.detector.lower()
-    plan = sim.default_calibration_plan(kind, ebn0_db=args.ebn0, rho=args.rho,
-                                        min_error_events=args.min_errors,
-                                        max_vectors=args.max_vectors)
-    result = sim.calibrate(plan, config, sim.DetectorConfig(kind=kind),
+    plan = default_calibration_plan(kind, ebn0_db=args.ebn0, rho=args.rho,
+                                    min_error_events=args.min_errors,
+                                    max_vectors=args.max_vectors)
+    result = sim.calibrate(plan, config, DetectorConfig(kind=kind),
                            workers=args.workers)
     text = sim.calibration_to_csv(result)
     summary = json.dumps({"detector": result.detector,
@@ -163,7 +170,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_convergence(args) -> int:
     config = _load_config(args)
-    det = sim.DetectorConfig(kind=args.detector.lower())
+    det = DetectorConfig(kind=args.detector.lower())
     study = sim.convergence_study(config, det, args.ebn0, args.max_iters,
                                   rho=args.rho, n_vectors=args.vectors,
                                   workers=args.workers)
@@ -174,7 +181,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    sim.check_square_qam(args.m_order)
+    check_square_qam(args.m_order)
     nt_values = [2]
     while nt_values[-1] * 2 <= args.nt_max:
         nt_values.append(nt_values[-1] * 2)
@@ -186,7 +193,7 @@ def _cmd_complexity(args) -> int:
 
 
 def _cmd_validate_channel(args) -> int:
-    sim.check_rho(args.rho)
+    check_rho(args.rho)
     rng = RngStream(args.seed)
     spec = CorrelationSpec(rho=args.rho, n_antennas=args.n_antennas)
     n = args.n_antennas
@@ -239,7 +246,7 @@ def cli_main(argv=None) -> int:
     try:
         _check_out_dirs(args)
         return handlers[args.command](args)
-    except sim.ConfigError as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -56,7 +56,7 @@ ML_BLOCK = 4096
 # 1024-system chunk (2 MB) raised peak RSS by about 10%, and 256 systems
 # (512 KB) made glibc trim and re-fault about 5 MB of heap per task. Both
 # were measured under glibc's dynamic heap thresholds, which engine runs
-# now fix (simulate._runtime_policy), so the re-faulting no longer bears on
+# now fix (runtime._runtime_policy), so the re-faulting no longer bears on
 # the size.
 ML_SCORES = 32 * ML_BLOCK
 

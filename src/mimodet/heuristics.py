@@ -234,7 +234,7 @@ def pso_iterate(rng: RngStream, state: SwarmState, params: PsoParams,
     u2 = rng.uniform(size=pos.shape)
     # (w V + (c1 U1) o (M_pb - P)) + (c2 U2) o (M_gb - P), in exactly that
     # order, through two scratch arrays, with V in a fresh array. Measured
-    # under the engine's fixed heap thresholds (simulate._runtime_policy)
+    # under the engine's fixed heap thresholds (runtime._runtime_policy)
     # as CPU time per 16 frames of 64 systems x 25 steps, in alternating
     # rounds on a shared 2-core x86-64 host: the plain expression gives
     # the same bytes but costs 8% more (10/10 rounds, two runs). Buffers

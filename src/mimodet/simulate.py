@@ -1,4 +1,4 @@
-"""Monte Carlo BER engine, parameter calibration and result persistence.
+"""Monte Carlo BER engine, its entry points and result writers.
 
 One trial is one transmitted symbol vector (one subcarrier). Trials are
 grouped into frames: a frame draws a fresh channel realization, maps
@@ -15,71 +15,41 @@ The trial stream deliberately excludes the detector, so every detector at
 a given operating point sees identical channels, bits and noise. That
 makes cross-detector BER comparisons paired, which is how the ordering
 and refinement experiments get their statistical power. It also lets all
-detectors of a point share one frame loop. A batch of BATCH_FRAMES frames
-is cut into one task per worker. Each frame draws on its own trial
-substream, in the order bits, channel normals, noise normals (none at
-Eb/N0 = +inf); the task then builds its channel stack, symbol grid, clean
-signal and noise once, over all of its frames on the system axis
-(channel.generate_channel and add_awgn take the task's streams), and that
-stack equals the frames built one at a time, bit for bit. One linear
-stage (detectors.linear_stage) then computes every linear kind the
-point's active detectors need, MF, ZF and MMSE together, for all of the
-task's subcarriers, and the bare linear detectors, ML and one demap of
-their outputs run once over that stack. PSO, DE and the hybrids run frame
-by frame, each frame on its own detector substream and its slice of the
-linear seed. The flop ledger still charges each linear kind its own model
-count.
-Every system's result depends on that system alone, and results are
-reduced by summation over frames, so totals do not depend on worker count
-or scheduling.
+detectors of a point share one frame loop: a batch of BATCH_FRAMES frames
+is cut into one task per worker (_simulate_frames). Every system's result
+depends on that system alone, and results are reduced by summation over
+frames, so totals do not depend on worker count or scheduling.
 
-Config files are JSON:
-
-    {
-      "n_t": 4, "n_r": 4, "n_subcarriers": 64, "m_order": 4,
-      "rho_list": [0.0, 0.5, 0.9],
-      "ebn0_db_list": [0, 4, 8, 12, 16, 20, 24],
-      "max_trials": 1000000, "target_bit_errors": 200,
-      "master_seed": 1,
-      "detectors": [
-        {"kind": "mmse"},
-        {"kind": "pso-mmse", "iters": 15},
-        {"kind": "de", "n_pop": 40, "iters": 50, "f_mut": 0.6, "f_cr": 0.6}
-      ]
-    }
-
-Detector fields left null pick up the calibrated defaults for the
-operating point's correlation index (see CALIBRATED_* tables below). A
-field the detector's kind does not read is a configuration error.
+The config schema and its checks are in config.py, the process's BLAS and
+heap policy in runtime.py.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import ctypes
-import functools
 import io
 import json
 import logging
 import math
-import numbers
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields, replace
-from pathlib import Path
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import complexity
 from .channel import CorrelationSpec, add_awgn, generate_channel
 from .complexity import DETECTORS
-from .detectors import ML_CANDIDATE_LIMIT, apply_equalizer, linear_stage, ml_detect
-from .heuristics import DeParams, PsoParams, check_integers, run_heuristic
-from .ofdm import Constellation, demap_symbols, is_square_qam, map_bits, noise_variance, square_qam
+from .config import (CalibrationPlan, ConfigError, DetectorConfig, ResolvedDetector,
+                     SimulationConfig, check_operating_point, resolve_detector)
+from .detectors import apply_equalizer, linear_stage, ml_detect
+from .heuristics import run_heuristic
+from .ofdm import Constellation, demap_symbols, map_bits, noise_variance, square_qam
 from .realdomain import realify, realify_vec
 from .rng import RngStream
+from .runtime import _pin_worker, _runtime_policy
 
 log = logging.getLogger(__name__)
 
@@ -88,251 +58,10 @@ log = logging.getLogger(__name__)
 # for any worker count.
 BATCH_FRAMES = 16
 
-DEFAULT_HYBRID_ITERS = 15
-DEFAULT_RANDOM_ITERS = 100
-
-# Calibrated heuristic parameters per initialization and correlation index
-# (coordinate-descent outcome at Eb/N0 = 24 dB). Keyed on the nearest rho
-# of {0, 0.5, 0.9}.
-CALIBRATED_PSO = {
-    "random": {0.0: (4.0, 1.0, 1.5), 0.5: (4.0, 0.5, 1.5), 0.9: (4.0, 1.0, 3.5)},
-    "mf":     {0.0: (4.0, 0.5, 1.5), 0.5: (4.0, 0.5, 2.0), 0.9: (4.0, 1.0, 2.5)},
-    "mmse":   {0.0: (3.5, 0.5, 2.0), 0.5: (4.0, 0.5, 3.0), 0.9: (4.0, 0.5, 3.0)},
-}
-
-CALIBRATED_DE = {
-    "random": {0.0: (0.6, 0.6), 0.5: (0.8, 0.6), 0.9: (1.8, 0.8)},
-    "mf":     {0.0: (2.0, 0.8), 0.5: (2.0, 0.7), 0.9: (2.0, 0.9)},
-    "mmse":   {0.0: (1.7, 0.6), 0.5: (2.0, 0.7), 0.9: (2.0, 0.8)},
-}
-
-# heuristic -> (parameter class, calibrated table); the class's TUNED names
-# the table's columns.
-HEURISTICS = {"pso": (PsoParams, CALIBRATED_PSO), "de": (DeParams, CALIBRATED_DE)}
-
 SEQUENTIAL_STOP_NOTE = (
     "points stopped at target_bit_errors use a sequential rule; the BER "
     "estimate carries the standard sequential-test bias caveat"
 )
-
-
-class ConfigError(ValueError):
-    """Invalid simulation configuration."""
-
-
-def check_rho(rho: float) -> None:
-    """Reject a correlation index outside [0, 1], NaN included."""
-    if not 0.0 <= rho <= 1.0:
-        raise ConfigError(f"rho {rho} outside [0, 1]")
-
-
-def check_operating_point(ebn0_db: float, rho: float, m_order: int) -> None:
-    """Reject an operating point the model cannot simulate: an Eb/N0
-    whose noise variance is not a finite double (ofdm.noise_variance; the
-    noiseless +inf has variance 0), or rho outside [0, 1]."""
-    try:
-        noise_variance(ebn0_db, m_order)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    check_rho(rho)
-
-
-def check_square_qam(m: int) -> None:
-    """Only square QAM is simulated: m_order must be a power of 4."""
-    if not is_square_qam(m):
-        raise ConfigError(f"m_order {m} is not a power of 4: only square QAM is simulated")
-
-
-def _inf_from_text(value):
-    """A config value with "inf", which outputs write for +inf
-    (_inf_as_text), read back as +inf."""
-    return math.inf if value == "inf" else value
-
-
-def _nearest_rho_key(rho: float) -> float:
-    return min((0.0, 0.5, 0.9), key=lambda r: abs(r - rho))
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """One detector selection; None fields resolve to calibrated defaults.
-
-    A kind reads the fields of its heuristic's parameter class and no
-    others; any other field must keep its default.
-    """
-
-    kind: str
-    n_pop: int | None = None
-    iters: int | None = None
-    c1: float | None = None
-    c2: float | None = None
-    w0: float | None = None
-    f_mut: float | None = None
-    f_cr: float | None = None
-    v_max: float = 2.0
-    search_lo: float = -1.0
-    search_hi: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in DETECTORS:
-            raise ConfigError(f"unknown detector kind {self.kind!r}")
-        heuristic, linear = DETECTORS[self.kind]
-        used = {f.name for f in fields(HEURISTICS[heuristic][0])} if heuristic else set()
-        if linear:  # a seeded start never reads the search box
-            used -= {"search_lo", "search_hi"}
-        unused = [f.name for f in fields(self)[1:]  # after kind
-                  if f.name not in used and getattr(self, f.name) != f.default]
-        if unused:
-            raise ConfigError(f"detector {self.label} does not use {unused}")
-
-    @property
-    def label(self) -> str:
-        return self.kind.upper()
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DetectorConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"detectors entries must be JSON objects, got {d!r}")
-        d = dict(d)
-        kind = str(d.pop("kind", "")).lower()
-        if "v_max" in d:
-            d["v_max"] = _inf_from_text(d["v_max"])
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown detector fields: {sorted(unknown)}")
-        return cls(kind=kind, **d)
-
-
-@dataclass(frozen=True)
-class ResolvedDetector:
-    """DetectorConfig bound to an operating point."""
-
-    label: str
-    kind: str
-    params: PsoParams | DeParams | None = None
-
-    @property
-    def iterations(self) -> int:
-        return self.params.iters if self.params is not None else 0
-
-
-def resolve_detector(det: DetectorConfig, rho: float) -> ResolvedDetector:
-    """Bind calibrated defaults for this correlation index.
-
-    ML is rejected at rho = 1: every channel is then rank one, so many
-    candidates tie exactly and the pick among them is decided by rounding.
-    """
-    heuristic, linear = DETECTORS[det.kind]
-    if det.kind == "ml" and rho == 1.0:
-        raise ConfigError("detector ML at rho = 1: every channel is rank one, so candidates "
-                          "tie exactly and rounding picks among them")
-    if heuristic is None:
-        return ResolvedDetector(det.label, det.kind)
-    cls, table = HEURISTICS[heuristic]
-    values = dict(zip(cls.TUNED, table[linear or "random"][_nearest_rho_key(rho)]))
-    values["iters"] = DEFAULT_HYBRID_ITERS if linear else DEFAULT_RANDOM_ITERS
-    for f in fields(cls):
-        if getattr(det, f.name) is not None:
-            values[f.name] = getattr(det, f.name)
-    try:
-        return ResolvedDetector(det.label, det.kind, cls(**values))
-    except ValueError as exc:
-        raise ConfigError(f"detector {det.label}: {exc}") from exc
-
-
-def _number_tuple(name: str, values) -> tuple:
-    """A JSON list of numbers as a tuple of floats; anything else is rejected."""
-    if not isinstance(values, (list, tuple)) or not all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
-        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
-    return tuple(float(v) for v in values)
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    n_t: int = 4
-    n_r: int = 4
-    n_subcarriers: int = 64
-    m_order: int = 4
-    rho_list: tuple = (0.0, 0.5, 0.9)
-    ebn0_db_list: tuple = (0.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0)
-    detectors: tuple = ()
-    max_trials: int = 1_000_000
-    target_bit_errors: int = 200
-    master_seed: int = 1
-
-    def __post_init__(self):
-        try:
-            check_integers(self, ("n_t", "n_r", "n_subcarriers", "m_order",
-                                  "max_trials", "target_bit_errors", "master_seed"))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if min(self.n_t, self.n_r, self.n_subcarriers, self.m_order,
-               self.max_trials, self.target_bit_errors) < 1:
-            raise ConfigError("all counts must be >= 1")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.n_r != self.n_t:
-            raise ConfigError(f"n_r = {self.n_r} != n_t = {self.n_t}: "
-                              "only square arrays are simulated")
-        check_square_qam(self.m_order)
-        if not self.detectors:
-            raise ConfigError("detector list must not be empty")
-        if (any(det.kind == "ml" for det in self.detectors)
-                and self.m_order ** self.n_t > ML_CANDIDATE_LIMIT):
-            raise ConfigError(f"detector ML: search space m_order**n_t = "
-                              f"{self.m_order}**{self.n_t} exceeds {ML_CANDIDATE_LIMIT} candidates")
-        if not self.rho_list or not self.ebn0_db_list:
-            raise ConfigError("rho_list and ebn0_db_list must not be empty")
-        for rho in self.rho_list:
-            for ebn0 in self.ebn0_db_list:
-                check_operating_point(ebn0, rho, self.m_order)
-            for det in self.detectors:  # bad parameters fail here, not mid-sweep
-                resolve_detector(det, rho)
-
-    @property
-    def bits_per_vector(self) -> int:
-        return self.n_t * int(math.log2(self.m_order))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimulationConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"a config must be a JSON object, got {d!r}")
-        d = dict(d)
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if isinstance(d.get("ebn0_db_list"), list):
-            d["ebn0_db_list"] = [_inf_from_text(v) for v in d["ebn0_db_list"]]
-        for name in ("rho_list", "ebn0_db_list"):
-            if name in d:
-                d[name] = _number_tuple(name, d[name])
-        dets = d.pop("detectors", [])
-        if not isinstance(dets, (list, tuple)):
-            raise ConfigError(f"detectors must be a list of objects, got {dets!r}")
-        try:
-            dets = tuple(DetectorConfig.from_dict(x) for x in dets)
-            return cls(detectors=dets, **d)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["rho_list"] = list(self.rho_list)
-        d["ebn0_db_list"] = list(self.ebn0_db_list)
-        d["detectors"] = [asdict(x) for x in self.detectors]
-        return d
-
-    @classmethod
-    def from_json_file(cls, path) -> "SimulationConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
 
 
 @dataclass(frozen=True)
@@ -364,15 +93,6 @@ def binomial_ci95_halfwidth(errors: int, n: int) -> float:
     return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def detector_flops(config: SimulationConfig, res: ResolvedDetector) -> float:
-    inp = complexity.FlopFormulaInput(
-        n_t=config.n_t, n_r=config.n_r,
-        n_pop=getattr(res.params, "n_pop", 1), iters=res.iterations,
-        m_order=config.m_order,
-    )
-    return float(complexity.flops_detector(res.label, inp))
-
-
 def _ebkey(ebn0_db: float) -> int:
     ebn0_db = float(ebn0_db)
     if ebn0_db == math.inf:  # noiseless operating point
@@ -383,10 +103,6 @@ def _ebkey(ebn0_db: float) -> int:
 def _rhokey(rho: float) -> int:
     return int(round(float(rho) * 10000.0))
 
-
-# ---------------------------------------------------------------------------
-# Frame simulation
-# ---------------------------------------------------------------------------
 
 def _draw_task(config: SimulationConfig, const: Constellation,
                ebn0_db: float, rho: float, frames: range):
@@ -484,15 +200,16 @@ def _simulate_frames(config: SimulationConfig, detectors, ebn0_db: float,
     ((position, checkpoint), (position, checkpoint)) column pairs whose
     bitwise error discordance should be accumulated.
 
-    Each frame is drawn from its own trial substream, and the task's
-    frames are built as one stack on the system axis (_draw_task): the
-    linear stage, each kind's
-    equalizer, the bare linear detectors and ML, and one demap of their
-    outputs run once over the whole stack. PSO, DE and the hybrids run
-    frame by frame, each frame on its own detector substream and its
-    slice of the linear seed, with one demap of that frame's grids.
-    Every system's result depends on that system alone, so no count
-    depends on how frames are grouped into calls.
+    The task's frames are built as one stack on the system axis
+    (_draw_task), bit for bit the frames built one at a time. One linear
+    stage (detectors.linear_stage) computes every linear kind the active
+    detectors need, MF, ZF and MMSE together; the bare linear detectors,
+    ML and one demap of their outputs then run once over the whole stack.
+    PSO, DE and the hybrids run frame by frame, each frame on its own
+    detector substream and its slice of the linear seed, with one demap
+    of that frame's grids. The flop ledger still charges each linear kind
+    its own model count. Every system's result depends on that system
+    alone, so no count depends on how frames are grouped into calls.
     """
     const = square_qam(config.m_order)
     det_root = RngStream(config.master_seed).substream("det")
@@ -554,92 +271,6 @@ def _simulate_frames(config: SimulationConfig, detectors, ebn0_db: float,
     for i, _ in detectors:
         out.vectors[i] = len(frames) * n_sc
     return out
-
-
-# glibc mallopt parameters, and the values an engine process fixes them at.
-# Fixing them turns off glibc's dynamic thresholds, under which a task's few
-# MB of temporaries were trimmed and re-faulted on every op. 32 MB is the
-# largest mmap threshold glibc takes on a 64-bit host.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-HEAP_TRIM_THRESHOLD = 256 << 20
-HEAP_MMAP_THRESHOLD = 32 << 20
-_heap_fixed = False
-
-
-@functools.cache
-def _blas_thread_calls():
-    """(set, get) of the thread count of numpy's bundled OpenBLAS, or None
-    where numpy bundles no library that exports them."""
-    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libdir.glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                if setter is not None and getter is not None:
-                    setter.argtypes, setter.restype = [ctypes.c_int], None
-                    getter.argtypes, getter.restype = [], ctypes.c_int
-                    return setter, getter
-    return None
-
-
-@functools.cache
-def _glibc_mallopt():
-    """glibc's mallopt, or None where the C library is not glibc."""
-    try:
-        libc = ctypes.CDLL(None)
-    except (OSError, TypeError):
-        return None
-    if getattr(libc, "gnu_get_libc_version", None) is None:
-        return None
-    mallopt = libc.mallopt
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    return mallopt
-
-
-def _fix_heap() -> None:
-    """Fix glibc's heap thresholds, once per process. glibc cannot report
-    them, so they stay set for the rest of the process."""
-    global _heap_fixed
-    if not _heap_fixed:
-        _heap_fixed = True
-        mallopt = _glibc_mallopt()
-        if mallopt is not None:
-            mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
-            mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
-
-
-def _pin_worker() -> None:
-    """One BLAS thread and fixed heap thresholds; as the pool initializer,
-    the engine's runtime policy for a worker's life."""
-    _fix_heap()
-    blas = _blas_thread_calls()
-    if blas is not None:
-        blas[0](1)
-
-
-@contextlib.contextmanager
-def _runtime_policy():
-    """Run the block under _pin_worker's policy and put the caller's BLAS
-    thread count back after it.
-
-    A task's products are small enough that a second OpenBLAS thread only
-    spins, and a --workers pool then pays that CPU once per worker; the
-    worker processes are the engine's only parallelism. Either half is a
-    no-op where its symbol is missing.
-    """
-    blas = _blas_thread_calls()
-    before = None if blas is None else blas[1]()
-    _pin_worker()
-    try:
-        yield
-    finally:
-        if before is not None:
-            blas[0](before)
 
 
 def __getattr__(name: str):
@@ -724,7 +355,10 @@ def _ber_records(config: SimulationConfig, detectors, ebn0_db: float, rho: float
             trials=merged.vectors[i], bit_errors=errors, ber=errors / nbits,
             ci95_halfwidth=binomial_ci95_halfwidth(errors, nbits),
             mean_iterations=float(res.iterations),
-            flops_per_subcarrier=detector_flops(config, res),
+            flops_per_subcarrier=float(complexity.flops_detector(
+                res.label, complexity.FlopFormulaInput(
+                    n_t=config.n_t, n_r=config.n_r, n_pop=getattr(res.params, "n_pop", 1),
+                    iters=res.iterations, m_order=config.m_order))),
         ))
     return records
 
@@ -855,57 +489,6 @@ def convergence_study(config: SimulationConfig, detector: DetectorConfig,
             if trace is None:
                 trace = merged.trace
     return ConvergenceStudy(rows, nbits, discordance, trace)
-
-
-# ---------------------------------------------------------------------------
-# Coordinate-descent parameter calibration
-# ---------------------------------------------------------------------------
-
-# Candidate grid and start value of every tuned parameter, by name.
-DEFAULT_GRIDS = {
-    "c1": tuple(np.arange(0.5, 4.01, 0.5)),
-    "c2": tuple(np.arange(0.5, 4.01, 0.5)),
-    "w0": tuple(np.arange(1.0, 3.51, 0.5)),
-    "f_mut": tuple(np.round(np.arange(0.6, 2.001, 0.1), 10)),
-    "f_cr": tuple(np.round(np.arange(0.5, 0.901, 0.1), 10)),
-}
-CALIBRATION_START = {"c1": 2.0, "c2": 2.0, "w0": 1.0, "f_mut": 1.0, "f_cr": 0.5}
-
-
-@dataclass(frozen=True)
-class CalibrationPlan:
-    """Coordinate descent schedule: vary one parameter at a time.
-
-    Every candidate evaluation runs until min_error_events bit errors or
-    max_vectors trials. Ties pick the smaller candidate value. calibrate
-    checks the operating point against its config's m_order.
-    """
-
-    parameter_order: tuple
-    grids: dict
-    start: dict
-    ebn0_db: float = 24.0
-    rho: float = 0.0
-    min_error_events: int = 50
-    max_vectors: int = 200_000
-
-    def __post_init__(self):
-        for name in self.parameter_order:
-            if name not in self.grids or not len(self.grids[name]):
-                raise ConfigError(f"parameter {name!r} has no candidate grid")
-            if name not in self.start:
-                raise ConfigError(f"parameter {name!r} has no start value")
-
-
-def default_calibration_plan(kind: str, **overrides) -> CalibrationPlan:
-    heuristic = DETECTORS[kind].heuristic if kind in DETECTORS else None
-    if heuristic is None:
-        raise ConfigError(f"calibration applies to heuristic detectors, not {kind!r}")
-    names = HEURISTICS[heuristic][0].TUNED
-    base = dict(parameter_order=names, grids={n: DEFAULT_GRIDS[n] for n in names},
-                start={n: CALIBRATION_START[n] for n in names})
-    base.update(overrides)
-    return CalibrationPlan(**base)
 
 
 @dataclass

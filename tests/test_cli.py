@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from mimodet import cli
@@ -79,6 +80,22 @@ class TestSimulateCommand:
         bad.write_text(json.dumps({"detectors": []}))
         assert cli_main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
 
+    def test_config_that_is_not_json_fails(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"detectors": [{"kind": "mmse"}]')
+        assert cli_main(["simulate", "--config", str(bad)]) == EXIT_CONFIG
+        assert "is not valid JSON" in capsys.readouterr().err
+
+    def test_numerical_failure_exits_2(self, config_path, monkeypatch, capsys):
+        import mimodet.simulate as sim
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(sim, "run_sweep", singular)
+        assert cli_main(["simulate", "--config", config_path]) == EXIT_RUNTIME
+        assert "numerical failure: Singular matrix" in capsys.readouterr().err
+
     def test_unknown_detector_kind_fails(self, tmp_path):
         bad = tmp_path / "bad.json"
         cfg = dict(BASE_CONFIG, detectors=[{"kind": "turbo"}])
@@ -119,11 +136,32 @@ class TestSimulateCommand:
         assert rc == EXIT_CONFIG
         assert f"error: cannot write {out}" in capsys.readouterr().err
 
-    def test_unwritable_output_is_a_config_error(self, config_path, tmp_path, capsys):
-        # the path is a directory: the run completes, then the write fails
+    def test_output_that_is_a_directory_rejected_before_any_frame(
+            self, config_path, tmp_path, monkeypatch, capsys):
+        import mimodet.simulate as sim
+
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a frame ran before the output path was rejected")
+
+        monkeypatch.setattr(sim, "_simulate_frames", no_frames)
         rc = cli_main(["simulate", "--config", config_path, "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
-        assert f"error: cannot write {tmp_path}: " in capsys.readouterr().err
+        assert f"error: cannot write {tmp_path}: is a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_unwritable_output_is_a_config_error(self, config_path, tmp_path, monkeypatch,
+                                                 capsys):
+        # the run completes, then the write fails
+        import mimodet.simulate as sim
+
+        def refuse(path, text):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(sim, "write_text_atomic", refuse)
+        out = tmp_path / "x.csv"
+        rc = cli_main(["simulate", "--config", config_path, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_seed_override_changes_output(self, config_path, tmp_path):
@@ -209,6 +247,23 @@ class TestConvergenceCommand:
                        "--max-iters", "3", "--vectors", "64", flag, str(missing)])
         assert rc == EXIT_CONFIG
         assert f"error: cannot write {missing}" in capsys.readouterr().err
+
+    def test_traces_out_directory_rejected_before_any_output(
+            self, config_path, tmp_path, monkeypatch, capsys):
+        import mimodet.simulate as sim
+
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a frame ran before the output path was rejected")
+
+        monkeypatch.setattr(sim, "_simulate_frames", no_frames)
+        out, traces = tmp_path / "x.csv", tmp_path / "traces"
+        traces.mkdir()
+        rc = cli_main(["convergence", "--config", config_path, "--detector", "pso-mmse",
+                       "--max-iters", "3", "--vectors", "64", "--out", str(out),
+                       "--traces-out", str(traces)])
+        assert rc == EXIT_CONFIG
+        assert f"error: cannot write {traces}: is a directory" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [
         ["--detector", "mmse"],

@@ -14,7 +14,7 @@ from mimodet.detectors import (LINEAR_KINDS, ML_BLOCK, ML_SCORES, _block_monomia
 from mimodet.linalg import draw_standard_complex_gaussian, invert_hermitian
 from mimodet.ofdm import demap_symbols, square_qam
 from mimodet.rng import RngStream
-from mimodet.simulate import _blas_thread_calls
+from mimodet.runtime import _blas_thread_calls
 
 CONST = square_qam(4)
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import fields, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -17,31 +18,34 @@ from hypothesis import strategies as st
 
 from mimodet.channel import CorrelationSpec, correlation_sqrt
 from mimodet.complexity import DETECTORS
+from mimodet.config import (
+    CALIBRATED_DE,
+    CALIBRATED_PSO,
+    CalibrationPlan,
+    ConfigError,
+    DetectorConfig,
+    SimulationConfig,
+    default_calibration_plan,
+    resolve_detector,
+)
 from mimodet.heuristics import DeParams, PsoParams
 from mimodet.linalg import draw_standard_complex_gaussian, invert_hermitian
 from mimodet.ofdm import map_bits, noise_variance, square_qam
 from mimodet.rng import RngStream
 from mimodet.simulate import (
-    CALIBRATED_DE,
-    CALIBRATED_PSO,
     BerRecord,
-    CalibrationPlan,
-    ConfigError,
-    DetectorConfig,
     FrameBatchResult,
-    SimulationConfig,
     _simulate_frames,
     calibrate,
     convergence_study,
-    default_calibration_plan,
     records_to_csv,
     records_to_json,
-    resolve_detector,
     run_ber_point,
     run_paired,
     run_sweep,
     write_text_atomic,
 )
+from mimodet import runtime
 from mimodet import simulate as sim
 
 QUICK = dict(max_trials=2048, target_bit_errors=10_000, master_seed=99)
@@ -112,6 +116,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SimulationConfig.from_dict({"detectors": [{"kind": "mmse"}, det],
                                         "rho_list": [0.0, 0.9]})
+
+    @pytest.mark.parametrize("det", [{"kind": "mmse", "v_max": None},
+                                     {"kind": "de", "v_max": None},
+                                     {"kind": "de-mf", "search_lo": None},
+                                     {"kind": "mmse", "c1": None},
+                                     {"kind": "pso", "search_lo": None}])
+    def test_null_field_means_unset(self, det):
+        # JSON null is "not set" for every field, read or not by the kind
+        cfg = SimulationConfig.from_dict({"detectors": [det]})
+        assert resolve_detector(cfg.detectors[0], 0.5) == \
+            resolve_detector(DetectorConfig(det["kind"]), 0.5)
+
+    @pytest.mark.parametrize("field", ["n_subcarriers", "max_trials", "target_bit_errors"])
+    def test_count_below_one_rejected(self, field):
+        with pytest.raises(ConfigError, match="all counts must be >= 1"):
+            _config("mmse", **{field: 0})
+
+    @pytest.mark.parametrize("field", ["rho_list", "ebn0_db_list"])
+    def test_empty_operating_point_list_rejected(self, field):
+        with pytest.raises(ConfigError, match="must not be empty"):
+            _config("mmse", **{field: ()})
 
     @pytest.mark.parametrize("field", [{"master_seed": 1.5}, {"master_seed": True},
                                        {"max_trials": 100.5}, {"target_bit_errors": 1.5},
@@ -530,6 +555,21 @@ class TestConvergence:
         assert study.trace is not None
         assert study.trace.shape == (cfg.n_subcarriers, 6)
 
+    def test_iteration_pair_discordance(self):
+        # bits wrong only at a minus bits wrong only at b is a's error count
+        # minus b's, per Eb/N0 and pair
+        cfg = _config("pso")
+        pairs = ((0, 4), (1, 2), (4, 0))
+        study = convergence_study(cfg, DetectorConfig("pso", n_pop=8), [4.0, 8.0],
+                                  max_iters=4, n_vectors=2 * cfg.n_subcarriers,
+                                  iteration_pairs=pairs)
+        errors = {(r.ebn0_db, r.iteration): r.bit_errors for r in study.rows}
+        assert set(study.discordance) == {(e, a, b) for e in (4.0, 8.0) for a, b in pairs}
+        for (ebn0, a, b), (a_only, b_only) in study.discordance.items():
+            assert a_only - b_only == errors[(ebn0, a)] - errors[(ebn0, b)]
+        assert study.discordance[(8.0, 0, 4)][::-1] == study.discordance[(8.0, 4, 0)]
+        assert study.discordance[(8.0, 0, 4)][0] > 0
+
 
 class TestGolden:
     """Pinned outputs of the seeded engine (4x4, 64 subcarriers, 4-QAM,
@@ -666,7 +706,7 @@ class TestPoolImport:
         assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
 
 
-BLAS = sim._blas_thread_calls()
+BLAS = runtime._blas_thread_calls()
 needs_blas = pytest.mark.skipif(BLAS is None,
                                 reason="numpy bundles no OpenBLAS with a thread-count call")
 
@@ -738,16 +778,16 @@ class TestRuntimePolicy:
             assert list(run(_blas_threads, range(4))) == [1] * 4
 
     def test_outputs_unchanged_without_the_library_calls(self, monkeypatch, caller_threads):
-        monkeypatch.setattr(sim, "_blas_thread_calls", lambda: None)
-        monkeypatch.setattr(sim, "_glibc_mallopt", lambda: None)
-        monkeypatch.setattr(sim, "_heap_fixed", False)
+        monkeypatch.setattr(runtime, "_blas_thread_calls", lambda: None)
+        monkeypatch.setattr(runtime, "_glibc_mallopt", lambda: None)
+        monkeypatch.setattr(runtime, "_fix_heap", cache(runtime._fix_heap.__wrapped__))
         for workers in (1, 2):
             records = run_sweep(TestGolden.SWEEP, workers=workers)
             assert [(r.detector, r.rho, r.trials, r.bit_errors) for r in records] == \
                 TestGolden.SWEEP_RECORDS
         assert _blas_threads() == caller_threads  # untouched
 
-    @pytest.mark.skipif(sim._glibc_mallopt() is None, reason="needs glibc's mallopt")
+    @pytest.mark.skipif(runtime._glibc_mallopt() is None, reason="needs glibc's mallopt")
     def test_steady_state_sweep_stays_off_the_page_fault_path(self):
         # perfbench's sweep_cli op: under glibc's dynamic thresholds each
         # such sweep re-faulted about 18,000 pages of heap; with the fixed
@@ -814,6 +854,15 @@ class TestCalibrate:
     def test_rejects_non_heuristic(self):
         with pytest.raises(ConfigError):
             default_calibration_plan("mmse")
+
+    @pytest.mark.parametrize("grids, start, missing", [
+        ({"c1": (1.0,)}, {"c1": 1.0, "w0": 1.0}, "no candidate grid"),
+        ({"c1": (1.0,), "w0": ()}, {"c1": 1.0, "w0": 1.0}, "no candidate grid"),
+        ({"c1": (1.0,), "w0": (1.0,)}, {"c1": 1.0}, "no start value"),
+    ])
+    def test_plan_without_grid_or_start_rejected(self, grids, start, missing):
+        with pytest.raises(ConfigError, match=f"'w0' has {missing}"):
+            CalibrationPlan(parameter_order=("c1", "w0"), grids=grids, start=start)
 
 
 class TestWriters:

@@ -29,8 +29,8 @@ from .channel import (
     generate_channel,
     generate_pdp_channel,
 )
-from .config import (CalibrationPlan, ConfigError, DetectorConfig, SimulationConfig,
-                     check_rho, check_square_qam, default_calibration_plan)
+from .config import (DEFAULT_HYBRID_ITERS, CalibrationPlan, ConfigError, DetectorConfig,
+                     SimulationConfig, check_rho, check_square_qam, default_calibration_plan)
 from .linalg import draw_standard_complex_gaussian
 from .ofdm import map_bits, square_qam, time_domain_roundtrip
 from .rng import RngStream
@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nt-max", type=_int_at_least(2), default=256)
     p.add_argument("--pop-factor", type=_positive_int, default=5)
     p.add_argument("--iters", type=_nonnegative_int, default=50)
-    p.add_argument("--iters-hybrid", type=_nonnegative_int, default=15)
+    p.add_argument("--iters-hybrid", type=_nonnegative_int, default=DEFAULT_HYBRID_ITERS)
     p.add_argument("--m-order", type=int, default=4)
     p.add_argument("--out", default=None)
 

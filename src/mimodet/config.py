@@ -135,11 +135,13 @@ class DetectorConfig:
             raise ConfigError(f"detectors entries must be JSON objects, got {d!r}")
         d = dict(d)
         kind = str(d.pop("kind", "")).lower()
-        if "v_max" in d:
-            d["v_max"] = _inf_from_text(d["v_max"])
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown detector fields: {sorted(unknown)}")
+        # null is left out, so the field keeps its default and echoes it
+        d = {name: value for name, value in d.items() if value is not None}
+        if "v_max" in d:
+            d["v_max"] = _inf_from_text(d["v_max"])
         return cls(kind=kind, **d)
 
 

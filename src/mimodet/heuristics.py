@@ -226,31 +226,32 @@ def init_swarm(rng: RngStream, params: PsoParams, seed_vec: np.ndarray | None,
     )
 
 
+def _attraction(rng: RngStream, coef: float, best: np.ndarray, pos: np.ndarray,
+                diff: np.ndarray) -> np.ndarray:
+    """(coef U) o (best - pos) for a fresh uniform matrix U, with diff as scratch."""
+    pull = rng.uniform(size=pos.shape)
+    pull *= coef
+    np.subtract(best, pos, out=diff)
+    pull *= diff
+    return pull
+
+
 def pso_iterate(rng: RngStream, state: SwarmState, params: PsoParams,
                 sys: RealSystem) -> SwarmState:
     """Advance the swarm one iteration in place."""
-    pos = state.positions
-    u1 = rng.uniform(size=pos.shape)
-    u2 = rng.uniform(size=pos.shape)
+    pos, vel = state.positions, state.velocities
     # (w V + (c1 U1) o (M_pb - P)) + (c2 U2) o (M_gb - P), in exactly that
-    # order, through two scratch arrays, with V in a fresh array. Measured
-    # under the engine's fixed heap thresholds (runtime._runtime_policy)
-    # as CPU time per 16 frames of 64 systems x 25 steps, in alternating
-    # rounds on a shared 2-core x86-64 host: the plain expression gives
-    # the same bytes but costs 8% more (10/10 rounds, two runs). Buffers
-    # kept across steps save 2.5% of this kernel (10/10), which earlier
-    # end-to-end runs did not resolve (ROADMAP, "Decided against").
-    pull = np.multiply(params.c1, u1)
-    diff = np.subtract(state.personal_best, pos)
-    pull *= diff
-    vel = np.multiply(state.w, state.velocities)
-    vel += pull
-    np.multiply(params.c2, u2, out=pull)
-    np.subtract(state.p_gb[..., None], pos, out=diff)
-    pull *= diff
-    vel += pull
+    # order, with V updated in place. Each term joins V as soon as its U is
+    # drawn (no draw lies between U1 and U2, so the stream is unchanged),
+    # so a step holds P, V and M_pb plus one difference and one pull array.
+    # A 64-system run of 40 members peaks at about 5.7 member arrays under
+    # tracemalloc, against 8.7 with both U drawn first and V in a fresh
+    # array; CHANGES.md has the benchmark pairs.
+    vel *= state.w
+    diff = np.empty_like(pos)
+    vel += _attraction(rng, params.c1, state.personal_best, pos, diff)
+    vel += _attraction(rng, params.c2, state.p_gb[..., None], pos, diff)
     np.clip(vel, -params.v_max, params.v_max, out=vel)
-    state.velocities = vel
     pos += vel
     # 9 flops per dimension for the velocity update, 1 for the position.
     charge(10 * vel.size)
@@ -303,6 +304,25 @@ def _mutation_indices(rng: RngStream, n_pop: int, batch_shape: tuple) -> np.ndar
     return r
 
 
+def _mutants(rng: RngStream, iota: np.ndarray, f_mut: float) -> np.ndarray:
+    """Mutants iota_r1 + F_mut (iota_r2 - iota_r3) as rows, (..., n_pop, n_dim).
+
+    The partners come from one gather each out of a row-major copy of the
+    members, with each batch entry's indices offset to its own block of
+    n_pop rows; the copy and the indices are freed on return.
+    """
+    n_dim, n_pop = iota.shape[-2:]
+    batch_shape = iota.shape[:-2]
+    r = _mutation_indices(rng, n_pop, batch_shape)
+    rows = np.ascontiguousarray(np.swapaxes(iota, -1, -2)).reshape(-1, n_dim)
+    r += (np.arange(rows.shape[0] // n_pop) * n_pop).reshape(batch_shape + (1,))
+    mutant = np.take(rows, r[1], axis=0)
+    mutant -= np.take(rows, r[2], axis=0)
+    mutant *= f_mut
+    mutant += np.take(rows, r[0], axis=0)
+    return mutant
+
+
 def de_trials(rng: RngStream, individuals: np.ndarray, params: DeParams) -> np.ndarray:
     """rand/1/bin trial vectors for every individual (mutation + crossover).
 
@@ -315,19 +335,10 @@ def de_trials(rng: RngStream, individuals: np.ndarray, params: DeParams) -> np.n
     if n_pop < 4:
         raise ValueError("need at least 4 individuals for distinct mutation indices")
     batch_shape = iota.shape[:-2]
-    r = _mutation_indices(rng, n_pop, batch_shape)
-    # One gather for all three partners: members as rows, with each batch
-    # entry's indices offset to its own block of n_pop rows.
-    rows = np.ascontiguousarray(np.swapaxes(iota, -1, -2)).reshape(-1, n_dim)
-    offsets = (np.arange(rows.shape[0] // n_pop) * n_pop).reshape(batch_shape + (1,))
-    g = np.take(rows, r + offsets, axis=0)                  # (3, ..., n_pop, n_dim)
-    # The mutants are built inside g. Measured as for pso_iterate, per 25
-    # generations, the plain expression g[0] + F (g[1] - g[2]) gives the
-    # same bytes but costs 2-5% more (9/10 rounds, two runs).
-    np.subtract(g[1], g[2], out=g[1])
-    g[1] *= params.f_mut
-    g[0] += g[1]
-    mutants = np.swapaxes(g[0], -1, -2)
+    # Crossover runs beside one mutant array: a 64-system run of 40 members
+    # peaks at about 4.7 member arrays under tracemalloc, against 7.3 with
+    # the row copy, the indices and all three gathered partners alive.
+    mutants = np.swapaxes(_mutants(rng, iota, params.f_mut), -1, -2)
     take = rng.uniform(size=iota.shape) <= params.f_cr
     forced = rng.integers(0, n_dim, batch_shape + (n_pop,))
     take |= np.arange(n_dim)[:, None] == forced[..., None, :]

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -518,6 +519,29 @@ class TestHybrid:
         _, _, _, sys = _instance(60)
         with pytest.raises(TypeError):
             run_heuristic(RngStream(61), sys, object(), np.zeros(8))
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("params, seeded", [
+        (PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=40, iters=25), False),
+        (DeParams(1.7, 0.6, n_pop=40, iters=25), False),
+        (PsoParams(c1=3.5, c2=0.5, w0=2.0, n_pop=40, iters=25), True),
+        (DeParams(1.7, 0.6, n_pop=40, iters=25), True),
+    ], ids=["PSO", "DE", "PSO-MMSE", "DE-MMSE"])
+    def test_run_peak_within_six_member_arrays(self, params, seeded):
+        # A PSO step holds positions, velocities and personal bests plus one
+        # difference and one pull array; DE's crossover runs beside one
+        # mutant array. Drawing both uniforms up front, or gathering all
+        # three partners at once, takes the peak past 7 member arrays.
+        sys, seeds = TestHybrid._batch(91, batch=64)
+        member = sys.y.shape[0] * sys.dim * params.n_pop * 8  # (64, 8, 40) doubles
+        tracemalloc.start()
+        try:
+            run_heuristic(RngStream(92), sys, params, seeds if seeded else None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * member
 
 
 class TestOracleParity:

@@ -121,10 +121,15 @@ class TestConfig:
                                      {"kind": "de", "v_max": None},
                                      {"kind": "de-mf", "search_lo": None},
                                      {"kind": "mmse", "c1": None},
-                                     {"kind": "pso", "search_lo": None}])
+                                     {"kind": "pso", "search_lo": None},
+                                     {"kind": "pso", "v_max": None}])
     def test_null_field_means_unset(self, det):
-        # JSON null is "not set" for every field, read or not by the kind
+        # JSON null is "not set" for every field, read or not by the kind:
+        # the config equals, resolves and echoes as the one that leaves it out
         cfg = SimulationConfig.from_dict({"detectors": [det]})
+        unset = SimulationConfig.from_dict({"detectors": [{"kind": det["kind"]}]})
+        assert cfg == unset
+        assert cfg.to_dict() == unset.to_dict()
         assert resolve_detector(cfg.detectors[0], 0.5) == \
             resolve_detector(DetectorConfig(det["kind"]), 0.5)
 

@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 configuration error, 2 runtime numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -144,10 +143,8 @@ def _load_config(args) -> SimulationConfig:
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
     records = sim.run_sweep(config, workers=args.workers)
-    if args.format == "csv":
-        _emit(sim.records_to_csv(records, config), args.out)
-    else:
-        _emit(sim.records_to_json(records, config), args.out)
+    write = sim.records_to_csv if args.format == "csv" else sim.records_to_json
+    _emit(write(records, config), args.out)
     return EXIT_OK
 
 
@@ -159,12 +156,7 @@ def _cmd_calibrate(args) -> int:
                                     max_vectors=args.max_vectors)
     result = sim.calibrate(plan, config, DetectorConfig(kind=kind),
                            workers=args.workers)
-    text = sim.calibration_to_csv(result)
-    summary = json.dumps({"detector": result.detector,
-                          "final_params": result.final_params,
-                          "start_ber": result.start_ber,
-                          "final_ber": result.final_ber}, sort_keys=True)
-    _emit(text + "# " + summary + "\n", args.out)
+    _emit(sim.calibration_to_csv(result), args.out)
     return EXIT_OK
 
 
@@ -199,14 +191,16 @@ def _cmd_validate_channel(args) -> int:
     n = args.n_antennas
 
     # Sample covariance of vec(H) against the Kronecker target R_t (x) R_r.
+    # Its error falls as 1/sqrt(samples): the tolerance is 0.02 at 100,000.
     h = generate_channel(rng.substream("cov"), spec, args.samples)
     vecs = h.transpose(0, 2, 1).reshape(args.samples, n * n)  # column-major vec
     cov = vecs.T @ vecs.conj() / args.samples
     target = np.kron(build_correlation_matrix(spec), build_correlation_matrix(spec))
     cov_err = float(np.max(np.abs(cov - target)))
-    cov_ok = cov_err < 0.02
+    cov_tol = 0.02 * np.sqrt(100_000 / args.samples)
+    cov_ok = cov_err < cov_tol
     print(f"kronecker-covariance max entry error {cov_err:.4f} "
-          f"({'PASS' if cov_ok else 'FAIL'}, tolerance 0.02 at {args.samples} samples)")
+          f"({'PASS' if cov_ok else 'FAIL'}, tolerance {cov_tol:.3g} at {args.samples} samples)")
 
     # Cyclic prefix: the time-domain chain over the PDP channel's taps must
     # equal the per-subcarrier model over its DFT.

@@ -35,7 +35,7 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -75,11 +75,6 @@ class BerRecord:
     ci95_halfwidth: float
     mean_iterations: float
     flops_per_subcarrier: float
-
-    def to_row(self) -> list:
-        return [self.detector, repr(self.ebn0_db), repr(self.rho), self.trials,
-                self.bit_errors, repr(self.ber), repr(self.ci95_halfwidth),
-                repr(self.mean_iterations), repr(self.flops_per_subcarrier)]
 
 
 CSV_COLUMNS = ("detector", "ebn0_db", "rho", "trials", "bit_errors", "ber",
@@ -299,21 +294,26 @@ def _worker_map(workers: int):
                 yield executor.map
 
 
-def _run_batches(config: SimulationConfig, detectors, ebn0_db, rho,
-                 total_frames: int, workers: int, run, checkpoints=(), pairs=(),
-                 stop_errors: int | None = None) -> FrameBatchResult:
-    """Run frames in fixed batches, split over the workers, merging by sum.
+def _run_batches(config: SimulationConfig, detectors, ebn0_db, rho, n_vectors: int,
+                 workers: int, run, checkpoints=(), pairs=(),
+                 stop_errors: int | None = None):
+    """Run the DetectorConfigs `detectors` at one point over n_vectors symbol
+    vectors, rounded up to whole frames; returns (resolved, merged sums).
 
-    `detectors` lists (position, ResolvedDetector) pairs. Each batch is
-    cut into one frame range per worker and handed to `run`, the map of a
-    _worker_map block. With `stop_errors`, a detector leaves once its
+    The point is checked and each detector bound to it before any frame
+    runs; results are keyed by position in `detectors`. Each fixed batch
+    is cut into one frame range per worker and handed to `run`, the map
+    of a _worker_map block. With `stop_errors`, a detector leaves once its
     final-output errors reach it; the check happens only between complete
     batches, so results are identical for any worker count.
     """
+    check_operating_point(ebn0_db, rho, config.m_order)
+    resolved = [resolve_detector(d, rho) for d in detectors]
+    total_frames = math.ceil(n_vectors / config.n_subcarriers)
     if total_frames < 1:
         raise ConfigError("need at least one symbol vector per point")
     merged = FrameBatchResult()
-    active = tuple(detectors)
+    active = tuple(enumerate(resolved))
     frame = 0
     while active and frame < total_frames:
         hi = min(frame + BATCH_FRAMES, total_frames)
@@ -326,7 +326,7 @@ def _run_batches(config: SimulationConfig, detectors, ebn0_db, rho,
         if stop_errors is not None:
             active = tuple((i, res) for i, res in active
                            if merged.errors[(i, None)] < stop_errors)
-    return merged
+    return resolved, merged
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +335,12 @@ def _run_batches(config: SimulationConfig, detectors, ebn0_db, rho,
 
 def _ber_records(config: SimulationConfig, detectors, ebn0_db: float, rho: float,
                  workers: int, run) -> list[BerRecord]:
-    """One record per detector at one operating point, all on one frame loop.
-
-    Each detector stops on its own after max_trials symbol vectors or
-    target_bit_errors bit errors, whichever comes first (checked on batch
-    boundaries). Trials run in whole frames, so max_trials rounds up to
-    ceil(max_trials / n_subcarriers) frames.
-    """
-    resolved = [resolve_detector(d, rho) for d in detectors]
-    total_frames = math.ceil(config.max_trials / config.n_subcarriers)
-    merged = _run_batches(config, list(enumerate(resolved)), ebn0_db, rho, total_frames,
-                          workers=workers, run=run, stop_errors=config.target_bit_errors)
+    """One record per detector at one operating point, all on one frame loop;
+    each detector stops on its own at max_trials symbol vectors or
+    target_bit_errors bit errors (checked on batch boundaries)."""
+    resolved, merged = _run_batches(config, detectors, ebn0_db, rho, config.max_trials,
+                                    workers=workers, run=run,
+                                    stop_errors=config.target_bit_errors)
     records = []
     for i, res in enumerate(resolved):
         errors = merged.errors[(i, None)]
@@ -365,14 +360,13 @@ def _ber_records(config: SimulationConfig, detectors, ebn0_db: float, rho: float
 
 def run_ber_point(config: SimulationConfig, detector: DetectorConfig,
                   ebn0_db: float, rho: float, workers: int = 1) -> BerRecord:
-    """Measure one (detector, Eb/N0, rho) operating point.
+    """Measure one (detector, Eb/N0, rho) operating point: a one-point run_sweep.
 
     Stops after max_trials symbol vectors or target_bit_errors bit errors,
     whichever comes first (checked on batch boundaries).
     """
-    check_operating_point(ebn0_db, rho, config.m_order)
-    with _worker_map(workers) as run:
-        return _ber_records(config, [detector], ebn0_db, rho, workers, run)[0]
+    point = replace(config, detectors=(detector,), ebn0_db_list=(ebn0_db,), rho_list=(rho,))
+    return run_sweep(point, workers)[0]
 
 
 def run_sweep(config: SimulationConfig, workers: int = 1) -> list[BerRecord]:
@@ -406,17 +400,14 @@ def run_paired(config: SimulationConfig, detectors, ebn0_db: float, rho: float,
     Trials run in whole frames: n_vectors rounds up to
     ceil(n_vectors / n_subcarriers) frames.
     """
-    check_operating_point(ebn0_db, rho, config.m_order)
-    resolved = [resolve_detector(d, rho) for d in detectors]
-    labels = [r.label for r in resolved]
+    labels = [d.label for d in detectors]
     position = {label: i for i, label in enumerate(labels)}
     if len(position) != len(labels):
         raise ConfigError("paired runs need distinct detector labels")
-    total_frames = math.ceil(n_vectors / config.n_subcarriers)
     col_pairs = tuple(((position[a], None), (position[b], None)) for a, b in pairs)
     with _worker_map(workers) as run:
-        merged = _run_batches(config, list(enumerate(resolved)), ebn0_db, rho,
-                              total_frames, pairs=col_pairs, workers=workers, run=run)
+        _, merged = _run_batches(config, detectors, ebn0_db, rho, n_vectors,
+                                 pairs=col_pairs, workers=workers, run=run)
     return PairedResult(
         labels=labels, vectors=merged.vectors[0],
         nbits=merged.vectors[0] * config.bits_per_vector,
@@ -463,11 +454,9 @@ def convergence_study(config: SimulationConfig, detector: DetectorConfig,
         raise ConfigError(f"convergence applies to heuristic detectors, not {detector.kind!r}")
     base = replace(detector, iters=max_iters)
     checkpoints = tuple(range(0, max_iters + 1))
-    for ebn0 in ebn0_list:
+    for ebn0 in ebn0_list:  # all points, so a bad later one fails before any frame runs
         check_operating_point(ebn0, rho, config.m_order)
     n_vectors = n_vectors if n_vectors is not None else config.max_trials
-    total_frames = math.ceil(n_vectors / config.n_subcarriers)
-    res = resolve_detector(base, rho)
     col_pairs = tuple(((0, a), (0, b)) for a, b in iteration_pairs)
     rows = []
     discordance = {}
@@ -475,14 +464,14 @@ def convergence_study(config: SimulationConfig, detector: DetectorConfig,
     nbits = 0
     with _worker_map(workers) as run:
         for ebn0 in ebn0_list:
-            merged = _run_batches(config, [(0, res)], ebn0, rho, total_frames,
-                                  checkpoints=checkpoints, pairs=col_pairs,
-                                  workers=workers, run=run)
+            _, merged = _run_batches(config, [base], ebn0, rho, n_vectors,
+                                     checkpoints=checkpoints, pairs=col_pairs,
+                                     workers=workers, run=run)
             vectors = merged.vectors[0]
             nbits = vectors * config.bits_per_vector
             for it in checkpoints:
                 errs = merged.errors[(0, it)]
-                rows.append(ConvergenceRecord(res.label, float(ebn0), float(rho), it,
+                rows.append(ConvergenceRecord(base.label, float(ebn0), float(rho), it,
                                               vectors, errs, errs / nbits))
             for (a, b), cols in zip(iteration_pairs, col_pairs):
                 discordance[(float(ebn0), a, b)] = tuple(merged.discordance[cols])
@@ -519,7 +508,6 @@ def calibrate(plan: CalibrationPlan, config: SimulationConfig,
     because trial substreams are keyed by value, so the final BER can
     never exceed the start BER.
     """
-    check_operating_point(plan.ebn0_db, plan.rho, config.m_order)
     eval_config = replace(config, max_trials=plan.max_vectors,
                           target_bit_errors=plan.min_error_events)
     cache: dict = {}
@@ -606,7 +594,7 @@ def _json_text(payload, **kwargs) -> str:
 
 def records_to_csv(records, config: SimulationConfig) -> str:
     echo = _json_text(config.to_dict())
-    return _csv_text(CSV_COLUMNS, (rec.to_row() for rec in records),
+    return _csv_text(CSV_COLUMNS, map(astuple, records),
                      f"# config {echo}\n# note {SEQUENTIAL_STOP_NOTE}\n")
 
 
@@ -622,25 +610,25 @@ def records_to_json(records, config: SimulationConfig) -> str:
 
 def convergence_rows_to_csv(rows) -> str:
     return _csv_text(("detector", "ebn0_db", "rho", "iteration", "trials", "bit_errors", "ber"),
-                     ([r.detector, repr(r.ebn0_db), repr(r.rho), r.iteration, r.trials,
-                       r.bit_errors, repr(r.ber)] for r in rows))
+                     map(astuple, rows))
 
 
 def fitness_traces_to_csv(detector: str, trace: np.ndarray) -> str:
     """Per-iteration best-fitness rows (detector, trial, iteration, fitness)."""
-    trace = np.atleast_2d(trace)
     return _csv_text(("detector", "trial", "iteration", "fitness"),
-                     ([detector, trial, it, repr(float(trace[trial, it]))]
-                      for trial in range(trace.shape[0]) for it in range(trace.shape[1])))
+                     ([detector, trial, it, fitness]
+                      for trial, row in enumerate(np.atleast_2d(trace).tolist())
+                      for it, fitness in enumerate(row)))
 
 
 def calibration_to_csv(result: CalibrationResult) -> str:
+    """One row per evaluation, then a comment line with the JSON summary."""
+    summary = _json_text({"detector": result.detector, "final_params": result.final_params,
+                          "start_ber": result.start_ber, "final_ber": result.final_ber})
+    rows = ([result.detector, *astuple(ev)] for ev in result.evaluations)
     return _csv_text(("detector", "parameter", "candidate", "ber", "bit_errors", "trials"),
-                     ([result.detector, ev.parameter, repr(ev.candidate), repr(ev.ber),
-                       ev.bit_errors, ev.trials] for ev in result.evaluations))
+                     rows) + f"# {summary}\n"
 
 
 def complexity_rows_to_csv(rows) -> str:
-    return _csv_text(("n_t", "detector", "flops"),
-                     ([n_t, kind, repr(flops) if isinstance(flops, float) else flops]
-                      for n_t, kind, flops in rows))
+    return _csv_text(("n_t", "detector", "flops"), rows)

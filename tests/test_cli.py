@@ -1,10 +1,12 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mimodet import cli
+from mimodet import simulate as sim
 from mimodet.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, cli_main
 from mimodet.complexity import DETECTORS, FlopFormulaInput, flops_detector
 
@@ -218,6 +220,24 @@ class TestCalibrateCommand:
         rc = cli_main(["calibrate", "--config", config_path, "--detector", "zf"])
         assert rc == EXIT_CONFIG
 
+    def test_output_bytes(self, config_path, tmp_path, monkeypatch):
+        # the evaluation rows, then the summary line
+        result = sim.CalibrationResult(
+            "PSO", {"c1": 2.5, "c2": 0.5, "w0": 1.0}, 0.001, 0.0025,
+            [sim.CalibrationEvaluation("c1", 2.0, 0.0025, 41, 2048),
+             sim.CalibrationEvaluation("c1", 2.5, 1 / 3, 33, 4096)])
+        monkeypatch.setattr(sim, "calibrate", lambda *args, **kwargs: result)
+        out = tmp_path / "calib.csv"
+        rc = cli_main(["calibrate", "--config", config_path, "--detector", "pso",
+                       "--out", str(out)])
+        assert rc == EXIT_OK
+        assert out.read_text() == (
+            "detector,parameter,candidate,ber,bit_errors,trials\n"
+            "PSO,c1,2.0,0.0025,41,2048\n"
+            "PSO,c1,2.5,0.3333333333333333,33,4096\n"
+            '# {"detector": "PSO", "final_ber": 0.001, '
+            '"final_params": {"c1": 2.5, "c2": 0.5, "w0": 1.0}, "start_ber": 0.0025}\n')
+
 
 class TestConvergenceCommand:
     def test_smoke_with_traces(self, config_path, tmp_path):
@@ -293,6 +313,26 @@ class TestValidateChannelCommand:
         out = capsys.readouterr().out
         assert rc == EXIT_OK
         assert out.count("PASS") == 3
+
+    def test_covariance_tolerance_scales_with_samples(self, capsys):
+        # a correct channel passes at a tenth of the default samples too
+        rc = cli_main(["validate-channel", "--samples", "2000", "--rho", "0.9",
+                       "--n-antennas", "2"])
+        out = capsys.readouterr().out
+        assert rc == EXIT_OK
+        assert out.count("PASS") == 3
+        assert "tolerance 0.141 at 2000 samples" in out
+
+    def test_channel_drawn_at_the_wrong_rho_fails(self, monkeypatch, capsys):
+        draw = cli.generate_channel
+        monkeypatch.setattr(cli, "generate_channel", lambda rng, spec, count: draw(
+            rng, replace(spec, rho=0.5) if spec.rho == 0.9 else spec, count))
+        rc = cli_main(["validate-channel", "--samples", "2000", "--rho", "0.9",
+                       "--n-antennas", "2"])
+        out = capsys.readouterr().out
+        assert rc == EXIT_RUNTIME
+        assert "(FAIL, tolerance 0.141 at 2000 samples)" in out.splitlines()[0]
+        assert out.count("PASS") == 2
 
     def test_rho_zero_check_compares_bits(self, monkeypatch, capsys):
         # a reference draw one rounding step off must fail the third check

@@ -254,15 +254,28 @@ class TestResolve:
 class TestRunBerPoint:
     @pytest.mark.parametrize("ebn0, rho", [(math.nan, 0.0), (-math.inf, 0.0),
                                            (8.0, 1.5), (8.0, math.nan)])
-    @pytest.mark.parametrize("entry", ["run_ber_point", "run_paired"])
-    def test_operating_point_outside_model_rejected(self, entry, ebn0, rho):
-        # the same check as convergence_study and calibrate, before any draw
+    @pytest.mark.parametrize("entry", ["run_ber_point", "run_paired", "convergence_study",
+                                       "calibrate"])
+    def test_operating_point_outside_model_rejected(self, entry, ebn0, rho, monkeypatch):
+        # every entry point rejects the point before any frame runs;
+        # convergence_study checks all its points first, so a bad later one
+        # fails before the good first one runs
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a frame ran before the point was rejected")
+
+        monkeypatch.setattr(sim, "_simulate_frames", no_frames)
         cfg = _config("mmse")
         with pytest.raises(ConfigError):
             if entry == "run_ber_point":
                 run_ber_point(cfg, cfg.detectors[0], ebn0, rho)
-            else:
+            elif entry == "run_paired":
                 run_paired(cfg, cfg.detectors, ebn0, rho, n_vectors=64)
+            elif entry == "convergence_study":
+                convergence_study(cfg, DetectorConfig("pso-mmse"), [8.0, ebn0], 2, rho=rho,
+                                  n_vectors=64)
+            else:
+                plan = default_calibration_plan("pso", ebn0_db=ebn0, rho=rho)
+                calibrate(plan, cfg, DetectorConfig("pso"))
 
     def test_zf_noiseless_is_error_free(self):
         cfg = _config("zf", max_trials=1000)
@@ -924,3 +937,33 @@ class TestWriters:
         with open(tmp_path / "plain.csv", "w") as fh:
             fh.write("hello\n")
         assert target.stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
+
+    def test_golden_bytes(self):
+        # floats are written as their repr, +inf as "inf" and ints as ints
+        cfg = _config("mmse", ebn0_db_list=(math.inf, 8.0), rho_list=(0.0, 0.9))
+        records = [BerRecord("MMSE", 8.0, 0.9, 1024, 17, 17 / 8192, 0.0008901113882917124,
+                             0.0, 4138.666666666667),
+                   BerRecord("MMSE", math.inf, 0.0, 64, 0, 0.0, 0.0, 0.0, 346.6666666666667)]
+        assert records_to_csv(records, cfg) == (
+            '# config {"detectors": [{"c1": null, "c2": null, "f_cr": null, "f_mut": null, '
+            '"iters": null, "kind": "mmse", "n_pop": null, "search_hi": 1.0, "search_lo": -1.0, '
+            '"v_max": 2.0, "w0": null}], "ebn0_db_list": ["inf", 8.0], "m_order": 4, '
+            '"master_seed": 99, "max_trials": 2048, "n_r": 4, "n_subcarriers": 64, "n_t": 4, '
+            '"rho_list": [0.0, 0.9], "target_bit_errors": 10000}\n'
+            "# note points stopped at target_bit_errors use a sequential rule; the BER "
+            "estimate carries the standard sequential-test bias caveat\n"
+            "detector,ebn0_db,rho,trials,bit_errors,ber,ci95,mean_iterations,flops_per_subcarrier\n"
+            "MMSE,8.0,0.9,1024,17,0.0020751953125,0.0008901113882917124,0.0,4138.666666666667\n"
+            "MMSE,inf,0.0,64,0,0.0,0.0,0.0,346.6666666666667\n")
+        rows = [sim.ConvergenceRecord("PSO-MMSE", 16.0, 0.5, 0, 128, 3, 3 / 1024),
+                sim.ConvergenceRecord("PSO-MMSE", math.inf, 0.5, 1, 128, 0, 0.0)]
+        assert sim.convergence_rows_to_csv(rows) == (
+            "detector,ebn0_db,rho,iteration,trials,bit_errors,ber\n"
+            "PSO-MMSE,16.0,0.5,0,128,3,0.0029296875\n"
+            "PSO-MMSE,inf,0.5,1,128,0,0.0\n")
+        trace = np.array([[2.5, 1 / 3], [0.1, 1e-20]])
+        assert sim.fitness_traces_to_csv("DE", trace) == (
+            "detector,trial,iteration,fitness\n"
+            "DE,0,0,2.5\nDE,0,1,0.3333333333333333\nDE,1,0,0.1\nDE,1,1,1e-20\n")
+        assert sim.complexity_rows_to_csv([(2, "MMSE", 346.6666666666667), (2, "ML", 12032)]) == (
+            "n_t,detector,flops\n2,MMSE,346.6666666666667\n2,ML,12032\n")

@@ -7,7 +7,8 @@ Subcommands:
     complexity        closed-form flop counts versus antenna count
     validate-channel  statistical checks of the channel model
 
-Exit codes: 0 success, 1 configuration error, 2 runtime numerical failure.
+Exit codes: 0 success, 1 configuration error (or a stdout closed before
+the output was written), 2 runtime numerical failure.
 """
 
 from __future__ import annotations
@@ -103,7 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-channel",
                        help="Kronecker covariance and cyclic-prefix equivalence checks")
-    p.add_argument("--samples", type=_positive_int, default=100_000)
+    # Below 1,000 samples the covariance tolerance nears the target's
+    # largest entry, so a wrongly correlated channel could pass.
+    p.add_argument("--samples", type=_int_at_least(1000), default=100_000)
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--n-antennas", type=_positive_int, default=4)
     p.add_argument("--seed", type=_nonnegative_int, default=7)
@@ -249,7 +252,17 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    try:
+        code = cli_main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`mimodet ... | head -1`). As Python's
+        # SIGPIPE note advises, point stdout at devnull so the flush at exit
+        # cannot raise again, and exit 1 without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_CONFIG
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -257,6 +257,8 @@ def pso_iterate(rng: RngStream, state: SwarmState, params: PsoParams,
     charge(10 * vel.size)
     fit = fitness_columns(sys, pos)
     improved = fit < state.pb_fitness
+    # Only 7-8% of PSO-MMSE members improve per step (sweep_cli): with this
+    # sparse mask the masked copy is cheap, and a bit select was 1.065x slower.
     np.copyto(state.personal_best, pos, where=improved[..., None, :])
     np.copyto(state.pb_fitness, fit, where=improved)
     state.p_gb, state.gb_fitness = _best_member(state.personal_best, state.pb_fitness)
@@ -330,7 +332,7 @@ def de_trials(rng: RngStream, individuals: np.ndarray, params: DeParams) -> np.n
     distinct; the trial takes the mutant's entry where a uniform draw is
     <= f_cr and at one forced dimension, and keeps iota_k elsewhere.
     """
-    iota = individuals
+    iota = np.asarray(individuals, dtype=np.float64)
     n_dim, n_pop = iota.shape[-2], iota.shape[-1]
     if n_pop < 4:
         raise ValueError("need at least 4 individuals for distinct mutation indices")
@@ -345,7 +347,19 @@ def de_trials(rng: RngStream, individuals: np.ndarray, params: DeParams) -> np.n
     # 3 flops per dimension for mutation, 3 for crossover bookkeeping;
     # matches the complexity model's per-generation convention.
     charge(6 * iota.size)
-    return np.where(take, mutants, iota)
+    # The mask is dense and unpredictable (f_cr 0.6-0.9 plus one forced
+    # dimension), so np.where's per-entry branch mispredicts. The bit select
+    # own ^ ((mutant ^ own) & mask), on the mask as 0/-1 bytes, has no branch
+    # and gives the same bits: DE ops take about 0.9x the np.where time, and
+    # an int64 mask or a contiguous mutant copy gained nothing more
+    # (CHANGES.md). Built in place, the trial is its only new member array.
+    mask = take.view(np.int8)
+    np.negative(mask, out=mask)
+    own = iota.view(np.int64)
+    trial = np.bitwise_xor(mutants.view(np.int64), own, order="C")
+    trial &= mask
+    trial ^= own
+    return trial.view(np.float64)
 
 
 def de_selection(pop: PopulationState, trials: np.ndarray, sys: RealSystem) -> PopulationState:
@@ -356,6 +370,8 @@ def de_selection(pop: PopulationState, trials: np.ndarray, sys: RealSystem) -> P
     f_inc = fitness_columns(sys, pop.individuals)
     f_tri = fitness_columns(sys, trials)
     take = f_tri < f_inc
+    # About 5% of trials win (hybrid_convergence), so this sparse mask
+    # predicts well: a bit select here gained nothing over the crossover's.
     np.copyto(pop.individuals, trials, where=take[..., None, :])
     pop.fitness_cache = np.where(take, f_tri, f_inc)
     pop.p_gb, pop.gb_fitness = _best_member(pop.individuals, pop.fitness_cache)

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,6 +349,14 @@ class TestValidateChannelCommand:
         assert out.count("PASS") == 2
         assert "raw draw bit for bit (FAIL)" in out
 
+    def test_samples_below_floor_rejected(self, capsys):
+        # at 40 samples the tolerance reaches 1, the target's largest entry,
+        # so a small count would pass a wrongly correlated channel
+        assert cli_main(["validate-channel", "--samples", "999"]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert "PASS" not in out
+        assert "--samples: must be >= 1000, got 999" in err
+
     def test_covariance_memory_stays_near_the_draw(self, capsys):
         # An outer product per sample took samples x n^4 complex numbers:
         # 82 MB here, 6.5 GB at the default samples with 8 antennas.
@@ -360,6 +372,27 @@ class TestValidateChannelCommand:
         assert rc == EXIT_OK
         assert "FAIL" not in capsys.readouterr().out
         assert peak < 4 * draw_bytes
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["complexity", "--nt-max", "4"],  # fails in the write
+        ["validate-channel", "--samples", "1000"],  # fails in the flush at exit
+    ])
+    def test_closed_pipe_exits_1_without_traceback(self, argv):
+        src = Path(cli.__file__).resolve().parent.parent
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-c", "from mimodet.cli import main; main()",
+                                   *argv], stdout=write_end, stderr=subprocess.PIPE,
+                                  env=dict(os.environ, PYTHONPATH=str(src)), text=True,
+                                  timeout=120)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert "BrokenPipeError" not in proc.stderr
+        assert proc.returncode == EXIT_CONFIG
 
 
 class TestArgumentErrors:
@@ -437,7 +470,7 @@ class TestArgumentErrors:
 
     @pytest.mark.parametrize("rho", ["1.5", "nan", "-0.1"])
     def test_validate_channel_rho_outside_model_rejected(self, rho, capsys):
-        assert cli_main(["validate-channel", "--samples", "10", "--rho", rho]) == EXIT_CONFIG
+        assert cli_main(["validate-channel", "--samples", "1000", "--rho", rho]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "rho" in err and "numerical failure" not in err
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mimodet import heuristics
 from mimodet.complexity import counting
 from mimodet.detectors import apply_equalizer, linear_weights, ml_detect
 from mimodet.heuristics import (
@@ -14,6 +15,7 @@ from mimodet.heuristics import (
     DeParams,
     PsoParams,
     _best_member,
+    _mutants,
     _mutation_indices,
     de_generation,
     de_selection,
@@ -31,6 +33,13 @@ from mimodet.rng import RngStream
 from mimodet.simulate import DetectorConfig, SimulationConfig, run_ber_point
 
 CONST = square_qam(4)
+
+# NaNs with payloads (quiet and signalling), signed zeros and infinities,
+# subnormals and plain values: a select must move their bits unchanged.
+SPECIAL = np.concatenate([
+    np.array([0x7FF8000000000123, 0xFFF0000000000001, 0x7FF0000000000ABC], dtype=np.uint64)
+    .view(np.float64),
+    [np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -2.2e-308, 1.0, -3.5]])
 
 
 def _fitness(sys, zeta):
@@ -331,6 +340,73 @@ class TestKernelOracles:
         r = _mutation_indices(RngStream(71), 9, batch_shape)
         pick = lambda idx: np.take_along_axis(iota, idx[..., None, :], axis=-1)
         assert np.array_equal(trials, pick(r[0]) + 1.3 * (pick(r[1]) - pick(r[2])))
+
+    @staticmethod
+    def _where_trials(seed, individuals, params):
+        """de_trials as the np.where select it replaced, on the same stream:
+        the mutants, then the crossover uniforms, then the forced dimensions."""
+        rng = RngStream(seed)
+        iota = np.asarray(individuals, dtype=np.float64)
+        n_dim, n_pop = iota.shape[-2:]
+        mutants = np.swapaxes(heuristics._mutants(rng, iota, params.f_mut), -1, -2)
+        take = rng.uniform(size=iota.shape) <= params.f_cr
+        forced = rng.integers(0, n_dim, iota.shape[:-2] + (n_pop,))
+        take |= np.arange(n_dim)[:, None] == forced[..., None, :]
+        return np.where(take, mutants, iota)
+
+    @pytest.mark.parametrize("batch_shape", [(), (3,), (2, 5)])
+    @pytest.mark.parametrize("f_cr", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_de_crossover_matches_where_bit_for_bit(self, batch_shape, f_cr, strided):
+        rng = RngStream(81)
+        if strided:  # members as every other column of a row-major block
+            individuals = np.swapaxes(rng.standard_normal(batch_shape + (9, 12))[..., ::2], -1, -2)
+            assert not individuals.flags.c_contiguous
+        else:
+            individuals = rng.standard_normal(batch_shape + (6, 9))
+        before = individuals.copy()
+        params = DeParams(0.8, f_cr, n_pop=9)
+        trials = de_trials(RngStream(82), individuals, params)
+        want = self._where_trials(82, individuals, params)
+        assert trials.dtype == np.float64 and trials.flags.c_contiguous
+        assert np.array_equal(trials.view(np.int64), want.view(np.int64))
+        assert np.array_equal(individuals.view(np.int64), before.view(np.int64))
+
+    @pytest.mark.parametrize("batch_shape", [(), (3,), (2, 5)])
+    def test_de_crossover_moves_special_values_bit_for_bit(self, batch_shape, monkeypatch):
+        # incumbents and mutants both hold every special value, in different
+        # places; the real mutation still runs first, so the stream matches
+        real = heuristics._mutants
+
+        def special_mutants(rng, iota, f_mut):
+            out = real(rng, iota, f_mut)
+            out[...] = np.resize(SPECIAL[::-1], out.shape)
+            return out
+
+        monkeypatch.setattr(heuristics, "_mutants", special_mutants)
+        individuals = np.resize(SPECIAL, batch_shape + (7, 11))
+        before = individuals.copy()
+        params = DeParams(1.0, 0.5, n_pop=11)
+        with np.errstate(invalid="ignore", over="ignore"):
+            trials = de_trials(RngStream(83), individuals, params)
+            want = self._where_trials(83, individuals, params)
+        bits = trials.view(np.int64)
+        assert np.array_equal(bits, want.view(np.int64))
+        assert np.array_equal(individuals.view(np.int64), before.view(np.int64))
+        taken = bits != before.view(np.int64)
+        assert taken.any() and not taken.all()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(4, 12), st.integers(1, 8), st.floats(0.0, 1.0),
+           st.integers(0, 2**32 - 1))
+    def test_de_trial_entries_come_from_incumbent_or_mutant(self, n_pop, n_dim, f_cr, seed):
+        iota = RngStream(seed).standard_normal((3, n_dim, n_pop))
+        params = DeParams(0.7, f_cr, n_pop=n_pop)
+        bits = de_trials(RngStream(seed + 1), iota, params).view(np.int64)
+        mutants = np.swapaxes(_mutants(RngStream(seed + 1), iota, 0.7), -1, -2)
+        from_mutant = bits == mutants.view(np.int64)
+        assert np.all(from_mutant | (bits == iota.view(np.int64)))
+        assert np.all(from_mutant.any(axis=-2))  # the forced dimension
 
     @pytest.mark.parametrize("batch_shape", [(), (4,), (2, 3)])
     def test_best_member_first_index_on_ties(self, batch_shape):

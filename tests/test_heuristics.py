@@ -608,7 +608,9 @@ class TestWorkingSet:
         # A PSO step holds positions, velocities and personal bests plus one
         # difference and one pull array; DE's crossover runs beside one
         # mutant array. Drawing both uniforms up front, or gathering all
-        # three partners at once, takes the peak past 7 member arrays.
+        # three partners at once, takes the peak past 7 member arrays. DE
+        # peaks at about 4.7 in its mutation, so a crossover select that
+        # keeps one more temporary (5.0) fails its tighter bound.
         sys, seeds = TestHybrid._batch(91, batch=64)
         member = sys.y.shape[0] * sys.dim * params.n_pop * 8  # (64, 8, 40) doubles
         tracemalloc.start()
@@ -617,7 +619,7 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * member
+        assert peak <= (6 if isinstance(params, PsoParams) else 4.9) * member
 
 
 class TestOracleParity:

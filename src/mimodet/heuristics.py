@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -142,7 +142,6 @@ class SwarmState:
     pb_fitness: np.ndarray     # (..., n_pop)
     p_gb: np.ndarray           # (..., dim)
     gb_fitness: np.ndarray | float
-    w: float
     iteration: int = 0
 
 
@@ -156,11 +155,14 @@ class PopulationState:
 
 @dataclass
 class HeuristicRun:
-    """Outcome of one batched heuristic detection."""
+    """Outcome of one batched heuristic detection.
 
-    estimate: np.ndarray                    # (..., n_tx) complex soft estimate
-    trace: np.ndarray                       # (..., n_steps + 1) best fitness per step
-    checkpoint_estimates: dict = field(default_factory=dict)
+    `estimates` maps each recorded checkpoint to that step's (..., n_tx)
+    complex soft estimate, and key None to the final one.
+    """
+
+    estimates: dict
+    trace: np.ndarray  # (..., n_steps + 1) best fitness per step
 
 
 def initial_positions(rng: RngStream, n_dim: int, n_members: int,
@@ -195,13 +197,14 @@ def _best_member(members: np.ndarray, fits: np.ndarray):
 
 
 def _finish(best, trace, bests: dict) -> HeuristicRun:
-    """Complexify the final best vector and every checkpoint's in one call.
+    """Complexify every checkpoint's best vector and the final one in one call.
 
     `bests` maps checkpoint -> that step's best vector: a fresh array from
     _best_member, or the seed, which no step writes to.
     """
-    estimates = complexify(np.stack(list(bests.values()) + [best]))
-    return HeuristicRun(estimates[-1], np.stack(trace, axis=-1), dict(zip(bests, estimates)))
+    bests[None] = best
+    return HeuristicRun(dict(zip(bests, complexify(np.stack(list(bests.values()))))),
+                        np.stack(trace, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +225,6 @@ def init_swarm(rng: RngStream, params: PsoParams, seed_vec: np.ndarray | None,
         pb_fitness=fit,
         p_gb=p_gb,
         gb_fitness=gb_fit,
-        w=params.w0,
     )
 
 
@@ -247,7 +249,7 @@ def pso_iterate(rng: RngStream, state: SwarmState, params: PsoParams,
     # A 64-system run of 40 members peaks at about 5.7 member arrays under
     # tracemalloc, against 8.7 with both U drawn first and V in a fresh
     # array; CHANGES.md has the benchmark pairs.
-    vel *= state.w
+    vel *= params.w0 * INERTIA_DECAY ** state.iteration
     diff = np.empty_like(pos)
     vel += _attraction(rng, params.c1, state.personal_best, pos, diff)
     vel += _attraction(rng, params.c2, state.p_gb[..., None], pos, diff)
@@ -263,7 +265,6 @@ def pso_iterate(rng: RngStream, state: SwarmState, params: PsoParams,
     np.copyto(state.pb_fitness, fit, where=improved)
     state.p_gb, state.gb_fitness = _best_member(state.personal_best, state.pb_fitness)
     state.iteration += 1
-    state.w = params.w0 * INERTIA_DECAY ** state.iteration
     return state
 
 

@@ -122,32 +122,26 @@ def _draw_task(config: SimulationConfig, const: Constellation,
 
 def _detect_frame(res: ResolvedDetector, config: SimulationConfig,
                   const: Constellation, hs, ys, det_rng: RngStream | None,
-                  checkpoints, linear):
+                  checkpoints, soft):
     """Estimates of one detector for a stack of systems: a task's stacked
     frames for the bare linear detectors and ML, one frame for PSO, DE
     and the hybrids.
 
-    Returns (grids dict, failed mask, trace or None). The grids dict maps
-    checkpoint -> (n_sys, n_t) grid, which demap_symbols slices; key None
-    is the final output. Only the heuristics have a fitness trace.
-    `linear` is the stack's (soft estimates, failed mask) of the
-    detector's linear kind, from the task's one linear stage, or None
-    for a detector without one.
+    Returns (grids dict, trace or None). The grids dict maps checkpoint ->
+    (n_sys, n_t) grid, which demap_symbols slices; key None is the final
+    output. Only the heuristics have a fitness trace. `soft` is the
+    stack's soft estimates of the detector's linear kind, from the task's
+    one linear stage, or None for a detector without one; the caller
+    erases what that stage lost. `config` is unused, but perfbench's
+    tracer tags spans by position, from `res` and `hs`.
     """
-    heuristic = DETECTORS[res.kind].heuristic
-    n_sys = hs.shape[0]
-    if heuristic is None:
-        if linear is None:  # ML
-            return {None: ml_detect(hs, ys, const)}, np.zeros(n_sys, dtype=bool), None
-        soft, failed = linear
-        return {None: soft}, failed, None
-    # a lost seed is the zero vector, since its W rows are zero
-    seed = realify_vec(linear[0]) if linear is not None else None
+    if DETECTORS[res.kind].heuristic is None:
+        return {None: ml_detect(hs, ys, const) if soft is None else soft}, None
+    # a lost seed is the zero vector, since its W rows are zero, and the
+    # heuristic decides every vector, lost seeds included
+    seed = realify_vec(soft) if soft is not None else None
     run = run_heuristic(det_rng, realify(hs, ys), res.params, seed, checkpoints)
-    out = dict(run.checkpoint_estimates)
-    out[None] = run.estimate
-    # the heuristic decides every vector, lost seeds included
-    return out, np.zeros(n_sys, dtype=bool), run.trace
+    return run.estimates, run.trace
 
 
 def _error_masks(grids, const: Constellation, tx_bits, bits_per_vector: int,
@@ -230,15 +224,12 @@ def _simulate_frames(config: SimulationConfig, detectors, ebn0_db: float,
             if key in masks:
                 masks[key].append(row)
 
-    def columns(i, det_grids, failed):
-        return [((i, cp), grid, failed if cp is None else None) for cp, grid in det_grids.items()]
-
     stacked = []
     for i, res in detectors:
         if DETECTORS[res.kind].heuristic is None:
-            det_grids, failed, _ = _detect_frame(res, config, const, hs, ys, None, checkpoints,
-                                                 linear.get(DETECTORS[res.kind].linear))
-            stacked += columns(i, det_grids, failed)
+            soft, failed = linear.get(DETECTORS[res.kind].linear, (None, None))
+            det_grids, _ = _detect_frame(res, config, const, hs, ys, None, checkpoints, soft)
+            stacked += [((i, None), det_grids[None], failed)]
     count(stacked, bits)
     searched = [(i, res) for i, res in detectors if DETECTORS[res.kind].heuristic]
     for f, frame in enumerate(frames):
@@ -248,15 +239,15 @@ def _simulate_frames(config: SimulationConfig, detectors, ebn0_db: float,
             kind = DETECTORS[res.kind].linear
             seed = None
             if kind is not None:
-                seed = linear[kind][0][rows], linear[kind][1][rows]
-                if seed[1].any():
+                seed, lost = linear[kind][0][rows], linear[kind][1][rows]
+                if lost.any():
                     log.warning("%s: %d subcarriers lost their linear seed "
                                 "(Eb/N0 %r dB, rho %r, frame %d)", res.label,
-                                int(seed[1].sum()), ebn0_db, rho, frame)
+                                int(lost.sum()), ebn0_db, rho, frame)
             det_rng = det_root.substream(res.label, *point_key, frame)
-            det_grids, failed, trace = _detect_frame(
+            det_grids, trace = _detect_frame(
                 res, config, const, hs[rows], ys[rows], det_rng, checkpoints, seed)
-            frame_columns += columns(i, det_grids, failed)
+            frame_columns += [((i, cp), grid, None) for cp, grid in det_grids.items()]
             if frame == 0 and out.trace is None:
                 out.trace = trace
         count(frame_columns, bits[f * nbits:(f + 1) * nbits])

@@ -155,14 +155,13 @@ class PopulationState:
 
 @dataclass
 class HeuristicRun:
-    """Outcome of one batched heuristic detection.
-
-    `estimates` maps each recorded checkpoint to that step's (..., n_tx)
-    complex soft estimate, and key None to the final one.
-    """
+    """Outcome of one batched heuristic detection: `estimates` maps each
+    recorded checkpoint, and None for the final output, to a (..., n_tx)
+    complex soft estimate; `trace` is each step's best fitness, except that
+    a seeded run's step 0 is the seed's fitness, as its estimate is the seed."""
 
     estimates: dict
-    trace: np.ndarray  # (..., n_steps + 1) best fitness per step
+    trace: np.ndarray  # (..., n_steps + 1)
 
 
 def initial_positions(rng: RngStream, n_dim: int, n_members: int,
@@ -424,8 +423,11 @@ def run_heuristic(rng: RngStream, sys: RealSystem, params: PsoParams | DeParams,
             trace = [np.asarray(fitness_columns(sys, seed_vec[..., None])[..., 0])]
             return _finish(seed_vec, trace, {0: seed_vec} if 0 in wanted else {})
     state = init(rng, params, seed_vec, sys)
-    trace = [np.asarray(state.gb_fitness)]
-    start = state.p_gb if seed_vec is None else seed_vec
+    if seed_vec is None:
+        trace, start = [np.asarray(state.gb_fitness)], state.p_gb
+    else:  # member 0 is the seed; copied, as pso_iterate updates pb_fitness in place
+        fits = state.pb_fitness if isinstance(state, SwarmState) else state.fitness_cache
+        trace, start = [fits[..., 0].copy()], seed_vec
     bests = {0: start} if 0 in wanted else {}
     for it in range(1, params.iters + 1):
         step(rng, state, params, sys)

@@ -395,6 +395,9 @@ def run_paired(config: SimulationConfig, detectors, ebn0_db: float, rho: float,
     position = {label: i for i, label in enumerate(labels)}
     if len(position) != len(labels):
         raise ConfigError("paired runs need distinct detector labels")
+    unknown = sorted({label for pair in pairs for label in pair} - position.keys())
+    if unknown:
+        raise ConfigError(f"pairs name detectors not in the run: {unknown}")
     col_pairs = tuple(((position[a], None), (position[b], None)) for a, b in pairs)
     with _worker_map(workers) as run:
         _, merged = _run_batches(config, detectors, ebn0_db, rho, n_vectors,
@@ -437,14 +440,19 @@ def convergence_study(config: SimulationConfig, detector: DetectorConfig,
     snapshots are equivalent to separate runs because the update rules
     never look at the remaining budget. For hybrids, iteration 0 is the
     bare linear detector, except on a lost seed, which the bare detector
-    erases and the hybrid decides from the zero vector. Only heuristic
-    kinds have iterations. n_vectors (default: config.max_trials) rounds
-    up to ceil(n_vectors / n_subcarriers) whole frames.
+    erases and the hybrid decides from the zero vector; iteration 0's
+    trace value is the seed's fitness. Only heuristic kinds have
+    iterations. n_vectors (default: config.max_trials) rounds up to
+    ceil(n_vectors / n_subcarriers) whole frames.
     """
     if DETECTORS[detector.kind].heuristic is None:
         raise ConfigError(f"convergence applies to heuristic detectors, not {detector.kind!r}")
+    if not ebn0_list:
+        raise ConfigError("convergence needs at least one Eb/N0 point")
     base = replace(detector, iters=max_iters)
     checkpoints = tuple(range(0, max_iters + 1))
+    if not set(it for pair in iteration_pairs for it in pair) <= set(checkpoints):
+        raise ConfigError(f"iteration pairs must lie in 0..{max_iters}")
     for ebn0 in ebn0_list:  # all points, so a bad later one fails before any frame runs
         check_operating_point(ebn0, rho, config.m_order)
     n_vectors = n_vectors if n_vectors is not None else config.max_trials
@@ -452,7 +460,6 @@ def convergence_study(config: SimulationConfig, detector: DetectorConfig,
     rows = []
     discordance = {}
     trace = None
-    nbits = 0
     with _worker_map(workers) as run:
         for ebn0 in ebn0_list:
             _, merged = _run_batches(config, [base], ebn0, rho, n_vectors,

@@ -208,6 +208,15 @@ class TestComplexityCommand:
             else:
                 assert flops[n_t, "PSO"] == flops[n_t, "DE"] == 0.0
 
+    def test_package_runs_as_module(self):
+        # `python -m mimodet` goes through __main__.py and the package root
+        src = Path(cli.__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-m", "mimodet", "complexity", "--nt-max", "4"],
+                              capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                              text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[0] == "n_t,detector,flops"
+
 
 class TestCalibrateCommand:
     def test_smoke(self, config_path, tmp_path):

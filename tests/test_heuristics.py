@@ -522,13 +522,13 @@ class TestHybrid:
         return h, x, y, sys, seed_vec, sigma2
 
     @staticmethod
-    def _batch(seed, batch=16, sigma2=0.05):
+    def _batch(seed, batch=16, sigma2=0.05, linear="mmse"):
         rng = RngStream(seed)
         h = draw_standard_complex_gaussian(rng.substream("h"), 4, 4, count=batch)
         x = CONST.points[rng.substream("x").integers(0, 4, (batch, 4))]
         z = draw_standard_complex_gaussian(rng.substream("z"), batch, 4)
         y = np.einsum("brt,bt->br", h, x) + np.sqrt(sigma2) * z
-        seeds = apply_equalizer(linear_weights("mmse", h, sigma2)[0], y)
+        seeds = apply_equalizer(linear_weights(linear, h, sigma2)[0], y)
         return realify(h, y), realify_vec(seeds)
 
     def test_budget_zero_returns_sliced_seed(self):
@@ -553,6 +553,24 @@ class TestHybrid:
         assert run.trace.shape == seed_vec.shape[:-1] + (1,)
         assert np.array_equal(run.trace[..., 0], fitness_columns(sys, seed_vec[..., None])[..., 0])
         assert counter.fitness_evals == (batch or 1)
+
+    @pytest.mark.parametrize("linear", ["mf", "mmse"])
+    @pytest.mark.parametrize("make", [
+        lambda iters: PsoParams(c1=4.0, c2=0.5, w0=2.0, n_pop=10, iters=iters),
+        lambda iters: DeParams(2.0, 0.7, n_pop=10, iters=iters)], ids=["pso", "de"])
+    @pytest.mark.parametrize("budget", [1, 5])
+    def test_seeded_trace_starts_at_seed_fitness(self, make, linear, budget):
+        # at any budget a seeded run's step 0 scores the seed, as at budget
+        # 0; it reads member 0's initial fitness, so no evaluation is added.
+        # At this low SNR some perturbed initial member beats the seed.
+        sys, seed_vec = self._batch(64, sigma2=5.0, linear=linear)
+        zero = run_heuristic(RngStream(65), sys, make(0), seed_vec).trace[..., 0]
+        params = make(budget)
+        with counting() as counter:
+            run = run_heuristic(RngStream(65), sys, params, seed_vec)
+        np.testing.assert_allclose(run.trace[..., 0], zero, rtol=1e-12, atol=0)
+        evals_per_step = 2 if isinstance(params, DeParams) else 1
+        assert counter.fitness_evals == 16 * params.n_pop * (evals_per_step * budget + 1)
 
     # A hybrid never ends worse than its seed: member 0 is the seed and
     # neither heuristic ever lets its best fitness rise. One batched run

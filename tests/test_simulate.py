@@ -277,6 +277,27 @@ class TestRunBerPoint:
                 plan = default_calibration_plan("pso", ebn0_db=ebn0, rho=rho)
                 calibrate(plan, cfg, DetectorConfig("pso"))
 
+    @pytest.mark.parametrize("case", ["pair_label_not_run", "pair_iteration_past_budget",
+                                      "pair_iteration_negative", "no_ebn0_points"])
+    def test_malformed_request_rejected(self, case, monkeypatch):
+        # a pair naming a detector or an iteration the run does not have,
+        # and an empty Eb/N0 list, fail before any frame runs
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a frame ran before the request was rejected")
+
+        monkeypatch.setattr(sim, "_simulate_frames", no_frames)
+        cfg = _config("mmse")
+        hybrid = DetectorConfig("pso-mmse")
+        with pytest.raises(ConfigError):
+            if case == "pair_label_not_run":
+                run_paired(cfg, cfg.detectors, 8.0, 0.0, n_vectors=64, pairs=(("MMSE", "ML"),))
+            elif case == "no_ebn0_points":
+                convergence_study(cfg, hybrid, [], 2, n_vectors=64)
+            else:
+                late = 3 if case == "pair_iteration_past_budget" else -1
+                convergence_study(cfg, hybrid, [8.0], 2, n_vectors=64,
+                                  iteration_pairs=((0, late),))
+
     def test_zf_noiseless_is_error_free(self):
         cfg = _config("zf", max_trials=1000)
         rec = run_ber_point(cfg, cfg.detectors[0], float("inf"), 0.0)
@@ -604,7 +625,7 @@ class TestGolden:
         "pso-mmse": ([43, 43, 43, 43, 43, 43],
                      "7d519451970f467a7fceb6d0c1617b253e8545aeff648e4701e3e19cca71ea2f"),
         "de-mf": ([214, 265, 351, 386, 393, 407],
-                  "24e79cc638fa246153157d5cf8a118b0835965cd2e8ecee7c81e6843e496fc53"),
+                  "e371f132890e944f7304476f5e21e8c92d32c891f981493d0a68d0f2cd0815f6"),
     }
     PAIRED = {"PSO": 155, "DE": 118, "PSO-MF": 379, "DE-MMSE": 43}
 

@@ -76,8 +76,12 @@ def linear_stage(kinds, hs: np.ndarray, n0_over_es: float) -> dict:
     one invert_hermitian call and multiplied by H^H in one product. Each
     system's result depends on that system and kind alone, so the stage
     returns the bytes a single-kind call does, for a stack of any size.
-    MF's W is H^H itself, never copied into a stack: apply_equalizer's
-    rounding depends on its layout.
+    MF's W is H^H itself, the conjugate of a transposed view, never copied
+    into a stack: apply_equalizer's rounding depends on its layout.
+    ZF and MMSE use their own C-contiguous H^H, built only when one of them
+    is asked for, in both the Gram and the W product: BLAS multiplies
+    C-contiguous operands faster than transposed ones and gives the same
+    bytes, and an MMSE-only stage still holds a single H^H.
 
     ZF and MMSE flag every system whose Gram matrix
     linalg.invert_hermitian rejects, and return zero W for it; callers
@@ -94,16 +98,16 @@ def linear_stage(kinds, hs: np.ndarray, n0_over_es: float) -> dict:
     if unknown:
         raise ValueError(f"unknown linear detector {unknown[0]!r}")
     hs = np.asarray(hs)
-    hh = np.conj(np.swapaxes(hs, -1, -2))
     out = {}
     if "mf" in kinds:
-        out["mf"] = hh, np.zeros(hs.shape[:-2], dtype=bool)
+        out["mf"] = np.conj(np.swapaxes(hs, -1, -2)), np.zeros(hs.shape[:-2], dtype=bool)
     inverted = [kind for kind in ("zf", "mmse") if kind in kinds]
     if not inverted:
         return out
     if "mmse" in inverted and n0_over_es < 0:
         raise ValueError("n0_over_es must be >= 0")
     n_rx, n_tx = hs.shape[-2:]
+    hh = np.conj(np.swapaxes(hs, -1, -2), order="C")
     grams = np.empty((len(inverted),) + hs.shape[:-2] + (n_tx, n_tx),
                      dtype=np.result_type(hs, np.float64))
     with np.errstate(invalid="ignore"):  # a non-finite H is flagged below
@@ -206,10 +210,15 @@ def _block_monomials(constellation: Constellation, n_tx: int, start: int) -> np.
 
 def _ml_coefficients(h: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coefficient rows [G_kk, 2 G_kl (k < l), -2 b_k] of the systems
-    h (n, n_r, n_t), y (n, n_r), with G = H_r^T H_r and b = H_r^T y_r."""
+    h (n, n_r, n_t), y (n, n_r), with G = H_r^T H_r and b = H_r^T y_r.
+
+    G is formed from a C-contiguous copy of H_r^T: BLAS multiplies it
+    several times faster than the transposed view and gives the same
+    bytes. b stays on the view: with a contiguous H_r^T the matrix-vector
+    product takes another BLAS path, whose bits differ."""
     real = realify(h, y)
     ht = np.swapaxes(real.h, -1, -2)
-    g = ht @ real.h
+    g = np.ascontiguousarray(ht) @ real.h
     b = (ht @ real.y[..., None])[..., 0]
     iu, ju = _pairs(real.dim)
     return np.concatenate([np.diagonal(g, axis1=-2, axis2=-1), 2 * g[..., iu, ju], -2 * b],

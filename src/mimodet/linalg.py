@@ -7,9 +7,9 @@ singular matrices, a PSD-safe square root, and seeded Gaussian matrix draws.
 The singularity test of invert_hermitian is the exact eigenvalue rule
 lambda_min / lambda_max <= RCOND_FLOOR, but it runs eigvalsh only where it
 has to: a system whose inverse already proves it far from that floor, by
-the infinity-norm bound on its condition number, skips it. An exactly
-singular pivot leaves no inverse to prove anything with, so it sends every
-finite system of its stack to eigvalsh.
+the Frobenius bound ||A||_F ||A^-1||_F on its condition number (valid for
+any A), skips it. An exactly singular pivot leaves no inverse to prove
+anything with, so it sends every finite system of its stack to eigvalsh.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .rng import RngStream
 # singular in double precision.
 RCOND_FLOOR = 1e-12
 
-# A system whose bound ||A||_inf ||A^-1||_inf on its 2-norm condition number
-# (valid for Hermitian A) is below this is certified non-singular without
+# A system whose bound ||A||_F ||A^-1||_F on its 2-norm condition number
+# (valid for any A) is below this is certified non-singular without
 # eigvalsh. The 1e3 margin covers the computed inverse's rounding error,
 # about kappa * n * eps, and eigvalsh reading only the lower triangle.
 CERTIFIED_COND = 1e-3 / RCOND_FLOOR
@@ -38,8 +38,12 @@ class SingularMatrixError(ValueError):
     mimodet raises it; invert_hermitian flags singular matrices instead."""
 
 
-def _inf_norm(x: np.ndarray) -> np.ndarray:
-    return np.abs(x).sum(axis=-1).max(axis=-1)
+def _fro2(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a complex (n, q, q) stack,
+    as one dot product over each system's float view."""
+    n, rows, cols = x.shape
+    flat = np.ascontiguousarray(x).view(np.float64).reshape(n, 2 * rows * cols)
+    return np.einsum("ij,ij->i", flat, flat)
 
 
 def invert_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -53,9 +57,12 @@ def invert_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     subcarrier is erased", never as a zero result.
 
     The stack is inverted first, with every non-finite matrix replaced by
-    I. A system whose bound ||A||_inf ||A^-1||_inf is below CERTIFIED_COND
-    is certified and skips the eigenvalue rule; only the rest, including
-    any whose bound is NaN or inf, go through eigvalsh. The bound never
+    I. A system whose bound ||A||_F ||A^-1||_F, which holds for any A, is
+    below CERTIFIED_COND is certified and skips the eigenvalue rule; only
+    the rest go through eigvalsh. That includes any whose squared norms
+    underflow or overflow, since a product that is NaN or inf never
+    compares below the threshold, and a norm that flushes to zero comes
+    with an infinite one on the other side. The bound never
     flags a system, so the rule itself is unchanged. If some matrix has an
     exactly singular pivot, the stacked inverse raises for the whole
     stack; then every finite system gets the eigenvalue rule, and the
@@ -69,7 +76,7 @@ def invert_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q = a.shape[-1]
     stack = a.reshape(-1, q, q)
     eye = np.eye(q, dtype=complex)
-    failed = ~np.isfinite(stack).all(axis=(1, 2))
+    failed = ~np.isfinite(stack).reshape(len(stack), q * q).all(axis=1)
     safe = np.where(failed[:, None, None], eye, stack) if failed.any() else stack
     try:
         inv = np.linalg.inv(safe)
@@ -77,7 +84,9 @@ def invert_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         inv = None
         unproven = ~failed
     else:
-        unproven = ~failed & ~(_inf_norm(safe) * _inf_norm(inv) < CERTIFIED_COND)
+        with np.errstate(over="ignore", invalid="ignore"):  # such a bound certifies nothing
+            bound = _fro2(safe) * _fro2(inv)
+        unproven = ~failed & ~(bound < CERTIFIED_COND ** 2)
     if unproven.any():
         lam = np.abs(np.linalg.eigvalsh(safe[unproven]))
         failed[unproven] = lam.min(axis=-1) <= RCOND_FLOOR * lam.max(axis=-1)

@@ -65,9 +65,13 @@ def realify(h, y) -> RealSystem:
     y = np.asarray(y)
     if h.shape[-2] != y.shape[-1]:
         raise ValueError(f"channel {h.shape} does not match observation {y.shape}")
-    top = np.concatenate([h.real, -h.imag], axis=-1)
-    bottom = np.concatenate([h.imag, h.real], axis=-1)
-    return RealSystem(np.concatenate([top, bottom], axis=-2), realify_vec(y))
+    n_rx, n_tx = h.shape[-2:]
+    real = np.empty(h.shape[:-2] + (2 * n_rx, 2 * n_tx), dtype=h.real.dtype)
+    real[..., :n_rx, :n_tx] = h.real
+    np.negative(h.imag, out=real[..., :n_rx, n_tx:])
+    real[..., n_rx:, :n_tx] = h.imag
+    real[..., n_rx:, n_tx:] = h.real
+    return RealSystem(real, realify_vec(y))
 
 
 def fitness_columns(sys: RealSystem, candidates) -> np.ndarray:

@@ -392,6 +392,8 @@ def run_paired(config: SimulationConfig, detectors, ebn0_db: float, rho: float,
     ceil(n_vectors / n_subcarriers) frames.
     """
     labels = [d.label for d in detectors]
+    if not labels:
+        raise ConfigError("paired runs need at least one detector")
     position = {label: i for i, label in enumerate(labels)}
     if len(position) != len(labels):
         raise ConfigError("paired runs need distinct detector labels")

@@ -13,6 +13,7 @@ from mimodet.detectors import (LINEAR_KINDS, ML_BLOCK, ML_SCORES, _block_monomia
                                candidate_matrix, linear_stage, linear_weights, ml_detect)
 from mimodet.linalg import draw_standard_complex_gaussian, invert_hermitian
 from mimodet.ofdm import demap_symbols, square_qam
+from mimodet.realdomain import realify
 from mimodet.rng import RngStream
 from mimodet.runtime import _blas_thread_calls
 
@@ -188,6 +189,20 @@ class TestLinearStage:
         hs = draw_standard_complex_gaussian(RngStream(93), 4, 4, count=8)
         w = linear_stage(LINEAR_KINDS, hs, 0.1)["mf"][0]
         assert w.strides == np.conj(np.swapaxes(hs, -1, -2)).strides
+
+    def test_mmse_alone_returns_no_mf(self):
+        hs = draw_standard_complex_gaussian(RngStream(95), 4, 4, count=8)
+        assert sorted(linear_stage({"mmse"}, hs, 0.1)) == ["mmse"]
+
+    def test_mf_alone_forms_no_gram(self, monkeypatch):
+        import mimodet.detectors as det
+
+        def refuse(a):
+            raise AssertionError("a Gram was inverted for MF alone")
+        monkeypatch.setattr(det, "invert_hermitian", refuse)
+        hs = draw_standard_complex_gaussian(RngStream(96), 4, 4, count=8)
+        stage = linear_stage({"mf"}, hs, 0.1)
+        assert sorted(stage) == ["mf"]
 
     def test_non_finite_systems_raise_no_warning(self):
         hs = draw_standard_complex_gaussian(RngStream(94), 4, 4, count=8)
@@ -397,6 +412,20 @@ class TestMlStack:
         for k in range(len(coef)):
             one_idx, one_score = _ml_block_best(coef[k:k + 1], mono)
             assert one_idx[0] == idx[k] and one_score.tobytes() == score[k:k + 1].tobytes()
+
+    @pytest.mark.parametrize("batch, n", [((1,), 4), ((7,), 2), ((1024,), 4), ((3, 5), 3)])
+    def test_coefficients_match_the_transposed_view_products(self, batch, n):
+        # G from a contiguous H_r^T must keep the bytes of the view's product
+        h, y = _stack(19, batch, n, CONST, 0.4)
+        h, y = h.reshape((-1, n, n)), y.reshape((-1, n))
+        real = realify(h, y)
+        ht = np.swapaxes(real.h, -1, -2)
+        g = ht @ real.h
+        b = (ht @ real.y[..., None])[..., 0]
+        iu, ju = np.triu_indices(2 * n, 1)
+        want = np.concatenate([np.diagonal(g, axis1=-2, axis2=-1), 2 * g[..., iu, ju], -2 * b],
+                              axis=-1)
+        assert _ml_coefficients(h, y).tobytes() == want.tobytes()
 
     def test_stack_charges_every_system(self):
         h, y = _stack(7, (7,), 4, CONST, 0.3)

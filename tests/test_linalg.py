@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from mimodet.channel import CorrelationSpec, generate_channel
 from mimodet.detectors import linear_stage, linear_weights
-from mimodet.linalg import (RCOND_FLOOR, draw_standard_complex_gaussian, invert_hermitian,
-                            psd_sqrt)
+from mimodet.linalg import (RCOND_FLOOR, _fro2, draw_standard_complex_gaussian,
+                            invert_hermitian, psd_sqrt)
 from mimodet.rng import RngStream
 
 
@@ -164,6 +164,44 @@ class TestInvertHermitian:
         inv, failed = invert_hermitian(stack)
         assert not failed.any()
         assert np.max(np.abs(stack @ inv - np.eye(4))) < 1e-9
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e-150, 1e150, 1e160, 1e170])
+    @pytest.mark.parametrize("kinds", [("gram", "diagonal_edge"), ("rank_one",)])
+    def test_scaled_stacks_match_oracle_and_never_certify_a_non_finite_bound(
+            self, monkeypatch, scale, kinds):
+        # at 1e+-160 one squared norm overflows and the bound is inf; at
+        # 1e+-170 the other also flushes to zero and the Grams' bound is
+        # NaN. Either way the system must take the eigenvalue rule.
+        rng = np.random.default_rng(17)
+        stack = scale * np.stack([_hermitian(kind, 4, rng) for kind in kinds for _ in range(6)])
+        sent = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            sent.extend(m.tobytes() for m in a)
+            return eigvalsh(a)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        inv, failed = invert_hermitian(stack)
+        monkeypatch.undo()
+        want_inv, want_failed = _oracle_invert(stack)
+        assert inv.tobytes() == want_inv.tobytes()
+        assert np.array_equal(failed, want_failed)
+        try:
+            plain_inv = np.linalg.inv(stack)
+        except np.linalg.LinAlgError:  # the fallback: every system is sent
+            assert len(sent) == len(stack)
+            return
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            bound = _fro2(stack) * _fro2(plain_inv)
+        if abs(np.log10(scale)) > 155:
+            assert not np.isfinite(bound).any()
+        if abs(np.log10(scale)) > 165:
+            assert np.isnan(bound).any()
+        for k in np.flatnonzero(~np.isfinite(bound)):
+            assert stack[k].tobytes() in sent
+        gram = np.array([kind == "gram" for kind in kinds for _ in range(6)])
+        if abs(np.log10(scale)) < 155:  # far from both limits the Grams are certified
+            assert not any(m.tobytes() in sent for m in stack[gram])
 
 
 class TestPsdSqrt:

@@ -46,6 +46,10 @@ class TestRealify:
         assert sys.dim == 4
         assert sys.n_tx == 2 and sys.n_rx == 3
 
+    def test_complex64_gives_float32(self):
+        sys = realify(np.ones((3, 2), dtype=np.complex64), np.ones(3, dtype=np.complex64))
+        assert sys.h.dtype == np.float32
+
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError):
             realify(np.ones((3, 2), dtype=complex), np.ones(2, dtype=complex))
@@ -149,7 +153,34 @@ def _systems(draw):
     return h, x, y
 
 
+def _realify_by_concatenation(h):
+    top = np.concatenate([h.real, -h.imag], axis=-1)
+    bottom = np.concatenate([h.imag, h.real], axis=-1)
+    return np.concatenate([top, bottom], axis=-2)
+
+
+@st.composite
+def _channel_arrays(draw):
+    dtype = draw(st.sampled_from([np.complex128, np.complex64]))
+    shape = draw(st.one_of(st.just(()), st.tuples(st.integers(1, 3)),
+                           st.tuples(st.integers(1, 2), st.integers(1, 3))))
+    shape += (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    values = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+                       st.floats(width=32))
+    parts = draw(arrays(np.float64, (2,) + shape, elements=values))
+    h = np.empty(shape, dtype=dtype)
+    h.real, h.imag = parts
+    return h
+
+
 class TestProperties:
+    @given(_channel_arrays())
+    def test_realify_matches_the_concatenated_blocks(self, h):
+        got = realify(h, np.zeros(h.shape[:-1], dtype=h.dtype)).h
+        want = _realify_by_concatenation(h)
+        assert got.dtype == want.dtype == h.real.dtype
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     @given(st.integers(0, 6).flatmap(lambda n: _complex_arrays((n,), bound=1e300)))
     def test_complexify_inverts_realify_vec(self, x):
         assert np.array_equal(complexify(realify_vec(x)), x)

@@ -463,6 +463,16 @@ class TestPaired:
             run_paired(cfg, [DetectorConfig("zf"), DetectorConfig("zf")],
                        8.0, 0.0, n_vectors=64)
 
+    def test_empty_detector_list_rejected_before_any_frame(self, monkeypatch):
+        import mimodet.simulate as sim
+
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a frame ran for an empty detector list")
+
+        monkeypatch.setattr(sim, "_simulate_frames", no_frames)
+        with pytest.raises(ConfigError, match="at least one detector"):
+            run_paired(_config("mmse"), [], 8.0, 0.0, n_vectors=64)
+
     def test_zero_vectors_rejected(self):
         cfg = _config("mmse")
         with pytest.raises(ConfigError):

@@ -71,7 +71,7 @@ def linear_stage(kinds, hs: np.ndarray, n0_over_es: float) -> dict:
     ("mf", "zf", "mmse") for the channel stack hs (..., n_r, n_t), as
     {kind: (w, failed)}; n0_over_es is read by MMSE only.
 
-    H^H and the Gram H^H H are formed once, and the ZF and MMSE Grams are
+    The Gram H^H H is formed once, and the ZF and MMSE Grams are
     written into one preallocated (kind, ..., n_t, n_t) stack, inverted in
     one invert_hermitian call and multiplied by H^H in one product. Each
     system's result depends on that system and kind alone, so the stage

@@ -82,11 +82,7 @@ def correlation_sqrt(spec: CorrelationSpec) -> np.ndarray:
     return root
 
 
-def _streams(rng: RngStream | Sequence[RngStream]) -> list[RngStream]:
-    return [rng] if isinstance(rng, RngStream) else list(rng)
-
-
-def _stream_normals(rngs: list[RngStream], shape: tuple) -> np.ndarray:
+def _stream_normals(rngs: Sequence[RngStream], shape: tuple) -> np.ndarray:
     """The (len(rngs),) + shape stack of standard normals, one draw of
     `shape` per stream, filled in place in stream order."""
     out = np.empty((len(rngs),) + shape)
@@ -95,16 +91,15 @@ def _stream_normals(rngs: list[RngStream], shape: tuple) -> np.ndarray:
     return out
 
 
-def generate_channel(rng: RngStream | Sequence[RngStream], spec: CorrelationSpec,
+def generate_channel(rngs: Sequence[RngStream], spec: CorrelationSpec,
                      n_subcarriers: int) -> np.ndarray:
     """Draw independent correlated channel matrices, n_subcarriers per stream.
 
-    `rng` is one stream or a sequence of them, one per frame of a task.
-    Each stream draws its (2, n_subcarriers, n, n) real and imaginary
-    standard normals in one call, and the result stacks the streams'
-    matrices in order: (len(rng) * n_subcarriers, n_r, n_t), or
-    (n_subcarriers, n_r, n_t) for one stream, which is what the
-    concatenated one-stream draws give, bit for bit.
+    `rngs` is a list of streams, one per frame of a task. Each stream
+    draws its (2, n_subcarriers, n, n) real and imaginary standard normals
+    in one call, and the result stacks the streams' matrices in order:
+    (len(rngs) * n_subcarriers, n_r, n_t), which is what the concatenated
+    one-stream draws give, bit for bit.
 
     With rho = 0 it is exactly the raw Gaussian draw G[n]
     (linalg.draw_standard_complex_gaussian); otherwise it is the matrix
@@ -120,7 +115,6 @@ def generate_channel(rng: RngStream | Sequence[RngStream], spec: CorrelationSpec
     """
     if n_subcarriers < 1:
         raise ValueError("n_subcarriers must be >= 1")
-    rngs = _streams(rng)
     n = spec.n_antennas
     parts = _stream_normals(rngs, (2, n_subcarriers, n, n))
     parts *= 1.0 / np.sqrt(2.0)
@@ -145,17 +139,18 @@ def generate_pdp_channel(rng: RngStream, spec: CorrelationSpec, pdp: PdpSpec,
     """
     if pdp.n_taps > n_subcarriers:
         raise ValueError("n_taps must not exceed n_subcarriers")
-    taps = generate_channel(rng, spec, pdp.n_taps) * np.sqrt(pdp.tap_powers())[:, None, None]
+    taps = generate_channel([rng], spec, pdp.n_taps) * np.sqrt(pdp.tap_powers())[:, None, None]
     return taps, np.fft.fft(taps, n=n_subcarriers, axis=0)
 
 
-def add_awgn(rng: RngStream | Sequence[RngStream], y_clean: np.ndarray,
+def add_awgn(rngs: Sequence[RngStream], y_clean: np.ndarray,
              sigma2: float) -> np.ndarray:
     """Add circularly-symmetric complex Gaussian noise of per-entry variance sigma2.
 
-    With a sequence of streams, y_clean's leading axis holds one equal
-    block per stream, and each stream draws its block's noise in one call,
-    as a one-stream call on that block would. Noiseless (sigma2 = 0) draws
+    `rngs` is a list of streams, one per frame: y_clean's leading axis
+    holds one equal block per stream, and each stream draws its block's
+    noise in one call, as a one-stream call on that block would. With one
+    stream the block is the whole array. Noiseless (sigma2 = 0) draws
     nothing.
     """
     if sigma2 < 0:
@@ -163,12 +158,9 @@ def add_awgn(rng: RngStream | Sequence[RngStream], y_clean: np.ndarray,
     y_clean = np.asarray(y_clean)
     if sigma2 == 0.0:
         return y_clean.copy()
-    rngs = _streams(rng)
-    block = y_clean.shape
-    if len(rngs) > 1:
-        if len(y_clean) % len(rngs):
-            raise ValueError(f"{len(y_clean)} rows do not split into {len(rngs)} equal blocks")
-        block = (len(y_clean) // len(rngs),) + block[1:]
+    if len(y_clean) % len(rngs):
+        raise ValueError(f"{len(y_clean)} rows do not split into {len(rngs)} equal blocks")
+    block = (len(y_clean) // len(rngs),) + y_clean.shape[1:]
     parts = _stream_normals(rngs, (2,) + block)
     noise = (parts[:, 0] + 1j * parts[:, 1]).reshape(y_clean.shape)
     return y_clean + np.sqrt(sigma2 / 2.0) * noise

@@ -29,8 +29,9 @@ from .channel import (
     generate_channel,
     generate_pdp_channel,
 )
-from .config import (DEFAULT_HYBRID_ITERS, CalibrationPlan, ConfigError, DetectorConfig,
-                     SimulationConfig, check_rho, check_square_qam, default_calibration_plan)
+from .config import (DEFAULT_HYBRID_ITERS, DEFAULT_RANDOM_ITERS, CalibrationPlan, ConfigError,
+                     DetectorConfig, SimulationConfig, check_rho, check_square_qam,
+                     default_calibration_plan)
 from .linalg import draw_standard_complex_gaussian
 from .ofdm import map_bits, square_qam, time_domain_roundtrip
 from .rng import RngStream
@@ -60,27 +61,29 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="MIMO-OFDM detection simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="run the BER sweep described by a config file")
-    p.add_argument("--config", required=True, help="JSON configuration file")
-    p.add_argument("--seed", type=_nonnegative_int, default=None, help="override master seed")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    # The flags of every command that runs the engine on a config file.
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument("--config", required=True, help="JSON configuration file")
+    engine.add_argument("--seed", type=_nonnegative_int, default=None, help="override master seed")
+    engine.add_argument("--out", default=None, help="output path (default: stdout)")
+    engine.add_argument("--workers", type=_positive_int, default=1)
 
-    p = sub.add_parser("calibrate", help="coordinate-descent calibration of one detector")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("simulate", parents=[engine],
+                       help="run the BER sweep described by a config file")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(handler=_cmd_simulate)
+
+    p = sub.add_parser("calibrate", parents=[engine],
+                       help="coordinate-descent calibration of one detector")
     p.add_argument("--detector", required=True,
                    help="heuristic detector kind, e.g. pso or de-mmse")
     p.add_argument("--ebn0", type=float, default=CalibrationPlan.ebn0_db)
     p.add_argument("--rho", type=float, default=CalibrationPlan.rho)
     p.add_argument("--min-errors", type=_positive_int, default=CalibrationPlan.min_error_events)
     p.add_argument("--max-vectors", type=_positive_int, default=CalibrationPlan.max_vectors)
-    p.add_argument("--seed", type=_nonnegative_int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.set_defaults(handler=_cmd_calibrate)
 
-    p = sub.add_parser("convergence", help="BER versus iteration budget")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("convergence", parents=[engine], help="BER versus iteration budget")
     p.add_argument("--detector", required=True)
     p.add_argument("--max-iters", type=_nonnegative_int, default=25)
     p.add_argument("--ebn0", type=float, nargs="+", default=[16.0])
@@ -88,19 +91,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", type=_positive_int, default=None,
                    help="symbol vectors per point, rounded up to whole frames "
                         "of n_subcarriers (default: config max_trials)")
-    p.add_argument("--seed", type=_nonnegative_int, default=None)
-    p.add_argument("--out", default=None)
     p.add_argument("--traces-out", default=None,
                    help="also export per-iteration fitness traces of the first frame")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.set_defaults(handler=_cmd_convergence)
 
     p = sub.add_parser("complexity", help="flop formulas over antenna counts")
     p.add_argument("--nt-max", type=_int_at_least(2), default=256)
     p.add_argument("--pop-factor", type=_positive_int, default=5)
-    p.add_argument("--iters", type=_nonnegative_int, default=50)
+    p.add_argument("--iters", type=_nonnegative_int, default=DEFAULT_RANDOM_ITERS)
     p.add_argument("--iters-hybrid", type=_nonnegative_int, default=DEFAULT_HYBRID_ITERS)
     p.add_argument("--m-order", type=int, default=4)
     p.add_argument("--out", default=None)
+    p.set_defaults(handler=_cmd_complexity)
 
     p = sub.add_parser("validate-channel",
                        help="Kronecker covariance and cyclic-prefix equivalence checks")
@@ -110,6 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--n-antennas", type=_positive_int, default=4)
     p.add_argument("--seed", type=_nonnegative_int, default=7)
+    p.set_defaults(handler=_cmd_validate_channel)
     return parser
 
 
@@ -124,11 +127,14 @@ def _emit(text: str, out_path) -> None:
 
 
 def _check_out_dirs(args) -> None:
-    """Reject an output path that is a directory, or lies in a missing one,
-    before any work starts."""
-    for path in (getattr(args, "out", None), getattr(args, "traces_out", None)):
+    """Reject an output path that is empty, is a directory, or lies in a
+    missing one, before any work starts."""
+    for flag, path in (("--out", getattr(args, "out", None)),
+                       ("--traces-out", getattr(args, "traces_out", None))):
         if path is None:
             continue
+        if not path:
+            raise ConfigError(f"{flag} is an empty path")
         if os.path.isdir(path):
             raise ConfigError(f"cannot write {path}: is a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
@@ -175,11 +181,25 @@ def _cmd_convergence(args) -> int:
     return EXIT_OK
 
 
+def _check_ml_digits(n_t: int, m_order: int) -> None:
+    """Reject a table whose exact ML count at n_t has more digits than
+    Python writes (sys.get_int_max_str_digits(); 0, or Python before
+    3.10.7, means no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # M^(2 n_t) = 2^bits alone passes 10^limit from 4 * limit bits on.
+    bits = 2 * n_t * (m_order.bit_length() - 1)
+    if limit and (bits >= 4 * limit or cx.flops_detector(
+            "ml", cx.FlopFormulaInput(n_t, n_t, m_order=m_order)) >= 10 ** limit):
+        raise ConfigError(f"ML's flop count at n_t = {n_t}, m_order {m_order} has more than "
+                          f"{limit} digits, Python's int-to-string limit")
+
+
 def _cmd_complexity(args) -> int:
     check_square_qam(args.m_order)
     nt_values = [2]
     while nt_values[-1] * 2 <= args.nt_max:
         nt_values.append(nt_values[-1] * 2)
+    _check_ml_digits(nt_values[-1], args.m_order)
     rows = cx.complexity_sweep(nt_values, pop_factor=args.pop_factor,
                                iters=args.iters, iters_hybrid=args.iters_hybrid,
                                m_order=args.m_order)
@@ -195,7 +215,7 @@ def _cmd_validate_channel(args) -> int:
 
     # Sample covariance of vec(H) against the Kronecker target R_t (x) R_r.
     # Its error falls as 1/sqrt(samples): the tolerance is 0.02 at 100,000.
-    h = generate_channel(rng.substream("cov"), spec, args.samples)
+    h = generate_channel([rng.substream("cov")], spec, args.samples)
     vecs = h.transpose(0, 2, 1).reshape(args.samples, n * n)  # column-major vec
     cov = vecs.T @ vecs.conj() / args.samples
     target = np.kron(build_correlation_matrix(spec), build_correlation_matrix(spec))
@@ -219,7 +239,7 @@ def _cmd_validate_channel(args) -> int:
           f"({'PASS' if cp_ok else 'FAIL'}, tolerance 1e-10)")
 
     # rho = 0 returns the raw draws, bit for bit.
-    flat = generate_channel(rng.substream("flat"), CorrelationSpec(0.0, n), 8)
+    flat = generate_channel([rng.substream("flat")], CorrelationSpec(0.0, n), 8)
     raw = draw_standard_complex_gaussian(rng.substream("flat"), n, n, count=8)
     flat_ok = flat.tobytes() == raw.tobytes()
     print(f"rho = 0 channel equals the raw draw bit for bit ({'PASS' if flat_ok else 'FAIL'})")
@@ -233,16 +253,9 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    handlers = {
-        "simulate": _cmd_simulate,
-        "calibrate": _cmd_calibrate,
-        "convergence": _cmd_convergence,
-        "complexity": _cmd_complexity,
-        "validate-channel": _cmd_validate_channel,
-    }
     try:
         _check_out_dirs(args)
-        return handlers[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

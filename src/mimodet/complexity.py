@@ -130,10 +130,10 @@ def flops_detector(kind: str, inp: FlopFormulaInput):
     return inp.m_order ** (2 * n_t) * (8 * n_t * n_r + 4 * n_r + 7)  # ml
 
 
-def complexity_sweep(nt_values, pop_factor: int = 5, iters: int = 50,
-                     iters_hybrid: int = 15, m_order: int = 4,
-                     detectors=tuple(k.upper() for k in DETECTORS)):
-    """Rows (n_t, detector, flops) for square arrays of increasing size.
+def complexity_sweep(nt_values, *, pop_factor: int, iters: int, iters_hybrid: int,
+                     m_order: int):
+    """Rows (n_t, detector label, flops) of every registered detector for
+    square arrays of increasing size.
 
     Populations scale with the search dimensionality: n_pop =
     pop_factor * 2 * n_t. Hybrids run iters_hybrid iterations, plain
@@ -141,15 +141,14 @@ def complexity_sweep(nt_values, pop_factor: int = 5, iters: int = 50,
     """
     rows = []
     for n_t in nt_values:
-        for kind in detectors:
-            heuristic, linear = DETECTORS.get(kind.lower(), (None, None))
+        for kind, (heuristic, linear) in DETECTORS.items():
             inp = FlopFormulaInput(
                 n_t=n_t, n_r=n_t,
                 n_pop=pop_factor * 2 * n_t,
                 iters=iters_hybrid if heuristic and linear else iters,
                 m_order=m_order,
             )
-            rows.append((n_t, kind, flops_detector(kind, inp)))
+            rows.append((n_t, kind.upper(), flops_detector(kind, inp)))
     return rows
 
 

@@ -87,6 +87,19 @@ def check_square_qam(m: int) -> None:
         raise ConfigError(f"m_order {m} is not a power of 4: only square QAM is simulated")
 
 
+def _inf_as_text(value):
+    """`value` with every +inf float, the noiseless Eb/N0, as the string
+    "inf", which is how the outputs write it and _inf_from_text reads it
+    back."""
+    if isinstance(value, float) and value == math.inf:
+        return "inf"
+    if isinstance(value, dict):
+        return {key: _inf_as_text(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_inf_as_text(v) for v in value]
+    return value
+
+
 def _inf_from_text(value):
     """A config value with "inf", which outputs write for +inf
     (_inf_as_text), read back as +inf."""

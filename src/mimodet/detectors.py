@@ -8,12 +8,12 @@ Linear detection is x_soft = W y with
 
 computed for a whole stack of channels at once. linear_stage computes
 every linear kind a stack needs in one pass: one H^H, one Gram, and one
-stacked inverse for ZF and MMSE together; linear_weights is its one-kind
-form. The flop ledger still charges each kind its own model count. The
-detectors return the soft estimate; ofdm.demap_symbols, the only slicer,
-turns it into bits and states the tie rule. The MF output is
-deliberately not column-normalized: quadrant slicing of square QAM is
-scale-invariant per real axis.
+stacked inverse for ZF and MMSE together; one kind's (W, failed) pair is
+linear_stage({kind}, hs, n0_over_es)[kind]. The flop ledger still
+charges each kind its own model count. The detectors return the soft
+estimate; ofdm.demap_symbols, the only slicer, turns it into bits and
+states the tie rule. The MF output is deliberately not column-normalized:
+quadrant slicing of square QAM is scale-invariant per real axis.
 
 ML detection (ml_detect) enumerates every candidate symbol vector and
 minimizes ||y - H c||^2, for a whole stack of systems at once. It scores
@@ -127,11 +127,6 @@ def linear_stage(kinds, hs: np.ndarray, n0_over_es: float) -> dict:
         charge(failed[k].size * cost)
         out[kind] = w[k], failed[k, ...]
     return out
-
-
-def linear_weights(kind: str, hs: np.ndarray, n0_over_es: float) -> tuple[np.ndarray, np.ndarray]:
-    """The (w, failed) pair of one linear kind: linear_stage((kind,), ...)."""
-    return linear_stage((kind,), hs, n0_over_es)[kind]
 
 
 def apply_equalizer(w: np.ndarray, y: np.ndarray) -> np.ndarray:

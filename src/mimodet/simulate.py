@@ -35,7 +35,7 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from . import complexity
 from .channel import CorrelationSpec, add_awgn, generate_channel
 from .complexity import DETECTORS
 from .config import (CalibrationPlan, ConfigError, DetectorConfig, ResolvedDetector,
-                     SimulationConfig, check_operating_point, resolve_detector)
+                     SimulationConfig, _inf_as_text, check_operating_point, resolve_detector)
 from .detectors import apply_equalizer, linear_stage, ml_detect
 from .heuristics import run_heuristic
 from .ofdm import Constellation, demap_symbols, map_bits, noise_variance, square_qam
@@ -77,6 +77,7 @@ class BerRecord:
     flops_per_subcarrier: float
 
 
+# BerRecord's fields, with ci95_halfwidth written as ci95.
 CSV_COLUMNS = ("detector", "ebn0_db", "rho", "trials", "bit_errors", "ber",
                "ci95", "mean_iterations", "flops_per_subcarrier")
 
@@ -573,19 +574,6 @@ def _csv_text(header, rows, preamble: str = "") -> str:
     return buf.getvalue()
 
 
-def _inf_as_text(value):
-    """`value` with every +inf float, the noiseless Eb/N0, as the string
-    "inf", which is how the CSV rows write it and the config loader reads
-    it back."""
-    if isinstance(value, float) and value == math.inf:
-        return "inf"
-    if isinstance(value, dict):
-        return {key: _inf_as_text(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_inf_as_text(v) for v in value]
-    return value
-
-
 def _json_text(payload, **kwargs) -> str:
     """Standard JSON: +inf goes in as "inf", and any other non-finite float
     raises ValueError rather than writing a token strict parsers reject."""
@@ -609,8 +597,7 @@ def records_to_json(records, config: SimulationConfig) -> str:
 
 
 def convergence_rows_to_csv(rows) -> str:
-    return _csv_text(("detector", "ebn0_db", "rho", "iteration", "trials", "bit_errors", "ber"),
-                     map(astuple, rows))
+    return _csv_text([f.name for f in fields(ConvergenceRecord)], map(astuple, rows))
 
 
 def fitness_traces_to_csv(detector: str, trace: np.ndarray) -> str:
@@ -626,8 +613,8 @@ def calibration_to_csv(result: CalibrationResult) -> str:
     summary = _json_text({"detector": result.detector, "final_params": result.final_params,
                           "start_ber": result.start_ber, "final_ber": result.final_ber})
     rows = ([result.detector, *astuple(ev)] for ev in result.evaluations)
-    return _csv_text(("detector", "parameter", "candidate", "ber", "bit_errors", "trials"),
-                     rows) + f"# {summary}\n"
+    header = ["detector"] + [f.name for f in fields(CalibrationEvaluation)]
+    return _csv_text(header, rows) + f"# {summary}\n"
 
 
 def complexity_rows_to_csv(rows) -> str:

@@ -22,7 +22,7 @@ from scipy.stats import binom
 from mimodet.channel import CorrelationSpec, build_correlation_matrix, correlation_sqrt
 from mimodet.cli import cli_main
 from mimodet.complexity import FlopFormulaInput, flops_detector
-from mimodet.detectors import linear_weights, ml_detect
+from mimodet.detectors import linear_stage, ml_detect
 from mimodet.heuristics import (
     DeParams,
     PsoParams,
@@ -308,9 +308,9 @@ def test_criterion_8_structural_invariants():
     zf_ok, limit_ok = True, True
     for i in range(25):
         hh = draw_standard_complex_gaussian(rng.substream("zf", i), 4, 4)
-        w = linear_weights("zf", hh, 0.0)[0]
+        w = linear_stage({"zf"}, hh, 0.0)["zf"][0]
         zf_ok &= float(np.abs(w @ hh - np.eye(4)).max()) < 1e-9
-        limit_ok &= float(np.abs(linear_weights("mmse", hh, 0.0)[0] - w).max()) < 1e-9
+        limit_ok &= float(np.abs(linear_stage({"mmse"}, hh, 0.0)["mmse"][0] - w).max()) < 1e-9
     checks["zf multiply-back"] = zf_ok
     checks["mmse->zf limit"] = limit_ok
 

@@ -59,14 +59,14 @@ class TestCorrelationMatrix:
 class TestGenerateChannel:
     def test_uncorrelated_is_raw_draw(self):
         spec = CorrelationSpec(rho=0.0, n_antennas=4)
-        h = generate_channel(RngStream(3).substream("c"), spec, 16)
+        h = generate_channel([RngStream(3).substream("c")], spec, 16)
         g = draw_standard_complex_gaussian(RngStream(3).substream("c"), 4, 4, count=16)
         assert np.array_equal(h, g)
 
     @pytest.mark.parametrize("rho", [0.3, 0.9, 1.0])
     def test_correlated_draw_matches_kronecker_oracle(self, rho):
         spec = CorrelationSpec(rho=rho, n_antennas=4)
-        h = generate_channel(RngStream(3).substream("c"), spec, 64)
+        h = generate_channel([RngStream(3).substream("c")], spec, 64)
         g = draw_standard_complex_gaussian(RngStream(3).substream("c"), 4, 4, count=64)
         sqrt_r = correlation_sqrt(spec)
         want = np.einsum("ij,njk,kl->nil", sqrt_r, g, sqrt_r)
@@ -76,7 +76,7 @@ class TestGenerateChannel:
     def test_correlated_draw_is_complex_product_bit_for_bit(self, rho):
         # the real-part product rounds as the complex product with sqrt_r promoted
         spec = CorrelationSpec(rho=rho, n_antennas=4)
-        h = generate_channel(RngStream(3).substream("c"), spec, 64)
+        h = generate_channel([RngStream(3).substream("c")], spec, 64)
         g = draw_standard_complex_gaussian(RngStream(3).substream("c"), 4, 4, count=64)
         sqrt_r = correlation_sqrt(spec)
         assert h.tobytes() == (sqrt_r @ (g @ sqrt_r)).tobytes()
@@ -86,15 +86,15 @@ class TestGenerateChannel:
         spec = CorrelationSpec(rho=rho, n_antennas=3)
         streams = [RngStream(12).substream(f) for f in range(4)]
         h = generate_channel(streams, spec, 5)
-        want = np.concatenate([generate_channel(RngStream(12).substream(f), spec, 5)
+        want = np.concatenate([generate_channel([RngStream(12).substream(f)], spec, 5)
                                for f in range(4)])
         assert h.shape == (20, 3, 3)
         assert h.tobytes() == want.tobytes()
 
     def test_deterministic(self):
         spec = CorrelationSpec(rho=0.5, n_antennas=4)
-        a = generate_channel(RngStream(4), spec, 8)
-        b = generate_channel(RngStream(4), spec, 8)
+        a = generate_channel([RngStream(4)], spec, 8)
+        b = generate_channel([RngStream(4)], spec, 8)
         assert np.array_equal(a, b)
 
     def test_kronecker_covariance(self):
@@ -112,7 +112,7 @@ class TestGenerateChannel:
 
     def test_entry_marginal_stays_unit_variance(self):
         spec = CorrelationSpec(rho=0.9, n_antennas=4)
-        h = generate_channel(RngStream(6), spec, 4000)
+        h = generate_channel([RngStream(6)], spec, 4000)
         power = np.mean(np.abs(h) ** 2, axis=0)
         assert np.max(np.abs(power - 1.0)) < 0.05
         assert abs(np.mean(np.abs(h) ** 2) - 1.0) < 0.02
@@ -132,7 +132,7 @@ class TestPdpChannel:
         spec = CorrelationSpec(rho=rho, n_antennas=3)
         pdp = PdpSpec(n_taps=5)
         taps, h = generate_pdp_channel(RngStream(13).substream("t"), spec, pdp, 32)
-        draw = generate_channel(RngStream(13).substream("t"), spec, 5)
+        draw = generate_channel([RngStream(13).substream("t")], spec, 5)
         assert np.array_equal(taps, draw * np.sqrt(pdp.tap_powers())[:, None, None])
         assert np.array_equal(h, np.fft.fft(taps, n=32, axis=0))
 
@@ -184,19 +184,19 @@ class TestPdpChannel:
 class TestAwgn:
     def test_zero_variance_is_identity(self):
         y = np.array([1 + 1j, 2 - 1j])
-        out = add_awgn(RngStream(1), y, 0.0)
+        out = add_awgn([RngStream(1)], y, 0.0)
         assert np.array_equal(out, y)
 
     def test_noise_statistics(self):
         y = np.zeros(1_000_000, dtype=complex)
-        out = add_awgn(RngStream(2), y, 0.5)
+        out = add_awgn([RngStream(2)], y, 0.5)
         assert abs(np.mean(np.abs(out) ** 2) - 0.5) < 0.01
         assert abs(out.mean()) < 0.01
 
     def test_streams_noise_their_own_blocks(self):
         y = RngStream(4).standard_normal((6, 2)) + 0j
         out = add_awgn([RngStream(5).substream(f) for f in range(3)], y, 0.3)
-        want = np.concatenate([add_awgn(RngStream(5).substream(f), y[2 * f:2 * f + 2], 0.3)
+        want = np.concatenate([add_awgn([RngStream(5).substream(f)], y[2 * f:2 * f + 2], 0.3)
                                for f in range(3)])
         assert out.tobytes() == want.tobytes()
         with pytest.raises(ValueError):
@@ -204,5 +204,5 @@ class TestAwgn:
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
-            add_awgn(RngStream(3), np.zeros(4, dtype=complex), -1.0)
+            add_awgn([RngStream(3)], np.zeros(4, dtype=complex), -1.0)
 

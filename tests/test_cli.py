@@ -13,6 +13,7 @@ from mimodet import cli
 from mimodet import simulate as sim
 from mimodet.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, cli_main
 from mimodet.complexity import DETECTORS, FlopFormulaInput, flops_detector
+from mimodet.config import DEFAULT_HYBRID_ITERS, DEFAULT_RANDOM_ITERS
 
 BASE_CONFIG = {
     "n_t": 4, "n_r": 4, "n_subcarriers": 64, "m_order": 4,
@@ -199,7 +200,8 @@ class TestComplexityCommand:
         for (n_t, kind), value in flops.items():
             heuristic, linear = DETECTORS[kind.lower()]
             hybrid = bool(heuristic and linear)
-            iters = 0 if hybrid == hybrids_zeroed else (15 if hybrid else 50)
+            iters = (0 if hybrid == hybrids_zeroed
+                     else DEFAULT_HYBRID_ITERS if hybrid else DEFAULT_RANDOM_ITERS)
             inp = FlopFormulaInput(n_t, n_t, n_pop=10 * n_t, iters=iters)
             assert value == float(flops_detector(kind, inp))
         for n_t in (2, 4):
@@ -207,6 +209,32 @@ class TestComplexityCommand:
                 assert flops[n_t, "PSO-MMSE"] == flops[n_t, "DE-MMSE"] == flops[n_t, "MMSE"]
             else:
                 assert flops[n_t, "PSO"] == flops[n_t, "DE"] == 0.0
+
+    @pytest.mark.parametrize("argv", [
+        ["--nt-max", "4096"],
+        ["--nt-max", "2048", "--m-order", "256"],
+        ["--m-order", str(4 ** 20)],
+    ])
+    def test_ml_count_past_the_digit_limit_rejected(self, argv, tmp_path, capsys):
+        out = tmp_path / "flops.csv"
+        assert cli_main(["complexity", *argv, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"more than {sys.get_int_max_str_digits()} digits" in err
+        assert not out.exists()
+
+    def test_ml_count_within_the_digit_limit_written(self, capsys):
+        assert cli_main(["complexity", "--nt-max", "2048"]) == EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        assert ["2048", "ML", str(flops_detector("ml", FlopFormulaInput(2048, 2048)))] in rows
+
+    def test_no_digit_limit_writes_any_count(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert cli_main(["complexity", "--nt-max", "4096"]) == EXIT_OK
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert capsys.readouterr().out.splitlines()[-1].startswith("4096,")
 
     def test_package_runs_as_module(self):
         # `python -m mimodet` goes through __main__.py and the package root
@@ -436,6 +464,23 @@ class TestArgumentErrors:
     ])
     def test_bad_model_argument_rejected(self, argv):
         assert cli_main(argv) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("owner, entry, argv", [
+        (sim, "run_sweep", ["simulate", "--out"]),
+        (sim, "calibrate", ["calibrate", "--detector", "pso", "--out"]),
+        (sim, "convergence_study", ["convergence", "--detector", "pso-mmse", "--out"]),
+        (sim, "convergence_study", ["convergence", "--detector", "pso-mmse", "--traces-out"]),
+        (cli.cx, "complexity_sweep", ["complexity", "--out"]),
+    ], ids=["simulate", "calibrate", "convergence", "convergence-traces", "complexity"])
+    def test_empty_output_path_rejected_before_any_work(self, config_path, monkeypatch, capsys,
+                                                        owner, entry, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the output path was rejected")
+
+        monkeypatch.setattr(owner, entry, no_work)
+        config = [] if argv[0] == "complexity" else ["--config", config_path]
+        assert cli_main(argv[:1] + config + argv[1:] + [""]) == EXIT_CONFIG
+        assert f"error: {argv[-1]} is an empty path" in capsys.readouterr().err
 
     def test_smallest_nt_max_prints_only_two_antennas(self, capsys):
         assert cli_main(["complexity", "--nt-max", "2"]) == EXIT_OK

@@ -9,7 +9,7 @@ from mimodet.complexity import (
     flops_detector,
     flops_primitive,
 )
-from mimodet.detectors import apply_equalizer, linear_weights, ml_detect
+from mimodet.detectors import apply_equalizer, linear_stage, ml_detect
 from mimodet.heuristics import DeParams, PsoParams, run_heuristic
 from mimodet.linalg import draw_standard_complex_gaussian
 from mimodet.ofdm import square_qam
@@ -76,15 +76,24 @@ class TestDetectorFormulas:
             FlopFormulaInput(4, 4, iters=-1)
 
 
+# The budgets these tests were written for: n_pop = 10 n_t, 50 plain and
+# 15 hybrid iterations, 4-QAM.
+BUDGETS = dict(pop_factor=5, iters=50, iters_hybrid=15, m_order=4)
+
+
 class TestSweep:
+    def test_every_registered_kind_per_size(self):
+        rows = complexity_sweep([2, 4], **BUDGETS)
+        assert [(n, k) for n, k, _ in rows] == [(n, k.upper()) for n in (2, 4) for k in DETECTORS]
+
     def test_de_exceeds_pso_everywhere(self):
-        rows = complexity_sweep([2, 4, 8, 16, 32, 64, 128, 256])
+        rows = complexity_sweep([2, 4, 8, 16, 32, 64, 128, 256], **BUDGETS)
         by = {(n, k): f for n, k, f in rows}
         for n in (2, 4, 8, 16, 32, 64, 128, 256):
             assert by[(n, "DE")] > by[(n, "PSO")]
 
     def test_hybrid_cheaper_than_conventional(self):
-        rows = complexity_sweep([4, 16, 64, 256], iters=50, iters_hybrid=15)
+        rows = complexity_sweep([4, 16, 64, 256], **BUDGETS)
         by = {(n, k): f for n, k, f in rows}
         for n in (4, 16, 64, 256):
             assert by[(n, "PSO-MMSE")] < by[(n, "PSO")]
@@ -92,15 +101,14 @@ class TestSweep:
 
     def test_ml_exact_at_large_sizes(self):
         # integer arithmetic: no overflow even when doubles would give inf
-        rows = complexity_sweep([256], detectors=("ML",))
-        val = rows[0][2]
+        (val,) = [f for _, k, f in complexity_sweep([256], **BUDGETS) if k == "ML"]
         assert isinstance(val, int)
         assert val == 4 ** 512 * (8 * 256 * 256 + 4 * 256 + 7)
 
     def test_population_scaling(self):
-        rows = complexity_sweep([4], pop_factor=5, iters=1, detectors=("PSO",))
+        rows = complexity_sweep([4], **dict(BUDGETS, iters=1))
         # n_pop = 5 * 2 * 4 = 40 at n_t = 4
-        assert rows[0][2] == 40 * 231
+        assert [f for _, k, f in rows if k == "PSO"] == [40 * 231]
 
 
 class TestInstrumentedCounts:
@@ -113,19 +121,19 @@ class TestInstrumentedCounts:
     def test_mf_counted_flops(self):
         h, y = self._system()
         with counting() as counter:
-            apply_equalizer(linear_weights("mf", h, 0.0)[0], y)
+            apply_equalizer(linear_stage({"mf"}, h, 0.0)["mf"][0], y)
         assert counter.flops == 120
 
     def test_zf_counted_flops_match_formula(self):
         h, y = self._system(2)
         with counting() as counter:
-            apply_equalizer(linear_weights("zf", h, 0.0)[0], y)
+            apply_equalizer(linear_stage({"zf"}, h, 0.0)["zf"][0], y)
         assert counter.flops == pytest.approx(flops_detector("ZF", FlopFormulaInput(4, 4)))
 
     def test_mmse_counted_flops_match_formula(self):
         h, y = self._system(3)
         with counting() as counter:
-            apply_equalizer(linear_weights("mmse", h, 0.1)[0], y)
+            apply_equalizer(linear_stage({"mmse"}, h, 0.1)["mmse"][0], y)
         assert counter.flops == pytest.approx(flops_detector("MMSE", FlopFormulaInput(4, 4)))
 
     def test_fitness_eval_flops_match_bracket(self):
@@ -159,7 +167,7 @@ class TestInstrumentedCounts:
         h, y = self._system(8)
         with counting() as counter:
             pass
-        apply_equalizer(linear_weights("zf", h, 0.0)[0], y)
+        apply_equalizer(linear_stage({"zf"}, h, 0.0)["zf"][0], y)
         assert counter.flops == 0 and counter.fitness_evals == 0
 
     def test_ml_counts_its_candidates(self):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mimodet.complexity import FlopFormulaInput, counting, fitness_eval_flops, flops_detector
 from mimodet.detectors import (LINEAR_KINDS, ML_BLOCK, ML_SCORES, _block_monomials,
                                _ml_block_best, _ml_coefficients, _monomial_cache, apply_equalizer,
-                               candidate_matrix, linear_stage, linear_weights, ml_detect)
+                               candidate_matrix, linear_stage, ml_detect)
 from mimodet.linalg import draw_standard_complex_gaussian, invert_hermitian
 from mimodet.ofdm import demap_symbols, square_qam
 from mimodet.realdomain import realify
@@ -30,10 +30,11 @@ def _random_instance(seed, n=4, sigma=0.1):
 
 class TestMatchedFilter:
     def test_identity(self):
-        assert np.array_equal(linear_weights("mf", np.eye(3, dtype=complex), 0.0)[0], np.eye(3))
+        w = linear_stage({"mf"}, np.eye(3, dtype=complex), 0.0)["mf"][0]
+        assert np.array_equal(w, np.eye(3))
 
     def test_conjugation(self):
-        assert linear_weights("mf", np.array([[1j]]), 0.0)[0][0, 0] == -1j
+        assert linear_stage({"mf"}, np.array([[1j]]), 0.0)["mf"][0][0, 0] == -1j
 
     def test_orthogonal_channel_recovery(self):
         # scaled unitary columns: MF output is a positive-scaled copy of x,
@@ -42,50 +43,50 @@ class TestMatchedFilter:
         q, _ = np.linalg.qr(draw_standard_complex_gaussian(rng, 4, 4))
         h = 1.7 * q
         x = CONST.points[rng.integers(0, 4, 4)]
-        soft = apply_equalizer(linear_weights("mf", h, 0.0)[0], h @ x)
+        soft = apply_equalizer(linear_stage({"mf"}, h, 0.0)["mf"][0], h @ x)
         assert np.array_equal(demap_symbols(soft, CONST), demap_symbols(x, CONST))
 
 
 class TestZeroForcing:
     def test_scaled_identity(self):
-        assert np.allclose(linear_weights("zf", 2.0 * np.eye(4), 0.0)[0], 0.5 * np.eye(4))
+        assert np.allclose(linear_stage({"zf"}, 2.0 * np.eye(4), 0.0)["zf"][0], 0.5 * np.eye(4))
 
     def test_multiply_back(self):
         for seed in range(20):
             h, _, _ = _random_instance(seed)
-            assert np.max(np.abs(linear_weights("zf", h, 0.0)[0] @ h - np.eye(4))) < 1e-9
+            assert np.max(np.abs(linear_stage({"zf"}, h, 0.0)["zf"][0] @ h - np.eye(4))) < 1e-9
 
     def test_noiseless_recovery(self):
         h, x, _ = _random_instance(30, sigma=0.0)
-        soft = apply_equalizer(linear_weights("zf", h, 0.0)[0], h @ x)
+        soft = apply_equalizer(linear_stage({"zf"}, h, 0.0)["zf"][0], h @ x)
         assert np.max(np.abs(soft - x)) < 1e-9
 
     def test_rank_deficient_fails_explicitly(self):
         h = np.ones((4, 4), dtype=complex)
-        w, failed = linear_weights("zf", h, 0.0)
+        w, failed = linear_stage({"zf"}, h, 0.0)["zf"]
         assert failed and not w.any()
 
 
 class TestMmse:
     def test_identity_channel_unit_noise(self):
-        w = linear_weights("mmse", np.eye(4, dtype=complex), 1.0)[0]
+        w = linear_stage({"mmse"}, np.eye(4, dtype=complex), 1.0)["mmse"][0]
         assert np.allclose(w, 0.5 * np.eye(4))
 
     def test_zero_noise_equals_zf(self):
         for seed in range(10):
             h, _, _ = _random_instance(40 + seed)
-            w_mmse, w_zf = (linear_weights(kind, h, 0.0)[0] for kind in ("mmse", "zf"))
+            w_mmse, w_zf = (linear_stage({kind}, h, 0.0)[kind][0] for kind in ("mmse", "zf"))
             assert np.max(np.abs(w_mmse - w_zf)) < 1e-9
 
     def test_high_noise_aligns_with_matched_filter(self):
         h, _, _ = _random_instance(60)
-        w = linear_weights("mmse", h, 1e9)[0]
+        w = linear_stage({"mmse"}, h, 1e9)["mmse"][0]
         hh = h.conj().T
         assert np.max(np.abs(w / np.linalg.norm(w) - hh / np.linalg.norm(hh))) < 1e-6
 
     def test_negative_ratio_rejected(self):
         with pytest.raises(ValueError):
-            linear_weights("mmse", np.eye(2, dtype=complex), -0.1)
+            linear_stage({"mmse"}, np.eye(2, dtype=complex), -0.1)["mmse"]
 
 
 class TestStack:
@@ -96,11 +97,11 @@ class TestStack:
         hs[17] = np.diag([1.0, 1.0, 1.0, 1e-7])      # Gram condition number 1e14
         hs[40, 2, 3] = np.inf                        # non-finite
         hs[41] = np.diag([1.0, 1.0, 1.0, 1e-5])      # Gram condition number 1e10: kept
-        w, failed = linear_weights(kind, hs, 0.0)
+        w, failed = linear_stage({kind}, hs, 0.0)[kind]
         assert np.flatnonzero(failed).tolist() == [5, 17, 40]
         assert not w[failed].any()
         for n in np.flatnonzero(~failed):
-            single, single_failed = linear_weights(kind, hs[n], 0.0)
+            single, single_failed = linear_stage({kind}, hs[n], 0.0)[kind]
             assert not single_failed
             assert np.array_equal(w[n], single)
 
@@ -109,13 +110,13 @@ class TestStack:
         hs = draw_standard_complex_gaussian(RngStream(91), 4, 4, count=7)
         ys = draw_standard_complex_gaussian(RngStream(92), 7, 4)
         with counting() as counter:
-            apply_equalizer(linear_weights(kind, hs, 0.1)[0], ys)
+            apply_equalizer(linear_stage({kind}, hs, 0.1)[kind][0], ys)
         per_system = flops_detector(kind, FlopFormulaInput(4, 4))
         assert counter.flops == pytest.approx(7 * per_system)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            linear_weights("ml", np.eye(2, dtype=complex), 0.0)
+            linear_stage({"ml"}, np.eye(2, dtype=complex), 0.0)["ml"]
 
 
 def _single_kind_oracle(kind, hs, n0_over_es):
@@ -181,7 +182,7 @@ class TestLinearStage:
                     assert np.shape(failed) == np.shape(want_failed)
                     assert np.array_equal(failed, want_failed)
                     with counting() as single:
-                        linear_weights(kind, hs, n0_over_es)
+                        linear_stage({kind}, hs, n0_over_es)[kind]
                     single_flops += single.flops
                 assert counter.flops == single_flops
 
@@ -223,7 +224,7 @@ class TestApplyEqualizer:
         assert np.array_equal(apply_equalizer(np.eye(3, dtype=complex), y), y)
 
     def test_dimension_mismatch(self):
-        eq = linear_weights("mf", np.eye(3, dtype=complex), 0.0)[0]
+        eq = linear_stage({"mf"}, np.eye(3, dtype=complex), 0.0)["mf"][0]
         with pytest.raises(ValueError):
             apply_equalizer(eq, np.zeros(4, dtype=complex))
 
@@ -233,7 +234,7 @@ class TestApplyEqualizer:
         se_mmse, se_zf = 0.0, 0.0
         for seed in range(10_000):
             h, x, y = _random_instance(1000 + seed, sigma=np.sqrt(sigma2))
-            w_mmse, w_zf = (linear_weights(kind, h, sigma2)[0] for kind in ("mmse", "zf"))
+            w_mmse, w_zf = (linear_stage({kind}, h, sigma2)[kind][0] for kind in ("mmse", "zf"))
             se_mmse += np.sum(np.abs(apply_equalizer(w_mmse, y) - x) ** 2)
             se_zf += np.sum(np.abs(apply_equalizer(w_zf, y) - x) ** 2)
         assert se_mmse < se_zf

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mimodet import heuristics
 from mimodet.complexity import counting
-from mimodet.detectors import apply_equalizer, linear_weights, ml_detect
+from mimodet.detectors import apply_equalizer, linear_stage, ml_detect
 from mimodet.heuristics import (
     INERTIA_DECAY,
     DeParams,
@@ -518,7 +518,7 @@ class TestKernelOracles:
 class TestHybrid:
     def _seeded_setup(self, seed, sigma2=0.05):
         h, x, y, sys = _instance(seed, sigma=np.sqrt(sigma2))
-        seed_vec = realify_vec(apply_equalizer(linear_weights("mmse", h, sigma2)[0], y))
+        seed_vec = realify_vec(apply_equalizer(linear_stage({"mmse"}, h, sigma2)["mmse"][0], y))
         return h, x, y, sys, seed_vec, sigma2
 
     @staticmethod
@@ -528,7 +528,7 @@ class TestHybrid:
         x = CONST.points[rng.substream("x").integers(0, 4, (batch, 4))]
         z = draw_standard_complex_gaussian(rng.substream("z"), batch, 4)
         y = np.einsum("brt,bt->br", h, x) + np.sqrt(sigma2) * z
-        seeds = apply_equalizer(linear_weights(linear, h, sigma2)[0], y)
+        seeds = apply_equalizer(linear_stage({linear}, h, sigma2)[linear][0], y)
         return realify(h, y), realify_vec(seeds)
 
     def test_budget_zero_returns_sliced_seed(self):

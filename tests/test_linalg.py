@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimodet.channel import CorrelationSpec, generate_channel
-from mimodet.detectors import linear_stage, linear_weights
+from mimodet.detectors import linear_stage
 from mimodet.linalg import (RCOND_FLOOR, _fro2, draw_standard_complex_gaussian,
                             invert_hermitian, psd_sqrt)
 from mimodet.rng import RngStream
@@ -124,11 +124,11 @@ class TestInvertHermitian:
     def test_noiseless_rank_one_zf_matches_oracle(self):
         # rho = 1: every channel is rank one, and the stacked inverse of the
         # Grams hits an exactly singular pivot, so every system gets eigvalsh
-        hs = generate_channel(RngStream(3), CorrelationSpec(rho=1.0, n_antennas=4), 64)
+        hs = generate_channel([RngStream(3)], CorrelationSpec(rho=1.0, n_antennas=4), 64)
         hh = np.conj(np.swapaxes(hs, -1, -2))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(hh @ hs)
-        w, failed = linear_weights("zf", hs, 0)
+        w, failed = linear_stage({"zf"}, hs, 0)["zf"]
         want_inv, want_failed = _oracle_invert(hh @ hs)
         want_w = want_inv @ hh
         want_w[want_failed] = 0.0
@@ -141,7 +141,7 @@ class TestInvertHermitian:
         # Grams are regular; the one fallback still gives each kind's
         # oracle bytes and flags
         n0 = 0.005
-        hs = generate_channel(RngStream(3), CorrelationSpec(rho=1.0, n_antennas=4), 64)
+        hs = generate_channel([RngStream(3)], CorrelationSpec(rho=1.0, n_antennas=4), 64)
         hh = np.conj(np.swapaxes(hs, -1, -2))
         grams = np.stack([hh @ hs, hh @ hs + n0 * np.eye(4)])
         inv, failed = invert_hermitian(grams)

@@ -127,10 +127,11 @@ def _emit(text: str, out_path) -> None:
 
 
 def _check_out_dirs(args) -> None:
-    """Reject an output path that is empty, is a directory, or lies in a
-    missing one, before any work starts."""
-    for flag, path in (("--out", getattr(args, "out", None)),
-                       ("--traces-out", getattr(args, "traces_out", None))):
+    """Reject an output path that is empty, is a directory, lies in a
+    missing one, or is given to both --out and --traces-out, before any
+    work starts."""
+    out, traces = getattr(args, "out", None), getattr(args, "traces_out", None)
+    for flag, path in (("--out", out), ("--traces-out", traces)):
         if path is None:
             continue
         if not path:
@@ -139,6 +140,8 @@ def _check_out_dirs(args) -> None:
             raise ConfigError(f"cannot write {path}: is a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ConfigError(f"cannot write {path}: no such directory")
+    if None not in (out, traces) and os.path.realpath(out) == os.path.realpath(traces):
+        raise ConfigError(f"--out and --traces-out name the same file {out}")
 
 
 def _load_config(args) -> SimulationConfig:

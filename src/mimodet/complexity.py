@@ -31,7 +31,12 @@ Measured counts: inside ``with counting() as c:`` the detectors, the
 fitness function and the heuristic updates call charge(flops,
 fitness_evals) with costs from the table above, and c (a FlopCounter) sums
 them; outside a block a charge adds nothing. I = 0 is a valid budget, and
-a zero-budget hybrid costs exactly its seed. Measured counts also hold a
+a zero-budget hybrid costs exactly its seed. The linear kinds are charged
+their model counts, not the engine's arithmetic: a task forms one Gram
+and one H^H y for all of its kinds, and ZF and MMSE apply their Gram
+inverse to H^H y, so the W = A^-1 H^H product their counts include is
+never formed. It is still charged, and each kind's measured count stays
+its closed form. Measured counts also hold a
 heuristic's n_pop initial evaluations, which the closed form leaves out.
 ML is measured at the M^n_t candidates it scores, one fitness evaluation
 each and not the arithmetic of the matrix product that scores them,

@@ -44,7 +44,7 @@ from .channel import CorrelationSpec, add_awgn, generate_channel
 from .complexity import DETECTORS
 from .config import (CalibrationPlan, ConfigError, DetectorConfig, ResolvedDetector,
                      SimulationConfig, _inf_as_text, check_operating_point, resolve_detector)
-from .detectors import apply_equalizer, linear_stage, ml_detect
+from .detectors import STAGE_KINDS, apply_equalizer, linear_stage, ml_detect
 from .heuristics import run_heuristic
 from .ofdm import Constellation, demap_symbols, map_bits, noise_variance, square_qam
 from .realdomain import realify, realify_vec
@@ -123,7 +123,7 @@ def _draw_task(config: SimulationConfig, const: Constellation,
 
 def _detect_frame(res: ResolvedDetector, config: SimulationConfig,
                   const: Constellation, hs, ys, det_rng: RngStream | None,
-                  checkpoints, soft):
+                  checkpoints, soft, stage=None):
     """Estimates of one detector for a stack of systems: a task's stacked
     frames for the bare linear detectors and ML, one frame for PSO, DE
     and the hybrids.
@@ -133,13 +133,14 @@ def _detect_frame(res: ResolvedDetector, config: SimulationConfig,
     output. Only the heuristics have a fitness trace. `soft` is the
     stack's soft estimates of the detector's linear kind, from the task's
     one linear stage, or None for a detector without one; the caller
-    erases what that stage lost. `config` is unused, but perfbench's
-    tracer tags spans by position, from `res` and `hs`.
+    erases what that stage lost. ML reads `stage`, the task's linear
+    stage itself. `config` is unused, but perfbench's tracer tags spans
+    by position, from `res` and `hs`.
     """
     if DETECTORS[res.kind].heuristic is None:
-        return {None: ml_detect(hs, ys, const) if soft is None else soft}, None
-    # a lost seed is the zero vector, since its W rows are zero, and the
-    # heuristic decides every vector, lost seeds included
+        return {None: ml_detect(stage, const) if soft is None else soft}, None
+    # a lost seed is the zero vector, since its soft estimate is zeroed,
+    # and the heuristic decides every vector, lost seeds included
     seed = realify_vec(soft) if soft is not None else None
     run = run_heuristic(det_rng, realify(hs, ys), res.params, seed, checkpoints)
     return run.estimates, run.trace
@@ -192,9 +193,10 @@ def _simulate_frames(config: SimulationConfig, detectors, ebn0_db: float,
 
     The task's frames are built as one stack on the system axis
     (_draw_task), bit for bit the frames built one at a time. One linear
-    stage (detectors.linear_stage) computes every linear kind the active
-    detectors need, MF, ZF and MMSE together; the bare linear detectors,
-    ML and one demap of their outputs then run once over the whole stack.
+    stage (detectors.linear_stage) forms the matched filter H^H y, the
+    Gram and the inverses every active detector needs, MF, ZF, MMSE and
+    ML together; the bare linear detectors, ML and one demap of their
+    outputs then run once over the whole stack.
     PSO, DE and the hybrids run frame by frame, each frame on its own
     detector substream and its slice of the linear seed, with one demap
     of that frame's grids. The flop ledger still charges each linear kind
@@ -208,9 +210,12 @@ def _simulate_frames(config: SimulationConfig, detectors, ebn0_db: float,
     nbits = n_sc * config.bits_per_vector
     frames = range(frame_lo, frame_hi)
     bits, hs, ys, sigma2 = _draw_task(config, const, ebn0_db, rho, frames)
-    kinds = {DETECTORS[res.kind].linear for _, res in detectors} - {None}
-    linear = {kind: (apply_equalizer(w, ys), failed)
-              for kind, (w, failed) in linear_stage(kinds, hs, sigma2).items()}
+    # each detector's linear kind, or its own kind where the stage serves it (ML)
+    kinds = {DETECTORS[res.kind].linear or res.kind for _, res in detectors} & set(STAGE_KINDS)
+    stage = linear_stage(kinds, hs, ys, sigma2) if kinds else None
+    linear = {kind: apply_equalizer(stage, kind) for kind in kinds - {"ml"}}
+    if stage is not None:  # the inverses are spent: freeing them bounds the task's peak memory
+        stage = stage._replace(equalizers={})
     out = FrameBatchResult()
     masks = {key: [] for pair in pairs for key in pair}  # column -> error masks, frame order
 
@@ -229,7 +234,8 @@ def _simulate_frames(config: SimulationConfig, detectors, ebn0_db: float,
     for i, res in detectors:
         if DETECTORS[res.kind].heuristic is None:
             soft, failed = linear.get(DETECTORS[res.kind].linear, (None, None))
-            det_grids, _ = _detect_frame(res, config, const, hs, ys, None, checkpoints, soft)
+            det_grids, _ = _detect_frame(res, config, const, hs, ys, None, checkpoints, soft,
+                                         stage)
             stacked += [((i, None), det_grids[None], failed)]
     count(stacked, bits)
     searched = [(i, res) for i, res in detectors if DETECTORS[res.kind].heuristic]

@@ -22,7 +22,7 @@ from scipy.stats import binom
 from mimodet.channel import CorrelationSpec, build_correlation_matrix, correlation_sqrt
 from mimodet.cli import cli_main
 from mimodet.complexity import FlopFormulaInput, flops_detector
-from mimodet.detectors import linear_stage, ml_detect
+from mimodet.detectors import apply_equalizer, linear_stage, ml_detect
 from mimodet.heuristics import (
     DeParams,
     PsoParams,
@@ -244,7 +244,7 @@ def test_criterion_7_oracle_equivalence():
             val = np.sum(np.abs(y - h @ cand) ** 2)
             if val < best_val:
                 best, best_val = cand, val
-        if not np.array_equal(ml_detect(h, y, CONST), best):
+        if not np.array_equal(ml_detect(linear_stage({"ml"}, h, y, 0.0), CONST), best):
             ml_ok = False
             break
     fit_ok = True
@@ -307,10 +307,13 @@ def test_criterion_8_structural_invariants():
     # ZF multiply-back and MMSE -> ZF limit
     zf_ok, limit_ok = True, True
     for i in range(25):
+        # the observations y_j = H e_j give the columns of W H, so the
+        # soft estimates read the multiply-back W H = I and the MMSE limit
         hh = draw_standard_complex_gaussian(rng.substream("zf", i), 4, 4)
-        w = linear_stage({"zf"}, hh, 0.0)["zf"][0]
-        zf_ok &= float(np.abs(w @ hh - np.eye(4)).max()) < 1e-9
-        limit_ok &= float(np.abs(linear_stage({"mmse"}, hh, 0.0)["mmse"][0] - w).max()) < 1e-9
+        stage = linear_stage({"zf", "mmse"}, np.broadcast_to(hh, (4, 4, 4)), hh.T, 0.0)
+        wh = apply_equalizer(stage, "zf")[0].T
+        zf_ok &= float(np.abs(wh - np.eye(4)).max()) < 1e-9
+        limit_ok &= float(np.abs(apply_equalizer(stage, "mmse")[0].T - wh).max()) < 1e-9
     checks["zf multiply-back"] = zf_ok
     checks["mmse->zf limit"] = limit_ok
 

@@ -326,6 +326,24 @@ class TestConvergenceCommand:
         assert f"error: cannot write {traces}: is a directory" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("traces_name", ["x.csv", "./x.csv"])
+    def test_one_path_for_both_outputs_rejected_before_any_frame(
+            self, config_path, tmp_path, monkeypatch, capsys, traces_name):
+        import mimodet.simulate as sim
+
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a frame ran before the output path was rejected")
+
+        monkeypatch.setattr(sim, "_simulate_frames", no_frames)
+        monkeypatch.chdir(tmp_path)
+        rc = cli_main(["convergence", "--config", config_path, "--detector", "pso-mmse",
+                       "--max-iters", "3", "--vectors", "64", "--out", "x.csv",
+                       "--traces-out", traces_name])
+        assert rc == EXIT_CONFIG
+        assert "error: --out and --traces-out name the same file x.csv" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("args", [
         ["--detector", "mmse"],
         ["--detector", "ml"],

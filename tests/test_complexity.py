@@ -121,19 +121,19 @@ class TestInstrumentedCounts:
     def test_mf_counted_flops(self):
         h, y = self._system()
         with counting() as counter:
-            apply_equalizer(linear_stage({"mf"}, h, 0.0)["mf"][0], y)
+            apply_equalizer(linear_stage({"mf"}, h, y, 0.0), "mf")
         assert counter.flops == 120
 
     def test_zf_counted_flops_match_formula(self):
         h, y = self._system(2)
         with counting() as counter:
-            apply_equalizer(linear_stage({"zf"}, h, 0.0)["zf"][0], y)
+            apply_equalizer(linear_stage({"zf"}, h, y, 0.0), "zf")
         assert counter.flops == pytest.approx(flops_detector("ZF", FlopFormulaInput(4, 4)))
 
     def test_mmse_counted_flops_match_formula(self):
         h, y = self._system(3)
         with counting() as counter:
-            apply_equalizer(linear_stage({"mmse"}, h, 0.1)["mmse"][0], y)
+            apply_equalizer(linear_stage({"mmse"}, h, y, 0.1), "mmse")
         assert counter.flops == pytest.approx(flops_detector("MMSE", FlopFormulaInput(4, 4)))
 
     def test_fitness_eval_flops_match_bracket(self):
@@ -167,7 +167,7 @@ class TestInstrumentedCounts:
         h, y = self._system(8)
         with counting() as counter:
             pass
-        apply_equalizer(linear_stage({"zf"}, h, 0.0)["zf"][0], y)
+        apply_equalizer(linear_stage({"zf"}, h, y, 0.0), "zf")
         assert counter.flops == 0 and counter.fitness_evals == 0
 
     def test_ml_counts_its_candidates(self):
@@ -175,6 +175,6 @@ class TestInstrumentedCounts:
         # M^(2 n_t) of them, 9 895 936 flops at 4x4 4-QAM
         h, y = self._system(9)
         with counting() as counter:
-            ml_detect(h, y, square_qam(4))
+            ml_detect(linear_stage({"ml"}, h, y, 0.0), square_qam(4))
         assert counter.fitness_evals == 4 ** 4
         assert counter.flops == 4 ** 4 * fitness_eval_flops(4, 4) == 38_656

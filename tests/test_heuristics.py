@@ -208,7 +208,7 @@ class TestPsoDetect:
         sys = realify(h, y)
         params = PsoParams(c1=2, c2=2, w0=1.0, n_pop=40, iters=300)
         run = run_heuristic(rng.substream("pso"), sys, params, None)
-        ml = ml_detect(h, y, CONST)
+        ml = ml_detect(linear_stage({"ml"}, h, y, 0.0), CONST)
         hit = _decided(run.estimates[None], ml).mean()
         assert hit >= 0.99
 
@@ -327,7 +327,7 @@ class TestDeOperators:
         sys = realify(h, y)
         params = DeParams(0.6, 0.6, n_pop=40, iters=300)
         run = run_heuristic(rng.substream("de"), sys, params, None)
-        ml = ml_detect(h, y, CONST)
+        ml = ml_detect(linear_stage({"ml"}, h, y, 0.0), CONST)
         hit = _decided(run.estimates[None], ml).mean()
         assert hit >= 0.99
 
@@ -518,7 +518,7 @@ class TestKernelOracles:
 class TestHybrid:
     def _seeded_setup(self, seed, sigma2=0.05):
         h, x, y, sys = _instance(seed, sigma=np.sqrt(sigma2))
-        seed_vec = realify_vec(apply_equalizer(linear_stage({"mmse"}, h, sigma2)["mmse"][0], y))
+        seed_vec = realify_vec(apply_equalizer(linear_stage({"mmse"}, h, y, sigma2), "mmse")[0])
         return h, x, y, sys, seed_vec, sigma2
 
     @staticmethod
@@ -528,7 +528,7 @@ class TestHybrid:
         x = CONST.points[rng.substream("x").integers(0, 4, (batch, 4))]
         z = draw_standard_complex_gaussian(rng.substream("z"), batch, 4)
         y = np.einsum("brt,bt->br", h, x) + np.sqrt(sigma2) * z
-        seeds = apply_equalizer(linear_stage({linear}, h, sigma2)[linear][0], y)
+        seeds = apply_equalizer(linear_stage({linear}, h, y, sigma2), linear)[0]
         return realify(h, y), realify_vec(seeds)
 
     def test_budget_zero_returns_sliced_seed(self):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimodet.channel import CorrelationSpec, generate_channel
-from mimodet.detectors import linear_stage
+from mimodet.detectors import apply_equalizer, linear_stage
 from mimodet.linalg import (RCOND_FLOOR, _fro2, draw_standard_complex_gaussian,
                             invert_hermitian, psd_sqrt)
 from mimodet.rng import RngStream
@@ -128,12 +128,13 @@ class TestInvertHermitian:
         hh = np.conj(np.swapaxes(hs, -1, -2))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(hh @ hs)
-        w, failed = linear_stage({"zf"}, hs, 0)["zf"]
+        ys = draw_standard_complex_gaussian(RngStream(4), 64, 4)
+        soft, failed = apply_equalizer(linear_stage({"zf"}, hs, ys, 0), "zf")
         want_inv, want_failed = _oracle_invert(hh @ hs)
-        want_w = want_inv @ hh
-        want_w[want_failed] = 0.0
+        want_soft = (want_inv @ (hh @ ys[..., None]))[..., 0]
+        want_soft[want_failed] = 0.0
         assert failed.all() and np.array_equal(failed, want_failed)
-        assert w.tobytes() == want_w.tobytes()
+        assert soft.tobytes() == want_soft.tobytes()
 
     def test_stacked_kinds_with_a_singular_one_match_oracle(self):
         # rho = 1 at N0/Es = 0.005: every ZF Gram is rank one and the
@@ -145,16 +146,19 @@ class TestInvertHermitian:
         hh = np.conj(np.swapaxes(hs, -1, -2))
         grams = np.stack([hh @ hs, hh @ hs + n0 * np.eye(4)])
         inv, failed = invert_hermitian(grams)
-        stage = linear_stage(("zf", "mmse"), hs, n0)
+        ys = draw_standard_complex_gaussian(RngStream(4), 64, 4)
+        stage = linear_stage(("zf", "mmse"), hs, ys, n0)
         want_inv, want_failed = _oracle_invert(grams)
         assert inv.tobytes() == want_inv.tobytes()
         assert np.array_equal(failed, want_failed)
         assert failed[0].all() and not failed[1].any()
+        b = hh @ ys[..., None]
         for k, kind in enumerate(("zf", "mmse")):
-            want_w = want_inv[k] @ hh
-            want_w[want_failed[k]] = 0.0
-            assert stage[kind][0].tobytes() == want_w.tobytes()
-            assert np.array_equal(stage[kind][1], want_failed[k])
+            want_soft = (want_inv[k] @ b)[..., 0]
+            want_soft[want_failed[k]] = 0.0
+            soft, kind_failed = apply_equalizer(stage, kind)
+            assert soft.tobytes() == want_soft.tobytes()
+            assert np.array_equal(kind_failed, want_failed[k])
 
     def test_well_conditioned_stack_skips_eigvalsh(self, monkeypatch):
         def refuse(a):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mimodet.detectors import ml_detect
+from mimodet.detectors import linear_stage, ml_detect
 from mimodet.linalg import draw_standard_complex_gaussian
 from mimodet.ofdm import square_qam
 from mimodet.realdomain import complexify, fitness_columns, realify, realify_vec
@@ -136,7 +136,7 @@ class TestFitness:
                 val = _fitness(sys, realify_vec(np.array(cand)))
                 if val < best_val:
                     best, best_val = np.array(cand), val
-            assert np.allclose(ml_detect(h, y, const), best)
+            assert np.allclose(ml_detect(linear_stage({"ml"}, h, y, 0.0), const), best)
 
 
 def _complex_arrays(shape, bound):

@@ -633,7 +633,7 @@ class TestGolden:
     CONFIG = SimulationConfig(detectors=(DetectorConfig("mmse"),), master_seed=2024)
     CONVERGENCE = {
         "pso-mmse": ([43, 43, 43, 43, 43, 43],
-                     "7d519451970f467a7fceb6d0c1617b253e8545aeff648e4701e3e19cca71ea2f"),
+                     "27bffaa14b7c13ebb59dd0ced4be531b83e0f3c510ac6af3a1852efc11d9f767"),
         "de-mf": ([214, 265, 351, 386, 393, 407],
                   "e371f132890e944f7304476f5e21e8c92d32c891f981493d0a68d0f2cd0815f6"),
     }
